@@ -78,12 +78,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return T.reshape(out, lead + (d_out,)) if x.ndim != 2 else out
 
 
-def _swap_last(t: Tensor) -> Tensor:
-    axes = list(range(t.ndim))
-    axes[-1], axes[-2] = axes[-2], axes[-1]
-    return T.transpose(t, axes)
-
-
 def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """softmax(Q K^T / sqrt(d)) V over the last two axes; batched if 3-D."""
     d = q.shape[-1]
@@ -95,12 +89,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
         raise ShapeError(f"attention: key/value counts differ: {k.shape}, {v.shape}")
     if k.shape[-2] < 1:
         raise ContractError("attention: need at least one key")
-    scores = T.scale(T.matmul(q, _swap_last(k)), 1.0 / np.sqrt(d))
-    weights = T.softmax(scores)
-    if T.debug_checks_enabled():
-        sums = weights.data.sum(axis=-1)
-        assert np.all(np.abs(sums - 1.0) <= 1e-12), "softmax rows must sum to 1"
-    return T.matmul(weights, v)
+    return T.sdpa(q, k, v)
 
 
 def _split_heads(x: Tensor, cfg: AttentionConfig) -> Tensor:

@@ -3,9 +3,14 @@
 The graph is a tape rebuilt on every forward pass: each Tensor produced by
 an operation remembers its parents and a closure that maps the output
 gradient to parent gradients. ``backward`` walks the tape once, in reverse
-topological order, and accumulates gradients on every node that requires
-them. Data buffers are row-major contiguous float64 and are treated as
-immutable after construction; only the ``grad`` buffer is mutated.
+topological order, and consumes it as it goes: once a node's closure has
+run, the node drops its closure, its parents and its gradient, so every
+activation is freed as soon as no later closure needs it. Only leaves
+(tensors created with ``requires_grad=True``, i.e. parameters and inputs)
+keep ``.grad`` after ``backward``. A consumed graph cannot be differentiated
+again; a second ``backward`` through it raises ``ContractError``. Data
+buffers are row-major contiguous float64 and are treated as immutable after
+construction; only the ``grad`` buffer is mutated.
 
 Broadcasting is deliberately limited to scalar-vs-tensor plus the
 last-axis helpers (``add_last`` / ``mul_last``) that linear layers and
@@ -108,7 +113,7 @@ def _check_finite(arr: np.ndarray, op: str) -> None:
 class Tensor:
     """N-dimensional float64 array with an optional gradient buffer."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -284,7 +289,7 @@ _GELU_C = np.sqrt(2.0 / np.pi)
 def gelu(a: Tensor) -> Tensor:
     """Smooth activation x * Phi(x), tanh approximation."""
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * x**3)
+    inner = _GELU_C * (x + 0.044715 * (x * x * x))
     t = np.tanh(inner)
     data = 0.5 * x * (1.0 + t)
 
@@ -493,6 +498,46 @@ def softmax(a: Tensor) -> Tensor:
     return Tensor._result(data, (a,), bw, "softmax")
 
 
+def sdpa(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+    """Scaled dot-product attention softmax(q kᵀ / √d) v over the last two axes.
+
+    2-D, or stacked with identical leading batch dims. One fused op: the
+    scores are scaled and softmaxed in place in one buffer, and only the
+    attention weights P are kept for the hand-written backward pass
+    (Rabe & Staats, arXiv:2112.05682; FlashAttention, arXiv:2205.14135).
+    MACs are charged as the two matmuls q kᵀ and P v.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    if (q.ndim < 2 or not q.ndim == k.ndim == v.ndim
+            or not q.shape[:-2] == k.shape[:-2] == v.shape[:-2]):
+        raise ShapeError(f"sdpa: shapes {q.shape}, {k.shape}, {v.shape} are incompatible")
+    if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
+        raise ShapeError(f"sdpa: inner dims of {q.shape}, {k.shape}, {v.shape} disagree")
+    d = q.shape[-1]
+    c = float(1.0 / np.sqrt(d))
+    p = q.data @ np.swapaxes(k.data, -1, -2)
+    p *= c
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    _check_finite(p, "sdpa")
+    if _debug_checks:
+        assert np.all(np.abs(p.sum(axis=-1) - 1.0) <= 1e-12), "softmax rows must sum to 1"
+    data = p @ v.data
+    batch = int(np.prod(q.shape[:-2], dtype=np.int64)) if q.ndim > 2 else 1
+    nq, nk = q.shape[-2], k.shape[-2]
+    macs.add(batch * nq * nk * (d + v.shape[-1]))
+
+    def bw(g):
+        ds = g @ np.swapaxes(v.data, -1, -2)  # dP
+        ds -= (ds * p).sum(axis=-1, keepdims=True)
+        ds *= p
+        ds *= c  # c·dS
+        return ds @ k.data, np.swapaxes(ds, -1, -2) @ q.data, np.swapaxes(p, -1, -2) @ g
+
+    return Tensor._result(data, (q, k, v), bw, "sdpa")
+
+
 def layernorm(a: Tensor, eps: float = 1e-6) -> Tensor:
     """Normalize the last axis to zero mean / unit variance (no gain/bias)."""
     if eps <= 0:
@@ -556,8 +601,30 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 # -- backward ------------------------------------------------------------------
 
 
+def _consumed(g):
+    raise ContractError("backward: the graph through this tensor was consumed by an "
+                        "earlier backward")
+
+
+def _accumulate(parents: tuple[Tensor, ...], grads) -> None:
+    for parent, g in zip(parents, grads):
+        if g is None or not parent.requires_grad:
+            continue
+        if g.shape != parent.shape:
+            raise ShapeError(
+                f"backward: gradient shape {g.shape} does not match tensor {parent.shape}")
+        if parent.grad is None:
+            parent.grad = np.array(g, dtype=np.float64)
+        else:
+            parent.grad = parent.grad + g
+
+
 def backward(loss: Tensor) -> None:
-    """Populate .grad for every requires_grad tensor reachable from loss."""
+    """Populate .grad on every leaf reachable from loss, consuming the graph.
+
+    Each non-leaf node drops its closure, parents and gradient as soon as
+    its closure has run, so activations are freed during the walk.
+    """
     if loss.size != 1:
         raise ContractError(f"backward: loss must be scalar, got shape {loss.shape}")
     # Topological order via iterative post-order DFS; deterministic.
@@ -577,17 +644,11 @@ def backward(loss: Tensor) -> None:
             if id(p) not in visited and p.requires_grad:
                 stack.append((p, False))
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
-        if node._backward_fn is None or node.grad is None:
-            continue
-        grads = node._backward_fn(node.grad)
-        for parent, g in zip(node._parents, grads):
-            if g is None or not parent.requires_grad:
-                continue
-            if g.shape != parent.shape:
-                raise ShapeError(
-                    f"backward: gradient shape {g.shape} does not match tensor {parent.shape}")
-            if parent.grad is None:
-                parent.grad = np.array(g, dtype=np.float64)
-            else:
-                parent.grad = parent.grad + g
+    while topo:
+        node = topo.pop()
+        fn, g, parents = node._backward_fn, node.grad, node._parents
+        if fn is None:
+            continue  # a leaf keeps its gradient
+        node._backward_fn, node._parents, node.grad = _consumed, (), None
+        if g is not None:
+            _accumulate(parents, fn(g))

@@ -286,12 +286,15 @@ def decode_output(model: IVTModel, out: ModelOutput, threshold: float,
 
 
 def evaluate(model: IVTModel, scene: SceneSpec, cfg: TrainConfig) -> EvalReport:
-    """Full-pipeline report on a synthetic scene (no teacher forcing)."""
+    """Full-pipeline report on a synthetic scene.
+
+    No teacher forcing: tokens are always gathered at the model's own
+    predicted 2D offsets, whatever ``cfg.teacher_forcing`` says.
+    """
     spec = replace(scene, frames=cfg.frames)
     features_np, truth = generate(spec)
     features = gt_feature_provider(features_np)
-    out = model.forward(features, truth.flows,
-                        truth.offsets2d if cfg.teacher_forcing else None)
+    out = model.forward(features, truth.flows)
     decoded = decode_output(model, out, cfg.threshold, cfg.max_people)
     return match_and_evaluate(decoded, truth.poses)
 

@@ -85,6 +85,17 @@ def test_attention_batched_matches_per_slice():
         np.testing.assert_allclose(out[b], want, atol=1e-12)
 
 
+def test_attention_macs_are_the_two_matmuls():
+    rng = RNG(5)
+    batch, nq, nk, d, dv = 3, 4, 6, 8, 5
+    q, k, v = rt(rng, batch, nq, d), rt(rng, batch, nk, d), rt(rng, batch, nk, dv)
+    T.macs.reset()
+    with T.macs.counting(), T.macs.scope("attn"):
+        attention(q, k, v)
+    # Q Kᵀ, then softmax weights times V, per batch slice.
+    assert T.macs.total == T.macs.by_scope["attn"] == batch * (nq * d * nk + nq * nk * dv)
+
+
 # -- multi-head attention -------------------------------------------------------------
 
 

@@ -1,5 +1,8 @@
 """Tensor core: ops, autodiff against finite differences and hand oracles."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -240,6 +243,67 @@ def test_concat_narrow_take_gradients():
     assert grad_check(lambda t: T.tsum(T.tanh(T.take_rows(t, idx))), a) <= 1e-6
 
 
+# -- fused attention -------------------------------------------------------------------
+
+
+def unfused_attention(q, k, v):
+    """The op chain sdpa replaces: matmul, scale, softmax, matmul."""
+    kt = T.transpose(k, tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2))
+    return T.softmax(T.scale(q @ kt, 1.0 / np.sqrt(q.shape[-1]))) @ v
+
+
+SDPA_SHAPES = [((3, 4), (5, 4), (5, 2)), ((2, 3, 4), (2, 5, 4), (2, 5, 2))]
+
+
+@pytest.mark.parametrize("shapes", SDPA_SHAPES, ids=["2d", "3d"])
+def test_sdpa_gradients_all_arguments(shapes):
+    rng = RNG(12)
+    q, k, v = (rt(rng, *s, lo=-2.0, hi=2.0) for s in shapes)
+    w = rt(rng, *shapes[0][:-1], shapes[2][-1])  # weights the output entries unequally
+    assert grad_check(lambda t: T.tsum(T.sdpa(t, k, v) * w), q) <= 1e-6
+    assert grad_check(lambda t: T.tsum(T.sdpa(q, t, v) * w), k) <= 1e-6
+    assert grad_check(lambda t: T.tsum(T.sdpa(q, k, t) * w), v) <= 1e-6
+
+
+@pytest.mark.parametrize("shapes", SDPA_SHAPES + [((4, 64, 16), (4, 96, 16), (4, 96, 8))],
+                         ids=["2d", "3d", "3d-large"])
+def test_sdpa_matches_unfused_chain(shapes):
+    rng = RNG(13)
+    arrays = [rng.uniform(-2, 2, size=s) for s in shapes]
+    g = rng.standard_normal(shapes[0][:-1] + (shapes[2][-1],))
+    results = []
+    for op in (T.sdpa, unfused_attention):
+        q, k, v = (Tensor(a.copy(), requires_grad=True) for a in arrays)
+        out = op(q, k, v)
+        T.backward(T.tsum(out * Tensor(g)))
+        results.append((out.data, q.grad, k.grad, v.grad))
+    for fused, chain in zip(*results):
+        np.testing.assert_allclose(fused, chain, rtol=0, atol=1e-12)
+
+
+def test_sdpa_rejects_mismatched_shapes():
+    rng = RNG(14)
+    with pytest.raises(ShapeError):
+        T.sdpa(rt(rng, 3, 4), rt(rng, 5, 3), rt(rng, 5, 2))
+    with pytest.raises(ShapeError):
+        T.sdpa(rt(rng, 3, 4), rt(rng, 5, 4), rt(rng, 6, 2))
+    with pytest.raises(ShapeError):
+        T.sdpa(rt(rng, 2, 3, 4), rt(rng, 3, 5, 4), rt(rng, 3, 5, 2))
+
+
+def test_sdpa_nan_input_raises_under_debug_checks():
+    rng = RNG(15)
+    q = rng.uniform(-1, 1, size=(3, 4))
+    q[1, 2] = np.nan
+    prev = T.debug_checks_enabled()
+    T.set_debug_checks(True)
+    try:
+        with pytest.raises(NumericError, match="sdpa"):
+            T.sdpa(Tensor(q), rt(rng, 5, 4), rt(rng, 5, 2))
+    finally:
+        T.set_debug_checks(prev)
+
+
 def test_grad_accumulates_over_reuse():
     x = Tensor(np.array([2.0]), requires_grad=True)
     y = x * x + x  # dy/dx = 2x + 1 = 5
@@ -261,6 +325,36 @@ def test_backward_deterministic():
         return x.grad.copy()
 
     np.testing.assert_array_equal(run(), run())
+
+
+def test_backward_consumes_graph_and_keeps_leaf_grads():
+    rng = RNG(16)
+    x = Tensor(rng.uniform(-1, 1, size=(4, 3)), requires_grad=True)
+    w = Tensor(rng.uniform(-1, 1, size=(3, 3)), requires_grad=True)
+    h = T.tanh(x @ w)
+    y = T.sdpa(h, h, h)
+    loss = T.tsum(y * y)
+    inner = [h, y, loss]
+    T.backward(loss)
+    for node in inner:  # no grad, no parents, and the closure swapped for the stub
+        assert node.grad is None and node._parents == () and node._backward_fn is T._consumed
+    assert x.grad.shape == x.shape and w.grad.shape == w.shape
+    with pytest.raises(T.ContractError, match="consumed"):
+        T.backward(loss)  # the graph is gone; a second pass fails loudly
+
+
+def test_backward_frees_intermediates():
+    rng = RNG(17)
+    x = Tensor(rng.uniform(-1, 1, size=(5, 4)), requires_grad=True)
+    h = T.tanh(x @ x.data.T.copy())
+    ref = weakref.ref(h)
+    loss = T.tsum(T.sdpa(h, h, h))
+    del h
+    gc.collect()
+    assert ref() is not None  # the tape keeps it alive until backward
+    T.backward(loss)
+    assert ref() is None  # freed by refcount alone, once consumed
+    assert x.grad is not None
 
 
 def test_debug_checks_flag_detects_nan():

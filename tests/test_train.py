@@ -165,6 +165,20 @@ def test_untrained_model_evaluates_without_error():
     assert report.matched_pairs + report.missed >= cfg.frames  # one gt per frame
 
 
+def test_evaluate_gathers_at_predicted_offsets_even_with_teacher_forcing():
+    scene, cfg = tiny_scene(), tiny_config(teacher_forcing=True)
+    model = build_model(scene, cfg)
+    forward, seen = model.forward, []
+
+    def spy(features, flows, gather_offsets=None):
+        seen.append(gather_offsets)
+        return forward(features, flows, gather_offsets)
+
+    model.forward = spy
+    evaluate(model, scene, cfg)
+    assert seen == [None]
+
+
 def test_oracle_splice_gives_zero_mpjpe():
     # Feeding ground-truth poses as predictions must report exactly zero.
     scene = tiny_scene(frames=3)
