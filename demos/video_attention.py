@@ -1,25 +1,27 @@
 """Trace one video layer: spatial attention, flow alignment, temporal attention.
 
-Tokens live on a block grid per frame. The layer runs self-attention
-inside each frame, shifts tokens along block-level motion so each grid
-slot tracks the same content over time, then cross-attends each slot
-over its frames. The whole layer sits inside an outer residual, so
+Tokens live on a block grid per frame. With a single block size the
+layer's cross-scale stage (CISA) is self-attention inside each frame.
+The layer then shifts tokens along block-level motion so each grid slot
+tracks the same content over time, and cross-attends each slot over its
+frames. The whole layer sits inside an outer residual, so
 zeroing the inner blocks turns it into an exact doubling.
 """
 
 import numpy as np
 
-from ivt.blocks import AttentionConfig, zero_block_outputs
+from ivt.blocks import AttentionConfig, block_params, zero_block_outputs
 from ivt.tensor import Tensor, macs
-from ivt.video import (GridGeometry, alignment_maps, align_tokens, ita,
-                       ivt_layer, layer_params)
+from ivt.video import (GridGeometry, VideoConfig, alignment_maps, align_tokens, ita,
+                       ivt_layer, video_params)
 
 rng = np.random.default_rng(3)
 
 frames, d_model = 2, 8
 geom = GridGeometry(block_size=2, n_h=1, n_w=4)  # 2x8 pixels, 4 blocks in a row
-cfg = AttentionConfig(d_model, heads=2)
-params = layer_params(rng, geom.n, cfg)
+# One block size; token width = joints * channels * 2 * 2 = d_model.
+cfg = VideoConfig(joints=2, channels=1, scales=(2,), layers=1, heads=2)
+params = video_params(rng, cfg, 2, 8)["layer0"]
 tokens = Tensor(rng.uniform(-1, 1, size=(frames, geom.n, d_model)))
 
 # A uniform one-block shift to the right between the two frames. Earlier
@@ -42,22 +44,21 @@ print("\nafter alignment, frame 0 slot 1 holds frame 0 block 0:",
 
 # Temporal attention cost is linear in the window length.
 cfg16 = AttentionConfig(16, 2)
-params16 = layer_params(rng, geom.n, cfg16)
+params16 = block_params(rng, cfg16)
 
 def ita_macs(t):
     macs.reset()
     with macs.counting():
-        ita(Tensor(rng.uniform(-1, 1, size=(t, geom.n, 16))),
-            params16["ita"], cfg16)
+        ita(Tensor(rng.uniform(-1, 1, size=(t, geom.n, 16))), params16, cfg16)
     return macs.by_scope["ita"]
 
 print("\ntemporal MACs, 8 frames vs 4:", ita_macs(8) / ita_macs(4))
 
 # Zero the inner block outputs (and use still footage so alignment is the
 # identity) and the layer reduces to its residual paths.
-zero_block_outputs(params["isa"])
-params["isa"]["pos"] = Tensor(np.zeros((geom.n, d_model)))
-zero_block_outputs(params["ita"])
-out = ivt_layer(tokens, [np.zeros((2, 2, 8))], params, cfg, geom)
+zero_block_outputs(params["cisa"]["block"])
+params["cisa"]["pos2"] = Tensor(np.zeros((geom.n, d_model)))
+zero_block_outputs(params["mita"]["ita2"])
+out = ivt_layer([tokens], [np.zeros((2, 2, 8))], params, cfg, [geom])[0]
 print("zeroed layer doubles the input exactly:",
       np.array_equal(out.data, 2.0 * tokens.data))

@@ -17,9 +17,9 @@ from .igt import (BlockGrid, extract_blocks, fuse_config, gather_indices,
                   gather_instance, igt_frame, offset_head_params,
                   predict_offsets, retile, tokenize)
 from .video import (GridGeometry, ScaleSet, VideoConfig, align_tokens,
-                    alignment_maps, block_mean_flow, cisa, cisa_params, isa,
-                    isa_params, ita, ivt_forward, ivt_layer, layer_params,
-                    mita, split_to_finest, tokenize_clip, video_params)
+                    alignment_maps, block_mean_flow, cisa, cisa_params, ita,
+                    ivt_forward, ivt_layer, mita, split_to_finest, tokenize_clip,
+                    video_params)
 from .codec import (ROOT_JOINT, Pose3D, center_mask, decode_poses,
                     encode_targets, keypoint_nms, poses_from_lines,
                     poses_to_lines)

@@ -12,7 +12,6 @@ import argparse
 import configparser
 import hashlib
 import json
-import os
 import sys
 import time
 from dataclasses import asdict, fields as dc_fields, replace
@@ -28,22 +27,14 @@ from .synth import SceneSpec, export_manifest, generate, gt_feature_provider, im
 from .tensor import NumericError, Tensor, macs
 from .train import (IVTModel, TrainConfig, build_model, clip_loss, decode_output,
                     evaluate, load_model, train)
-from .video import (GridGeometry, ScaleSet, VideoConfig, align_tokens, cisa, isa,
-                    isa_params, ita, ivt_forward, mita, video_params)
+from .video import (GridGeometry, ScaleSet, VideoConfig, cisa, cisa_params, ita,
+                    ivt_forward, ivt_layer, video_params)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 GRAD_TOL = 1e-5
-
-
-def max_workers() -> int:
-    """Worker cap from IVT_THREADS; evaluation is serial by default."""
-    try:
-        return max(1, int(os.environ.get("IVT_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 # -- gradient-check registry -----------------------------------------------------
@@ -77,10 +68,11 @@ def _unit_igt(rng: np.random.Generator, eps: float) -> float:
 
 
 def _unit_isa(rng: np.random.Generator, eps: float) -> float:
-    cfg = AttentionConfig(8, 2)
-    params = isa_params(rng, 4, cfg)
+    """One-scale CISA: positional embedding plus one self-attention block."""
+    sset = ScaleSet.build((2,), joints=2, channels=1)  # 4 tokens of width 8 per frame
+    params = cisa_params(rng, sset, [GridGeometry(2, 2, 2)], heads=2)
     tokens = Tensor(rng.uniform(-1, 1, size=(2, 4, 8)))
-    return grad_check(lambda t: T.tsum(isa(t, params, cfg)), tokens, eps)
+    return grad_check(lambda t: T.tsum(cisa([t], sset, params, 2)[0]), tokens, eps)
 
 
 def _unit_ita(rng: np.random.Generator, eps: float) -> float:
@@ -92,16 +84,13 @@ def _unit_ita(rng: np.random.Generator, eps: float) -> float:
 
 def _unit_cisa_mita(rng: np.random.Generator, eps: float) -> float:
     """One cross-scale layer on a 2-scale, 2-frame toy clip."""
-    from .video import cisa_params
-    from .blocks import block_params as bp
-
     joints, channels = 2, 1
     h = w = 8
     cfg = VideoConfig(joints=joints, channels=channels, scales=(2, 4), layers=1, heads=2)
     sset = cfg.scale_set()
     grids = cfg.grids(h, w)
     cp = cisa_params(rng, sset, grids, cfg.heads)
-    mp = {f"ita{s}": bp(rng, AttentionConfig(d, cfg.heads))
+    mp = {f"ita{s}": block_params(rng, AttentionConfig(d, cfg.heads))
           for s, d in zip(sset.scales, sset.token_dims)}
     frames = 2
     flows = [np.zeros((2, h, w))]
@@ -109,10 +98,7 @@ def _unit_cisa_mita(rng: np.random.Generator, eps: float) -> float:
     fine = Tensor(rng.uniform(-1, 1, size=(frames, grids[0].n, sset.token_dims[0])))
 
     def f(t):
-        spatial = cisa([t, coarse], sset, cp, cfg.heads)
-        aligned = [align_tokens(x, flows, g) for x, g in zip(spatial, grids)]
-        merged, _ = mita(aligned, mp, sset, grids, cfg.heads, joints, channels)
-        return T.tsum(merged + t)
+        return T.tsum(ivt_layer([t, coarse], flows, {"cisa": cp, "mita": mp}, cfg, grids)[0])
 
     return grad_check(f, fine, eps)
 

@@ -393,9 +393,12 @@ def transpose(a: Tensor, axes) -> Tensor:
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
+    """Join along one axis; a single tensor is returned as is, with no node."""
     tensors = [_as_tensor(t) for t in tensors]
     if not tensors:
         raise ContractError("concat: empty tensor list")
+    if len(tensors) == 1:
+        return tensors[0]
     axis = int(axis)
     data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.shape[axis] for t in tensors]
@@ -408,10 +411,15 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice [start, start+length) along one axis (copying)."""
+    """Contiguous slice [start, start+length) along one axis (copying).
+
+    A slice over the whole axis returns its input, with no copy and no node.
+    """
     axis = int(axis)
     if start < 0 or start + length > a.shape[axis]:
         raise BoundsError(f"narrow: slice [{start}, {start + length}) out of range {a.shape[axis]}")
+    if start == 0 and length == a.shape[axis]:
+        return a
     idx = [slice(None)] * a.ndim
     idx[axis] = slice(start, start + length)
     data = np.ascontiguousarray(a.data[tuple(idx)])

@@ -242,10 +242,7 @@ def train(scene: SceneSpec, cfg: TrainConfig, checkpoint_path=None) -> TrainResu
     spec = replace(scene, frames=cfg.frames)
     features_np, truth = generate(spec)
     features = gt_feature_provider(features_np)
-    video_cfg = VideoConfig(joints=spec.joints, channels=spec.channels,
-                            scales=tuple(cfg.scales), layers=cfg.layers,
-                            heads=cfg.heads, fuse_heads=cfg.fuse_heads)
-    model = IVTModel(video_cfg, spec.height, spec.width, cfg.seed, cfg.head_hidden)
+    model = build_model(spec, cfg)
     optimizer = Adam(model.named_params())
     gather = truth.offsets2d if cfg.teacher_forcing else None
 

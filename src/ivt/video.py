@@ -1,14 +1,17 @@
-"""Video transformer core: spatial, temporal, and cross-scale attention.
+"""Video transformer core: cross-scale spatial and per-scale temporal attention.
 
 Token sequences are single tensors of shape (T, N, D): T frames, N blocks
-per frame, token length D = J*C_b. ISA attends over the N tokens of each
-frame; ITA attends, per block slot, over the T frames after flow
-alignment; CISA attends over the union of tokens from all block scales
-after projecting them to a common width; MITA runs ITA per scale and
-merges every scale onto the finest grid.
+per frame, token length D = J*C_b, one sequence per block scale. CISA
+attends, per frame, over the union of tokens from all scales after
+projecting them to a common width; ITA attends, per block slot, over the
+T frames after flow alignment; MITA runs ITA per scale and merges every
+scale onto the finest grid.
 
-A layer composes them with the outer residual
-    out = temporal(aligned(spatial(tokens))) + tokens.
+A layer composes them with the outer residual on the finest scale
+    out = MITA(aligned(CISA(streams))) + streams[0].
+A single block size is the one-scale case of the same layer: CISA then
+has no projections and is positional embedding plus one self-attention
+block, and MITA is one ITA.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .blocks import (AttentionConfig, block_params, init_linear,
+from .blocks import (AttentionConfig, block_params, init_linear, linear,
                      transformer_block_cross, transformer_block_self)
 from .tensor import ConfigError, ContractError, ShapeError, Tensor, macs
 
@@ -49,23 +52,14 @@ class ScaleSet:
         d_common = dims[len(dims) // 2]
         return ScaleSet(scales, d_common, dims)
 
+    @property
+    def projected(self) -> bool:
+        """Whether CISA projects to and from d_common.
 
-# -- spatial attention ---------------------------------------------------------
-
-
-def isa_params(rng: np.random.Generator, n: int, cfg: AttentionConfig) -> dict[str, Tensor]:
-    p = block_params(rng, cfg)
-    p["pos"] = Tensor(np.zeros((n, cfg.d_model)), requires_grad=True)
-    return p
-
-
-def isa(tokens: Tensor, params: dict[str, Tensor], cfg: AttentionConfig) -> Tensor:
-    """Per-frame self-attention with learned per-block positional embeddings."""
-    if tokens.shape[-1] != cfg.d_model:
-        raise ConfigError(f"isa: token dim {tokens.shape[-1]} != d_model {cfg.d_model}")
-    with macs.scope("isa"):
-        x = T.add_bcast(tokens, params["pos"])
-        return transformer_block_self(x, params, cfg)
+        Keyed on the scale count, not on d_s == d_common: the middle one
+        of several scales has d_s == d_common and keeps its projections.
+        """
+        return len(self.scales) > 1
 
 
 # -- flow alignment -------------------------------------------------------------
@@ -126,42 +120,20 @@ def align_tokens(tokens: Tensor, flows: list[np.ndarray], geom: GridGeometry) ->
 # -- temporal attention ----------------------------------------------------------
 
 
-def ita(aligned: Tensor, params: dict[str, Tensor], cfg: AttentionConfig,
-        causal: bool = False) -> Tensor:
+def ita(aligned: Tensor, params: dict[str, Tensor], cfg: AttentionConfig) -> Tensor:
     """Cross-attention of every (frame, block) token over its block slot.
 
-    With the full window (default) every query at block i attends to the
-    tokens of block i from all T frames, so the temporal stage is one
-    cross block over the T rows of each slot. The causal flag restricts
-    keys to frames up to the query's frame.
+    Every query at block i attends to the tokens of block i from all T
+    frames, so the temporal stage is one cross block over the T rows of
+    each slot.
     """
-    frames, n, d = aligned.shape
+    _, _, d = aligned.shape
     if d != cfg.d_model:
         raise ConfigError(f"ita: token dim {d} != d_model {cfg.d_model}")
     with macs.scope("ita"):
         slots = T.transpose(aligned, (1, 0, 2))  # (N, T, D)
-        if not causal:
-            out = transformer_block_cross(slots, slots, slots, params, cfg)
-        else:
-            per_frame = []
-            for t in range(frames):
-                q = T.narrow(slots, 1, t, 1)
-                kv = T.narrow(slots, 1, 0, t + 1)
-                per_frame.append(transformer_block_cross(q, kv, kv, params, cfg))
-            out = T.concat(per_frame, axis=1)
+        out = transformer_block_cross(slots, slots, slots, params, cfg)
         return T.transpose(out, (1, 0, 2))
-
-
-def ivt_layer(tokens: Tensor, flows: list[np.ndarray], params: dict[str, dict[str, Tensor]],
-              cfg: AttentionConfig, geom: GridGeometry, causal: bool = False) -> Tensor:
-    """One single-scale layer: spatial, align, temporal, outer residual."""
-    spatial = isa(tokens, params["isa"], cfg)
-    temporal = ita(align_tokens(spatial, flows, geom), params["ita"], cfg, causal)
-    return temporal + tokens
-
-
-def layer_params(rng: np.random.Generator, n: int, cfg: AttentionConfig) -> dict[str, dict[str, Tensor]]:
-    return {"isa": isa_params(rng, n, cfg), "ita": block_params(rng, cfg)}
 
 
 # -- cross-scale attention ---------------------------------------------------------
@@ -172,16 +144,19 @@ def cisa_params(rng: np.random.Generator, scale_set: ScaleSet,
     p: dict = {"block": block_params(rng, AttentionConfig(scale_set.d_common, heads))}
     for s, d_s, geom in zip(scale_set.scales, scale_set.token_dims, grids):
         p[f"pos{s}"] = Tensor(np.zeros((geom.n, d_s)), requires_grad=True)
-        p[f"proj{s}_w"], p[f"proj{s}_b"] = init_linear(rng, d_s, scale_set.d_common)
-        p[f"back{s}_w"], p[f"back{s}_b"] = init_linear(rng, scale_set.d_common, d_s)
+        if scale_set.projected:
+            p[f"proj{s}_w"], p[f"proj{s}_b"] = init_linear(rng, d_s, scale_set.d_common)
+            p[f"back{s}_w"], p[f"back{s}_b"] = init_linear(rng, scale_set.d_common, d_s)
     return p
 
 
 def cisa(per_scale: list[Tensor], scale_set: ScaleSet, params: dict,
          heads: int) -> list[Tensor]:
-    """Project all scales to a common width, attend over the union, back-project."""
-    from .blocks import linear
+    """Project all scales to a common width, attend over the union, back-project.
 
+    With one scale nothing is projected: the stage is the positional
+    embedding plus one self-attention block over each frame's tokens.
+    """
     if len(per_scale) != len(scale_set.scales):
         raise ConfigError(
             f"cisa: {len(per_scale)} token maps for {len(scale_set.scales)} scales")
@@ -193,7 +168,9 @@ def cisa(per_scale: list[Tensor], scale_set: ScaleSet, params: dict,
             if tokens.shape[-1] != d_s:
                 raise ShapeError(f"cisa: scale {s} token dim {tokens.shape[-1]} != {d_s}")
             x = T.add_bcast(tokens, params[f"pos{s}"])
-            projected.append(linear(x, params[f"proj{s}_w"], params[f"proj{s}_b"]))
+            if scale_set.projected:
+                x = linear(x, params[f"proj{s}_w"], params[f"proj{s}_b"])
+            projected.append(x)
             counts.append(tokens.shape[1])
         union = T.concat(projected, axis=1)  # (T, sum N_s, D_common)
         fused = transformer_block_self(union, params["block"], cfg)
@@ -201,7 +178,9 @@ def cisa(per_scale: list[Tensor], scale_set: ScaleSet, params: dict,
         start = 0
         for count, s in zip(counts, scale_set.scales):
             part = T.narrow(fused, 1, start, count)
-            outs.append(linear(part, params[f"back{s}_w"], params[f"back{s}_b"]))
+            if scale_set.projected:
+                part = linear(part, params[f"back{s}_w"], params[f"back{s}_b"])
+            outs.append(part)
             start += count
         return outs
 
@@ -226,7 +205,7 @@ def split_to_finest(tokens: Tensor, geom: GridGeometry, fine: GridGeometry,
 
 def mita(per_scale: list[Tensor], params: dict[str, dict[str, Tensor]],
          scale_set: ScaleSet, grids: list[GridGeometry], heads: int,
-         joints: int, channels: int, causal: bool = False) -> tuple[Tensor, list[Tensor]]:
+         joints: int, channels: int) -> tuple[Tensor, list[Tensor]]:
     """Per-scale temporal attention, then frame-wise merge onto the finest grid.
 
     Returns (merged finest-grid token map, per-scale ITA outputs).
@@ -234,7 +213,7 @@ def mita(per_scale: list[Tensor], params: dict[str, dict[str, Tensor]],
     outs = []
     for tokens, s, d_s in zip(per_scale, scale_set.scales, scale_set.token_dims):
         cfg = AttentionConfig(d_s, heads)
-        outs.append(ita(tokens, params[f"ita{s}"], cfg, causal))
+        outs.append(ita(tokens, params[f"ita{s}"], cfg))
     fine = grids[0]
     merged = None
     for out, geom in zip(outs, grids):
@@ -256,7 +235,6 @@ class VideoConfig:
     layers: int = 3
     heads: int = 2
     fuse_heads: int = 2
-    causal: bool = False
 
     def scale_set(self) -> ScaleSet:
         return ScaleSet.build(self.scales, self.joints, self.channels)
@@ -278,16 +256,14 @@ def video_params(rng: np.random.Generator, cfg: VideoConfig, h: int, w: int) -> 
     for s in sset.scales:
         c_b = cfg.channels * s * s
         p[f"fuse{s}"] = block_params(rng, AttentionConfig(c_b, cfg.fuse_heads))
-    single = len(sset.scales) == 1
+    draw = {"cisa": lambda: cisa_params(rng, sset, grids, cfg.heads),
+            "mita": lambda: {f"ita{s}": block_params(rng, AttentionConfig(d_s, cfg.heads))
+                             for s, d_s in zip(sset.scales, sset.token_dims)}}
+    # Seeded draw order: one scale draws CISA before MITA, several scales MITA first.
+    order = ("cisa", "mita") if len(sset.scales) == 1 else ("mita", "cisa")
     for layer in range(cfg.layers):
-        if single:
-            d = sset.token_dims[0]
-            p[f"layer{layer}"] = layer_params(rng, grids[0].n, AttentionConfig(d, cfg.heads))
-        else:
-            mp = {f"ita{s}": block_params(rng, AttentionConfig(d_s, cfg.heads))
-                  for s, d_s in zip(sset.scales, sset.token_dims)}
-            p[f"layer{layer}"] = {"cisa": cisa_params(rng, sset, grids, cfg.heads),
-                                  "mita": mp}
+        drawn = {key: draw[key]() for key in order}
+        p[f"layer{layer}"] = {"cisa": drawn["cisa"], "mita": drawn["mita"]}
     return p
 
 
@@ -307,6 +283,22 @@ def tokenize_clip(features: list[Tensor], offsets: list[np.ndarray],
     return streams
 
 
+def ivt_layer(streams: list[Tensor], flows: list[np.ndarray], params: dict,
+              cfg: VideoConfig, grids: list[GridGeometry]) -> list[Tensor]:
+    """One layer: CISA, flow alignment, MITA, outer residual on the finest scale.
+
+    Takes and returns one (T, N_s, D_s) stream per scale, finest first.
+    The finest output is the merged temporal output plus the layer input;
+    the coarser outputs are their scales' ITA outputs.
+    """
+    sset = cfg.scale_set()
+    spatial = cisa(streams, sset, params["cisa"], cfg.heads)
+    aligned = [align_tokens(x, flows, geom) for x, geom in zip(spatial, grids)]
+    merged, outs = mita(aligned, params["mita"], sset, grids, cfg.heads,
+                        cfg.joints, cfg.channels)
+    return [merged + streams[0]] + outs[1:]
+
+
 def ivt_forward(features: list[Tensor], offsets: list[np.ndarray],
                 flows: list[np.ndarray], cfg: VideoConfig, params: dict) -> Tensor:
     """IGT per scale per frame, then the stacked attention layers.
@@ -314,23 +306,8 @@ def ivt_forward(features: list[Tensor], offsets: list[np.ndarray],
     Returns the finest-scale token sequence (T, N_finest, D_finest).
     """
     _, h, w = features[0].shape
-    sset = cfg.scale_set()
     grids = cfg.grids(h, w)
     streams = tokenize_clip(features, offsets, cfg, params)
-    if len(sset.scales) == 1:
-        acfg = AttentionConfig(sset.token_dims[0], cfg.heads)
-        tokens = streams[0]
-        for layer in range(cfg.layers):
-            tokens = ivt_layer(tokens, flows, params[f"layer{layer}"], acfg,
-                               grids[0], cfg.causal)
-        return tokens
     for layer in range(cfg.layers):
-        lp = params[f"layer{layer}"]
-        fine_input = streams[0]
-        spatial = cisa(streams, sset, lp["cisa"], cfg.heads)
-        aligned = [align_tokens(x, flows, geom) for x, geom in zip(spatial, grids)]
-        merged, outs = mita(aligned, lp["mita"], sset, grids, cfg.heads,
-                            cfg.joints, cfg.channels, cfg.causal)
-        streams = list(outs)
-        streams[0] = merged + fine_input
+        streams = ivt_layer(streams, flows, params[f"layer{layer}"], cfg, grids)
     return streams[0]

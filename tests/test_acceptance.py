@@ -27,7 +27,7 @@ from ivt.metrics import mpjpe, pa_mpjpe
 from ivt.synth import SceneSpec, generate
 from ivt.tensor import Tensor, macs
 from ivt.train import TrainConfig, evaluate, train
-from ivt.video import layer_params, ivt_layer, GridGeometry
+from ivt.video import GridGeometry, VideoConfig, ivt_layer, video_params
 
 RNG = np.random.default_rng
 
@@ -173,15 +173,15 @@ def test_criterion_3_residual_structure():
     ok = True
     for seed in range(5):
         rng = RNG(seed)
-        cfg = AttentionConfig(8, 2)
-        geom = GridGeometry(2, 2, 2)
-        params = layer_params(rng, 4, cfg)
-        zero_block_outputs(params["isa"])
-        params["isa"]["pos"] = Tensor(np.zeros((4, 8)))
-        zero_block_outputs(params["ita"])
+        # One block size K=2 on a 4x4 map: 4 tokens of width J*C*K*K = 8.
+        cfg = VideoConfig(joints=2, channels=1, scales=(2,), layers=1, heads=2)
+        params = video_params(rng, cfg, 4, 4)["layer0"]
+        zero_block_outputs(params["cisa"]["block"])
+        params["cisa"]["pos2"] = Tensor(np.zeros((4, 8)))
+        zero_block_outputs(params["mita"]["ita2"])
         tokens = Tensor(rng.uniform(-1, 1, size=(3, 4, 8)))
         flows = [np.zeros((2, 4, 4)) for _ in range(2)]
-        out = ivt_layer(tokens, flows, params, cfg, geom).data
+        out = ivt_layer([tokens], flows, params, cfg, [GridGeometry(2, 2, 2)])[0].data
         ok &= bool(np.array_equal(out, 2.0 * tokens.data))
     verdict(3, "residual structure", ok,
             "zeroed inner blocks double the tokens exactly (5 seeds)")

@@ -145,6 +145,14 @@ def test_concat_narrow_round_trip():
     np.testing.assert_array_equal(T.narrow(c, 1, 3, 4).data, b.data)
 
 
+def test_concat_of_one_and_narrow_of_whole_axis_are_identities():
+    x = Tensor(RNG(7).uniform(-1, 1, size=(2, 3)), requires_grad=True)
+    assert T.concat([x], axis=1) is x
+    assert T.narrow(x, 1, 0, 3) is x
+    T.backward(T.tsum(T.tanh(T.narrow(T.concat([x], axis=0), 0, 0, 2))))
+    np.testing.assert_allclose(x.grad, 1.0 - np.tanh(x.data) ** 2, atol=1e-15)
+
+
 def test_reshape_transpose_round_trip():
     rng = RNG(8)
     x = rt(rng, 2, 3, 4)
@@ -358,13 +366,14 @@ def test_backward_frees_intermediates():
 
 
 def test_debug_checks_flag_detects_nan():
+    prev = T.debug_checks_enabled()
     T.set_debug_checks(True)
     try:
         bad = Tensor(np.array([1.0, np.nan]))
         with pytest.raises(NumericError):
             T.exp(bad)
     finally:
-        T.set_debug_checks(False)
+        T.set_debug_checks(prev)
 
 
 # -- gradcheck utility ----------------------------------------------------------------

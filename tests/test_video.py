@@ -11,9 +11,8 @@ from ivt.gradcheck import grad_check
 from ivt.igt import fuse_config, igt_frame
 from ivt.tensor import ContractError, Tensor, macs
 from ivt.video import (GridGeometry, ScaleSet, VideoConfig, align_tokens,
-                       alignment_maps, block_mean_flow, cisa, cisa_params, isa,
-                       isa_params, ita, ivt_forward, ivt_layer, layer_params,
-                       mita, split_to_finest, video_params)
+                       alignment_maps, block_mean_flow, cisa, cisa_params, ita,
+                       ivt_forward, ivt_layer, mita, split_to_finest, video_params)
 
 RNG = np.random.default_rng
 
@@ -22,41 +21,58 @@ def rt(rng, *shape):
     return Tensor(rng.uniform(-1, 1, size=shape))
 
 
-def zero_layer(params):
-    zero_block_outputs(params["isa"])
-    params["isa"]["pos"] = Tensor(np.zeros_like(params["isa"]["pos"].data))
-    zero_block_outputs(params["ita"])
+def one_scale(joints, channels, geom):
+    """Scale set and grid of one block size, with token width J*C*K*K."""
+    return ScaleSet.build((geom.block_size,), joints, channels), [geom]
+
+
+def one_scale_layer(rng, joints, channels, geom):
+    """VideoConfig, grids and layer-0 parameters of a one-scale stack."""
+    cfg = VideoConfig(joints=joints, channels=channels, scales=(geom.block_size,),
+                      layers=1, heads=2)
+    k = geom.block_size
+    params = video_params(rng, cfg, geom.n_h * k, geom.n_w * k)["layer0"]
+    return cfg, [geom], params
+
+
+def zero_layer(params, k):
+    zero_block_outputs(params["cisa"]["block"])
+    pos = params["cisa"][f"pos{k}"]
+    params["cisa"][f"pos{k}"] = Tensor(np.zeros_like(pos.data))
+    zero_block_outputs(params["mita"][f"ita{k}"])
     return params
 
 
-# -- spatial attention -----------------------------------------------------------
+# -- spatial attention (one-scale CISA) ---------------------------------------------
 
 
 def test_isa_single_token_deterministic():
     rng = RNG(0)
-    cfg = AttentionConfig(4, 2)
-    params = isa_params(rng, 1, cfg)
+    sset, grids = one_scale(1, 1, GridGeometry(2, 1, 1))  # 1 token of width 4
+    params = cisa_params(rng, sset, grids, heads=2)
     x = rt(rng, 2, 1, 4)
-    np.testing.assert_array_equal(isa(x, params, cfg).data, isa(x, params, cfg).data)
+    np.testing.assert_array_equal(cisa([x], sset, params, 2)[0].data,
+                                  cisa([x], sset, params, 2)[0].data)
 
 
 def test_isa_zeroed_is_identity():
     rng = RNG(1)
-    cfg = AttentionConfig(4, 2)
-    params = isa_params(rng, 3, cfg)
-    zero_block_outputs(params)
+    sset, grids = one_scale(1, 1, GridGeometry(2, 1, 3))  # 3 tokens of width 4
+    params = cisa_params(rng, sset, grids, heads=2)
+    zero_block_outputs(params["block"])
     x = rt(rng, 2, 3, 4)
-    np.testing.assert_array_equal(isa(x, params, cfg).data, x.data)
+    np.testing.assert_array_equal(cisa([x], sset, params, 2)[0].data, x.data)
 
 
 def test_isa_matches_positional_plus_block_composition():
     rng = RNG(2)
+    sset, grids = one_scale(2, 1, GridGeometry(2, 2, 2))  # 4 tokens of width 8
     cfg = AttentionConfig(8, 2)
-    params = isa_params(rng, 4, cfg)
-    params["pos"] = rt(rng, 4, 8)
+    params = cisa_params(rng, sset, grids, heads=2)
+    params["pos2"] = rt(rng, 4, 8)
     x = rt(rng, 1, 4, 8)
-    got = isa(x, params, cfg).data
-    want = transformer_block_self(T.add_bcast(x, params["pos"]), params, cfg).data
+    got = cisa([x], sset, params, 2)[0].data
+    want = transformer_block_self(T.add_bcast(x, params["pos2"]), params["block"], cfg).data
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
@@ -142,8 +158,6 @@ def test_ita_single_frame_attends_to_itself():
     want = T.transpose(transformer_block_cross(slots, slots, slots, params, cfg),
                        (1, 0, 2)).data
     np.testing.assert_allclose(got, want, atol=1e-12)
-    causal = ita(x, params, cfg, causal=True).data
-    np.testing.assert_allclose(causal, got, atol=1e-12)
 
 
 def test_ita_identical_frames_give_identical_outputs():
@@ -181,19 +195,6 @@ def test_ita_zero_flow_equivalence():
     np.testing.assert_array_equal(a, b)
 
 
-def test_causal_ita_ignores_future_frames():
-    rng = RNG(9)
-    cfg = AttentionConfig(4, 2)
-    params = block_params(rng, cfg)
-    x = rng.uniform(-1, 1, size=(3, 2, 4))
-    base = ita(Tensor(x), params, cfg, causal=True).data
-    x2 = x.copy()
-    x2[2] += 1.0  # mutate only the last frame
-    out = ita(Tensor(x2), params, cfg, causal=True).data
-    np.testing.assert_array_equal(out[:2], base[:2])
-    assert np.any(out[2] != base[2])
-
-
 def test_ita_mac_count_grows_linearly_in_frames():
     rng = RNG(10)
     cfg = AttentionConfig(16, 2)
@@ -210,40 +211,36 @@ def test_ita_mac_count_grows_linearly_in_frames():
     assert 1.9 <= ratio <= 2.1
 
 
-# -- single-scale layer -----------------------------------------------------------
+# -- one-scale layer ----------------------------------------------------------------
 
 
 def test_zeroed_layer_doubles_tokens():
     rng = RNG(11)
-    cfg = AttentionConfig(4, 2)
-    geom = GridGeometry(2, 2, 2)
-    params = zero_layer(layer_params(rng, 4, cfg))
+    cfg, grids, params = one_scale_layer(rng, 1, 1, GridGeometry(2, 2, 2))  # width 4
+    params = zero_layer(params, 2)
     x = rt(rng, 2, 4, 4)
     flows = [np.zeros((2, 4, 4))]
-    out = ivt_layer(x, flows, params, cfg, geom).data
+    out = ivt_layer([x], flows, params, cfg, grids)[0].data
     np.testing.assert_array_equal(out, 2.0 * x.data)
 
 
 def test_layer_preserves_shape():
     rng = RNG(12)
-    cfg = AttentionConfig(8, 2)
-    geom = GridGeometry(2, 3, 2)
-    params = layer_params(rng, 6, cfg)
+    cfg, grids, params = one_scale_layer(rng, 2, 1, GridGeometry(2, 3, 2))  # width 8
     x = rt(rng, 4, 6, 8)
     flows = [rng.uniform(-1, 1, size=(2, 6, 4)) for _ in range(3)]
-    assert ivt_layer(x, flows, params, cfg, geom).shape == (4, 6, 8)
+    outs = ivt_layer([x], flows, params, cfg, grids)
+    assert [o.shape for o in outs] == [(4, 6, 8)]
 
 
 def test_layer_gradient():
     rng = RNG(13)
-    cfg = AttentionConfig(4, 2)
-    geom = GridGeometry(2, 2, 2)
-    params = layer_params(rng, 4, cfg)
+    cfg, grids, params = one_scale_layer(rng, 1, 1, GridGeometry(2, 2, 2))  # width 4
     x = rt(rng, 2, 4, 4)
     flows = [rng.uniform(-1, 1, size=(2, 4, 4))]
 
     def f(t):
-        return T.tsum(ivt_layer(t, flows, params, cfg, geom))
+        return T.tsum(ivt_layer([t], flows, params, cfg, grids)[0])
 
     assert grad_check(f, x) <= 1e-5
 
@@ -258,16 +255,25 @@ def make_scales(joints=2, channels=1, scales=(2, 4), h=8, w=8, seed=20):
     return rng, sset, grids
 
 
-def test_cisa_single_scale_is_project_block_backproject():
+def test_cisa_single_scale_is_pos_plus_block():
     rng, sset, grids = make_scales(scales=(2,))
     params = cisa_params(rng, sset, grids, heads=2)
+    assert set(params) == {"block", "pos2"}  # one scale has nothing to project
+    params["pos2"] = rt(rng, grids[0].n, sset.token_dims[0])
     x = rt(rng, 2, grids[0].n, sset.token_dims[0])
     got = cisa([x], sset, params, heads=2)[0].data
     cfg = AttentionConfig(sset.d_common, 2)
-    proj = linear(T.add_bcast(x, params["pos2"]), params["proj2_w"], params["proj2_b"])
-    fused = transformer_block_self(proj, params["block"], cfg)
-    want = linear(fused, params["back2_w"], params["back2_b"]).data
-    np.testing.assert_allclose(got, want, atol=1e-12)
+    want = transformer_block_self(T.add_bcast(x, params["pos2"]), params["block"], cfg).data
+    np.testing.assert_array_equal(got, want)
+
+
+def test_cisa_projects_every_scale_of_several():
+    # The middle of three scales has d_s == d_common and still projects.
+    rng, sset, grids = make_scales(scales=(2, 4, 8), h=16, w=16)
+    assert sset.token_dims[1] == sset.d_common
+    params = cisa_params(rng, sset, grids, heads=2)
+    for s in sset.scales:
+        assert {f"proj{s}_w", f"proj{s}_b", f"back{s}_w", f"back{s}_b"} <= set(params)
 
 
 def test_cisa_preserves_token_counts():
@@ -382,9 +388,32 @@ def test_forward_single_scale_single_layer_matches_composition():
     maps = [igt_frame(f, off, 4, params["fuse4"], fuse_cfg, cfg.joints)
             for f, off in zip(features, offsets)]
     tokens = T.concat([T.reshape(m, (1,) + m.shape) for m in maps], axis=0)
-    want = ivt_layer(tokens, flows, params["layer0"], acfg,
-                     GridGeometry(4, 2, 2)).data
+    lp = params["layer0"]
+    spatial = transformer_block_self(T.add_bcast(tokens, lp["cisa"]["pos4"]),
+                                     lp["cisa"]["block"], acfg)
+    aligned = align_tokens(spatial, flows, GridGeometry(4, 2, 2))
+    want = (ita(aligned, lp["mita"]["ita4"], acfg) + tokens).data
     np.testing.assert_allclose(out, want, atol=1e-12)
+
+
+def test_forward_multiscale_layer_stack_matches_ivt_layer():
+    from ivt.video import tokenize_clip
+
+    rng, cfg, params, features, offsets, flows = clip_fixture(scales=(2, 4))
+    cfg2 = VideoConfig(joints=cfg.joints, channels=cfg.channels, scales=cfg.scales,
+                       layers=2, heads=2, fuse_heads=2)
+    params["layer1"] = video_params(RNG(31), cfg2, 8, 8)["layer1"]
+    out = ivt_forward(features, offsets, flows, cfg2, params).data
+    grids = cfg2.grids(8, 8)
+    streams = tokenize_clip(features, offsets, cfg2, params)
+    for layer in range(2):
+        sset = cfg2.scale_set()
+        spatial = cisa(streams, sset, params[f"layer{layer}"]["cisa"], 2)
+        aligned = [align_tokens(x, flows, g) for x, g in zip(spatial, grids)]
+        merged, outs = mita(aligned, params[f"layer{layer}"]["mita"], sset, grids, 2,
+                            cfg2.joints, cfg2.channels)
+        streams = [merged + streams[0]] + outs[1:]
+    np.testing.assert_array_equal(out, streams[0].data)
 
 
 def test_forward_deterministic_bitwise():
