@@ -38,7 +38,7 @@ for t, m in enumerate(maps):
 print("the rightmost two sources collide at the edge slot; the later one")
 print("in grid order wins, and the vacated slot 0 keeps its own token.")
 
-aligned = align_tokens(tokens, flows, geom)
+aligned = align_tokens(tokens, maps)
 print("\nafter alignment, frame 0 slot 1 holds frame 0 block 0:",
       np.array_equal(aligned.data[0, 1], tokens.data[0, 0]))
 
@@ -59,6 +59,7 @@ print("\ntemporal MACs, 8 frames vs 4:", ita_macs(8) / ita_macs(4))
 zero_block_outputs(params["cisa"]["block"])
 params["cisa"]["pos2"] = Tensor(np.zeros((geom.n, d_model)))
 zero_block_outputs(params["mita"]["ita2"])
-out = ivt_layer([tokens], [np.zeros((2, 2, 8))], params, cfg, [geom])[0]
+still = [alignment_maps([np.zeros((2, 2, 8))], geom, frames)]
+out = ivt_layer([tokens], still, params, cfg, [geom])[0]
 print("zeroed layer doubles the input exactly:",
       np.array_equal(out.data, 2.0 * tokens.data))

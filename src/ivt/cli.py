@@ -19,162 +19,17 @@ from pathlib import Path
 
 import numpy as np
 
-from . import tensor as T
-from .blocks import AttentionConfig, block_params, ffn, layer_norm, multi_head_self_attention
-from .gradcheck import grad_check
-from .losses import LossWeights, total_loss
+from .gradcheck import GRAD_UNITS
 from .synth import SceneSpec, export_manifest, generate, gt_feature_provider, import_manifest
-from .tensor import NumericError, Tensor, macs
-from .train import (IVTModel, TrainConfig, build_model, clip_loss, decode_output,
-                    evaluate, load_model, train)
-from .video import (GridGeometry, ScaleSet, VideoConfig, cisa, cisa_params, ita,
-                    ivt_forward, ivt_layer, video_params)
+from .tensor import NumericError, macs
+from .train import TrainConfig, evaluate, load_model, train
+from .video import VideoConfig, ivt_forward, video_params
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 GRAD_TOL = 1e-5
-
-
-# -- gradient-check registry -----------------------------------------------------
-
-
-def _unit_mhsa(rng: np.random.Generator, eps: float) -> float:
-    cfg = AttentionConfig(8, 2)
-    params = block_params(rng, cfg)
-    x = Tensor(rng.uniform(-1, 1, size=(3, 8)))
-    return grad_check(lambda t: T.tsum(multi_head_self_attention(t, params, cfg)), x, eps)
-
-
-def _unit_ffn(rng: np.random.Generator, eps: float) -> float:
-    cfg = AttentionConfig(8, 2)
-    params = block_params(rng, cfg)
-    x = Tensor(rng.uniform(-1, 1, size=(3, 8)))
-
-    def f(t):
-        return T.tsum(ffn(layer_norm(t, params["ln2_g"], params["ln2_b"]), params))
-
-    return grad_check(f, x, eps)
-
-
-def _unit_igt(rng: np.random.Generator, eps: float) -> float:
-    from .igt import fuse_config, tokenize
-
-    cfg = fuse_config(c_b=4, heads=2)
-    params = block_params(rng, cfg)
-    gathered = Tensor(rng.uniform(-1, 1, size=(3 * 4,)))
-    return grad_check(lambda t: T.tsum(tokenize(t, params, cfg)), gathered, eps)
-
-
-def _unit_isa(rng: np.random.Generator, eps: float) -> float:
-    """One-scale CISA: positional embedding plus one self-attention block."""
-    sset = ScaleSet.build((2,), joints=2, channels=1)  # 4 tokens of width 8 per frame
-    params = cisa_params(rng, sset, [GridGeometry(2, 2, 2)], heads=2)
-    tokens = Tensor(rng.uniform(-1, 1, size=(2, 4, 8)))
-    return grad_check(lambda t: T.tsum(cisa([t], sset, params, 2)[0]), tokens, eps)
-
-
-def _unit_ita(rng: np.random.Generator, eps: float) -> float:
-    cfg = AttentionConfig(8, 2)
-    params = block_params(rng, cfg)
-    tokens = Tensor(rng.uniform(-1, 1, size=(3, 2, 8)))
-    return grad_check(lambda t: T.tsum(ita(t, params, cfg)), tokens, eps)
-
-
-def _unit_cisa_mita(rng: np.random.Generator, eps: float) -> float:
-    """One cross-scale layer on a 2-scale, 2-frame toy clip."""
-    joints, channels = 2, 1
-    h = w = 8
-    cfg = VideoConfig(joints=joints, channels=channels, scales=(2, 4), layers=1, heads=2)
-    sset = cfg.scale_set()
-    grids = cfg.grids(h, w)
-    cp = cisa_params(rng, sset, grids, cfg.heads)
-    mp = {f"ita{s}": block_params(rng, AttentionConfig(d, cfg.heads))
-          for s, d in zip(sset.scales, sset.token_dims)}
-    frames = 2
-    flows = [np.zeros((2, h, w))]
-    coarse = Tensor(rng.uniform(-1, 1, size=(frames, grids[1].n, sset.token_dims[1])))
-    fine = Tensor(rng.uniform(-1, 1, size=(frames, grids[0].n, sset.token_dims[0])))
-
-    def f(t):
-        return T.tsum(ivt_layer([t, coarse], flows, {"cisa": cp, "mita": mp}, cfg, grids)[0])
-
-    return grad_check(f, fine, eps)
-
-
-def _unit_heads(rng: np.random.Generator, eps: float) -> float:
-    joints = 2
-    d = 8
-    bound = 1.0 / np.sqrt(d * 9)
-    w = Tensor(rng.uniform(-bound, bound, size=(1 + 3 * joints, d, 3, 3)))
-    b = Tensor(rng.uniform(-0.1, 0.1, size=(1 + 3 * joints,)))
-    x = Tensor(rng.uniform(-1, 1, size=(d, 4, 4)))
-
-    def f(t):
-        out = T.conv2d(t, w, b)
-        hm = T.sigmoid(T.narrow(out, 0, 0, 1))
-        return T.tsum(hm) + T.tsum(T.narrow(out, 0, 1, 3 * joints))
-
-    return grad_check(f, x, eps)
-
-
-def _unit_loss(rng: np.random.Generator, eps: float) -> float:
-    joints = 2
-    h = w = 4
-    tgt_hm = rng.uniform(0, 1, size=(h, w))
-    tgt_o3 = np.zeros((3 * joints, h, w))
-    tgt_o2 = np.zeros((2 * joints, h, w))
-    mask = np.zeros((h, w), dtype=bool)
-    mask[1, 2] = True
-    tgt_o3[:, 1, 2] = rng.uniform(-1, 1, size=3 * joints)
-    tgt_o2[:, 1, 2] = rng.uniform(-1, 1, size=2 * joints)
-    ch = 1 + 3 * joints + 2 * joints
-    x = Tensor(rng.uniform(0.1, 0.9, size=(ch, h, w)))
-
-    def f(t):
-        hm = T.reshape(T.narrow(t, 0, 0, 1), (h, w))
-        o3 = T.narrow(t, 0, 1, 3 * joints)
-        o2 = T.narrow(t, 0, 1 + 3 * joints, 2 * joints)
-        return total_loss((hm, o3, o2), (tgt_hm, tgt_o3, tgt_o2),
-                          LossWeights(10.0), mask)[0]
-
-    return grad_check(f, x, eps)
-
-
-def _unit_full(rng: np.random.Generator, eps: float) -> float:
-    """Loss of the whole pipeline wrt one frame's feature map."""
-    scene = SceneSpec(seed=int(rng.integers(0, 2**31)), persons=1, joints=2,
-                      frames=2, height=16, width=16, channels=1, amplitude=0.0,
-                      blob_sigma=0.8, body_radius=1.5)
-    cfg = TrainConfig(steps=1, frames=2, layers=1, scales=(4,), heads=2,
-                      fuse_heads=2, head_hidden=4)
-    features_np, truth = generate(scene)
-    # Dither the flat background: constant-zero blocks sit in the
-    # zero-variance regime of the normalization, where the curvature blows
-    # up and finite differences lose accuracy without any gradient bug.
-    features_np = [f + rng.uniform(0.05, 0.5, size=f.shape) for f in features_np]
-    model = build_model(scene, cfg)
-    rest = [Tensor(f) for f in features_np[1:]]
-
-    def f(t):
-        out = model.forward([t] + rest, truth.flows, truth.offsets2d)
-        return clip_loss(model, out, truth, cfg)[0]
-
-    return grad_check(f, Tensor(features_np[0]), eps)
-
-
-GRAD_UNITS = {
-    "mhsa": _unit_mhsa,
-    "ffn": _unit_ffn,
-    "igt": _unit_igt,
-    "isa": _unit_isa,
-    "ita": _unit_ita,
-    "cisa-mita": _unit_cisa_mita,
-    "heads": _unit_heads,
-    "loss": _unit_loss,
-    "full": _unit_full,
-}
 
 
 def cmd_gradcheck(args) -> int:

@@ -148,6 +148,7 @@ class Adam:
         self.t = 0
 
     def clip_gradients(self, max_norm: float) -> float:
+        """Global gradient norm before clipping; rescales to max_norm when above it (> 0)."""
         total = 0.0
         for p in self.params.values():
             if p.grad is not None:
@@ -227,7 +228,8 @@ class TrainResult:
     def write_log(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=["step", "lr", "l1_3d", "l1_2d",
-                                                    "l2_hm", "total"])
+                                                    "l2_hm", "total", "grad_norm",
+                                                    "clipped"])
             writer.writeheader()
             writer.writerows(self.log_rows)
 
@@ -256,10 +258,11 @@ def train(scene: SceneSpec, cfg: TrainConfig, checkpoint_path=None) -> TrainResu
                 save_params(checkpoint_path, model.named_params())
             raise NumericError(f"train: NaN loss at step {step}")
         T.backward(loss)
-        optimizer.clip_gradients(cfg.clip_norm)
+        norm = optimizer.clip_gradients(cfg.clip_norm)
         optimizer.step(lr_at(cfg, step))
         history.append(terms["total"])
-        rows.append({"step": step, "lr": lr_at(cfg, step), **terms})
+        rows.append({"step": step, "lr": lr_at(cfg, step), **terms,
+                     "grad_norm": float(norm), "clipped": int(0 < cfg.clip_norm < norm)})
     if checkpoint_path is not None:
         save_params(checkpoint_path, model.named_params())
     return TrainResult(model, history, rows)

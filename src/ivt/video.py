@@ -108,10 +108,14 @@ def alignment_maps(flows: list[np.ndarray], geom: GridGeometry, frames: int) -> 
     return out
 
 
-def align_tokens(tokens: Tensor, flows: list[np.ndarray], geom: GridGeometry) -> Tensor:
-    """Relocate every frame's tokens onto the last frame's grid."""
+def align_tokens(tokens: Tensor, assigns: np.ndarray) -> Tensor:
+    """Relocate every frame's tokens onto the last frame's grid.
+
+    ``assigns`` is the (T, N) map of ``alignment_maps`` for the tokens' grid.
+    """
     frames, n, d = tokens.shape
-    assigns = alignment_maps(flows, geom, frames)
+    if assigns.shape != (frames, n):
+        raise ShapeError(f"align_tokens: map {assigns.shape} for tokens {tokens.shape}")
     flat = T.reshape(tokens, (frames * n, d))
     idx = (assigns + (np.arange(frames) * n)[:, None]).reshape(-1)
     return T.reshape(T.take_rows(flat, idx), (frames, n, d))
@@ -283,17 +287,18 @@ def tokenize_clip(features: list[Tensor], offsets: list[np.ndarray],
     return streams
 
 
-def ivt_layer(streams: list[Tensor], flows: list[np.ndarray], params: dict,
+def ivt_layer(streams: list[Tensor], maps: list[np.ndarray], params: dict,
               cfg: VideoConfig, grids: list[GridGeometry]) -> list[Tensor]:
     """One layer: CISA, flow alignment, MITA, outer residual on the finest scale.
 
-    Takes and returns one (T, N_s, D_s) stream per scale, finest first.
-    The finest output is the merged temporal output plus the layer input;
-    the coarser outputs are their scales' ITA outputs.
+    Takes and returns one (T, N_s, D_s) stream per scale, finest first;
+    ``maps`` holds each scale's ``alignment_maps``. The finest output is the
+    merged temporal output plus the layer input; the coarser outputs are
+    their scales' ITA outputs.
     """
     sset = cfg.scale_set()
     spatial = cisa(streams, sset, params["cisa"], cfg.heads)
-    aligned = [align_tokens(x, flows, geom) for x, geom in zip(spatial, grids)]
+    aligned = [align_tokens(x, m) for x, m in zip(spatial, maps)]
     merged, outs = mita(aligned, params["mita"], sset, grids, cfg.heads,
                         cfg.joints, cfg.channels)
     return [merged + streams[0]] + outs[1:]
@@ -307,7 +312,8 @@ def ivt_forward(features: list[Tensor], offsets: list[np.ndarray],
     """
     _, h, w = features[0].shape
     grids = cfg.grids(h, w)
+    maps = [alignment_maps(flows, geom, len(features)) for geom in grids]
     streams = tokenize_clip(features, offsets, cfg, params)
     for layer in range(cfg.layers):
-        streams = ivt_layer(streams, flows, params[f"layer{layer}"], cfg, grids)
+        streams = ivt_layer(streams, maps, params[f"layer{layer}"], cfg, grids)
     return streams[0]

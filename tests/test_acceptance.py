@@ -21,13 +21,13 @@ import pytest
 from ivt import tensor as T
 from ivt.blocks import (AttentionConfig, attention, block_params,
                         multi_head_self_attention, zero_block_outputs)
-from ivt.cli import GRAD_UNITS
 from ivt.codec import Pose3D, decode_poses, encode_targets, keypoint_nms
+from ivt.gradcheck import GRAD_UNITS
 from ivt.metrics import mpjpe, pa_mpjpe
 from ivt.synth import SceneSpec, generate
 from ivt.tensor import Tensor, macs
 from ivt.train import TrainConfig, evaluate, train
-from ivt.video import GridGeometry, VideoConfig, ivt_layer, video_params
+from ivt.video import GridGeometry, VideoConfig, alignment_maps, ivt_layer, video_params
 
 RNG = np.random.default_rng
 
@@ -180,8 +180,9 @@ def test_criterion_3_residual_structure():
         params["cisa"]["pos2"] = Tensor(np.zeros((4, 8)))
         zero_block_outputs(params["mita"]["ita2"])
         tokens = Tensor(rng.uniform(-1, 1, size=(3, 4, 8)))
-        flows = [np.zeros((2, 4, 4)) for _ in range(2)]
-        out = ivt_layer([tokens], flows, params, cfg, [GridGeometry(2, 2, 2)])[0].data
+        geom = GridGeometry(2, 2, 2)
+        maps = [alignment_maps([np.zeros((2, 4, 4)) for _ in range(2)], geom, 3)]
+        out = ivt_layer([tokens], maps, params, cfg, [geom])[0].data
         ok &= bool(np.array_equal(out, 2.0 * tokens.data))
     verdict(3, "residual structure", ok,
             "zeroed inner blocks double the tokens exactly (5 seeds)")

@@ -276,6 +276,11 @@ def test_sdpa_gradients_all_arguments(shapes):
 @pytest.mark.parametrize("shapes", SDPA_SHAPES + [((4, 64, 16), (4, 96, 16), (4, 96, 8))],
                          ids=["2d", "3d", "3d-large"])
 def test_sdpa_matches_unfused_chain(shapes):
+    assert_sdpa_matches_unfused_chain(shapes)
+
+
+def assert_sdpa_matches_unfused_chain(shapes):
+    """Output and all three grads of sdpa agree with the unfused chain to 1e-12."""
     rng = RNG(13)
     arrays = [rng.uniform(-2, 2, size=s) for s in shapes]
     g = rng.standard_normal(shapes[0][:-1] + (shapes[2][-1],))
@@ -310,6 +315,73 @@ def test_sdpa_nan_input_raises_under_debug_checks():
             T.sdpa(Tensor(q), rt(rng, 5, 4), rt(rng, 5, 2))
     finally:
         T.set_debug_checks(prev)
+
+
+# Block budgets that force several blocks on small shapes: three 48-byte rows
+# of 6 keys, and two 144-byte (3 x 6) score matrices.
+ROWS_OF_THREE = 3 * 6 * 8
+TWO_ELEMENTS = 2 * 3 * 6 * 8
+
+
+def test_sdpa_blocks_group_elements_or_split_rows(monkeypatch):
+    monkeypatch.setattr(T, "SDPA_BLOCK_BYTES", TWO_ELEMENTS)
+    assert T._sdpa_blocks(5, 3, 6) == [(0, 2, 0, 3), (2, 4, 0, 3), (4, 5, 0, 3)]
+    monkeypatch.setattr(T, "SDPA_BLOCK_BYTES", ROWS_OF_THREE)
+    assert T._sdpa_blocks(2, 7, 6) == [(0, 1, 0, 3), (0, 1, 3, 6), (0, 1, 6, 7),
+                                       (1, 2, 0, 3), (1, 2, 3, 6), (1, 2, 6, 7)]
+    assert T._sdpa_blocks(4, 3, 6) == [(b, b + 1, 0, 3) for b in range(4)]
+
+
+@pytest.mark.parametrize("budget, shapes", [
+    (TWO_ELEMENTS, ((5, 3, 4), (5, 6, 4), (5, 6, 2))),       # grouped, ragged last group
+    (ROWS_OF_THREE, ((2, 7, 4), (2, 6, 4), (2, 6, 3))),      # ragged last row block
+    (ROWS_OF_THREE, ((7, 4), (6, 4), (6, 3))),               # 2-D, ragged rows
+    (ROWS_OF_THREE, ((2, 2, 7, 4), (2, 2, 6, 4), (2, 2, 6, 3))),  # two batch dims
+], ids=["grouped", "rows", "2d-rows", "4d-rows"])
+def test_blocked_sdpa_matches_unfused_chain(monkeypatch, budget, shapes):
+    monkeypatch.setattr(T, "SDPA_BLOCK_BYTES", budget)
+    assert_sdpa_matches_unfused_chain(shapes)
+
+
+def test_blocked_sdpa_gradients(monkeypatch):
+    monkeypatch.setattr(T, "SDPA_BLOCK_BYTES", ROWS_OF_THREE)
+    rng = RNG(16)
+    q, k, v = rt(rng, 2, 7, 4), rt(rng, 2, 6, 4), rt(rng, 2, 6, 3)
+    w = rt(rng, 2, 7, 3)
+    assert grad_check(lambda t: T.tsum(T.sdpa(t, k, v) * w), q) <= 1e-6
+    assert grad_check(lambda t: T.tsum(T.sdpa(q, t, v) * w), k) <= 1e-6
+    assert grad_check(lambda t: T.tsum(T.sdpa(q, k, t) * w), v) <= 1e-6
+
+
+def test_sdpa_over_the_block_budget_matches_unfused_chain():
+    shapes = ((2, 300, 8), (2, 600, 8), (2, 600, 4))  # 1.4 MB of scores per element
+    assert 300 * 600 * 8 > T.SDPA_BLOCK_BYTES
+    assert len(T._sdpa_blocks(2, 300, 600)) > 2
+    assert_sdpa_matches_unfused_chain(shapes)
+
+
+def test_blocked_sdpa_nan_names_the_global_score_index(monkeypatch):
+    monkeypatch.setattr(T, "SDPA_BLOCK_BYTES", ROWS_OF_THREE)
+    rng = RNG(17)
+    q = rng.uniform(-1, 1, size=(2, 2, 7, 4))
+    q[1, 0, 5, 1] = np.nan  # third batch element, second row block
+    prev = T.debug_checks_enabled()
+    T.set_debug_checks(True)
+    try:
+        with pytest.raises(NumericError, match=r"sdpa: .* index \(1, 0, 5, 0\)"):
+            T.sdpa(Tensor(q), rt(rng, 2, 2, 6, 4), rt(rng, 2, 2, 6, 3))
+    finally:
+        T.set_debug_checks(prev)
+
+
+def test_blocked_sdpa_macs_are_the_two_matmuls(monkeypatch):
+    monkeypatch.setattr(T, "SDPA_BLOCK_BYTES", ROWS_OF_THREE)
+    rng = RNG(18)
+    q, k, v = rt(rng, 2, 7, 4), rt(rng, 2, 6, 4), rt(rng, 2, 6, 3)
+    macs.reset()
+    with macs.counting():
+        T.sdpa(q, k, v)
+    assert macs.total == 2 * 7 * 6 * (4 + 3)
 
 
 def test_grad_accumulates_over_reuse():

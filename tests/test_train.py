@@ -141,8 +141,32 @@ def test_training_log_columns(tmp_path):
     path = tmp_path / "log.csv"
     result.write_log(path)
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "step,lr,l1_3d,l1_2d,l2_hm,total"
+    assert lines[0] == "step,lr,l1_3d,l1_2d,l2_hm,total,grad_norm,clipped"
     assert len(lines) == 3
+
+
+def test_training_log_records_returned_grad_norm(monkeypatch):
+    returned = []
+    clip = Adam.clip_gradients
+
+    def recording(self, max_norm):
+        returned.append(clip(self, max_norm))
+        return returned[-1]
+
+    monkeypatch.setattr(Adam, "clip_gradients", recording)
+
+    def logged(clip_norm):
+        returned.clear()
+        rows = train(tiny_scene(), tiny_config(steps=2, clip_norm=clip_norm)).log_rows
+        assert [row["grad_norm"] for row in rows] == returned
+        return [row["clipped"] for row in rows]
+
+    assert logged(1e6) == [0, 0]
+    first = returned[0]  # the first step's norm does not depend on clipping
+    assert 1e-3 < first < 1e6
+    assert logged(1e-3) == [1, 1]
+    assert logged(first)[0] == 0  # clipped only when the norm exceeds the bound
+    assert logged(0.0) == [0, 0]  # a zero bound disables clipping
 
 
 def test_checkpoint_round_trip_preserves_evaluation(tmp_path):

@@ -9,7 +9,7 @@ from ivt.blocks import (AttentionConfig, attention, block_params, linear,
                         zero_block_outputs)
 from ivt.gradcheck import grad_check
 from ivt.igt import fuse_config, igt_frame
-from ivt.tensor import ContractError, Tensor, macs
+from ivt.tensor import ContractError, ShapeError, Tensor, macs
 from ivt.video import (GridGeometry, ScaleSet, VideoConfig, align_tokens,
                        alignment_maps, block_mean_flow, cisa, cisa_params, ita,
                        ivt_forward, ivt_layer, mita, split_to_finest, video_params)
@@ -91,7 +91,14 @@ def test_single_frame_alignment_is_noop():
     rng = RNG(3)
     geom = GridGeometry(2, 2, 2)
     x = rt(rng, 1, 4, 6)
-    np.testing.assert_array_equal(align_tokens(x, [], geom).data, x.data)
+    np.testing.assert_array_equal(align_tokens(x, alignment_maps([], geom, 1)).data, x.data)
+
+
+def test_align_tokens_rejects_map_of_another_grid():
+    rng = RNG(3)
+    x = rt(rng, 2, 4, 6)
+    with pytest.raises(ShapeError):
+        align_tokens(x, alignment_maps([np.zeros((2, 6, 6))], GridGeometry(2, 3, 3), 2))
 
 
 def test_uniform_right_flow_shifts_one_cell():
@@ -101,7 +108,7 @@ def test_uniform_right_flow_shifts_one_cell():
     flow = np.zeros((2, 4, 6))
     flow[0] = k  # every pixel moves one block right between the two frames
     x = rt(rng, 2, 6, 4)
-    out = align_tokens(x, [flow], geom).data
+    out = align_tokens(x, alignment_maps([flow], geom, 2)).data
     # Last frame is already on its own grid.
     np.testing.assert_array_equal(out[1], x.data[1])
     for r in range(2):
@@ -190,7 +197,7 @@ def test_ita_zero_flow_equivalence():
     geom = GridGeometry(2, 2, 2)
     x = rt(rng, 3, 4, 4)
     flows = [np.zeros((2, 4, 4)) for _ in range(2)]
-    a = ita(align_tokens(x, flows, geom), params, cfg).data
+    a = ita(align_tokens(x, alignment_maps(flows, geom, 3)), params, cfg).data
     b = ita(x, params, cfg).data
     np.testing.assert_array_equal(a, b)
 
@@ -219,8 +226,8 @@ def test_zeroed_layer_doubles_tokens():
     cfg, grids, params = one_scale_layer(rng, 1, 1, GridGeometry(2, 2, 2))  # width 4
     params = zero_layer(params, 2)
     x = rt(rng, 2, 4, 4)
-    flows = [np.zeros((2, 4, 4))]
-    out = ivt_layer([x], flows, params, cfg, grids)[0].data
+    maps = [alignment_maps([np.zeros((2, 4, 4))], grids[0], 2)]
+    out = ivt_layer([x], maps, params, cfg, grids)[0].data
     np.testing.assert_array_equal(out, 2.0 * x.data)
 
 
@@ -228,8 +235,8 @@ def test_layer_preserves_shape():
     rng = RNG(12)
     cfg, grids, params = one_scale_layer(rng, 2, 1, GridGeometry(2, 3, 2))  # width 8
     x = rt(rng, 4, 6, 8)
-    flows = [rng.uniform(-1, 1, size=(2, 6, 4)) for _ in range(3)]
-    outs = ivt_layer([x], flows, params, cfg, grids)
+    maps = [alignment_maps([rng.uniform(-1, 1, size=(2, 6, 4)) for _ in range(3)], grids[0], 4)]
+    outs = ivt_layer([x], maps, params, cfg, grids)
     assert [o.shape for o in outs] == [(4, 6, 8)]
 
 
@@ -237,10 +244,10 @@ def test_layer_gradient():
     rng = RNG(13)
     cfg, grids, params = one_scale_layer(rng, 1, 1, GridGeometry(2, 2, 2))  # width 4
     x = rt(rng, 2, 4, 4)
-    flows = [rng.uniform(-1, 1, size=(2, 4, 4))]
+    maps = [alignment_maps([rng.uniform(-1, 1, size=(2, 4, 4))], grids[0], 2)]
 
     def f(t):
-        return T.tsum(ivt_layer([t], flows, params, cfg, grids)[0])
+        return T.tsum(ivt_layer([t], maps, params, cfg, grids)[0])
 
     assert grad_check(f, x) <= 1e-5
 
@@ -391,7 +398,7 @@ def test_forward_single_scale_single_layer_matches_composition():
     lp = params["layer0"]
     spatial = transformer_block_self(T.add_bcast(tokens, lp["cisa"]["pos4"]),
                                      lp["cisa"]["block"], acfg)
-    aligned = align_tokens(spatial, flows, GridGeometry(4, 2, 2))
+    aligned = align_tokens(spatial, alignment_maps(flows, GridGeometry(4, 2, 2), len(features)))
     want = (ita(aligned, lp["mita"]["ita4"], acfg) + tokens).data
     np.testing.assert_allclose(out, want, atol=1e-12)
 
@@ -409,7 +416,8 @@ def test_forward_multiscale_layer_stack_matches_ivt_layer():
     for layer in range(2):
         sset = cfg2.scale_set()
         spatial = cisa(streams, sset, params[f"layer{layer}"]["cisa"], 2)
-        aligned = [align_tokens(x, flows, g) for x, g in zip(spatial, grids)]
+        aligned = [align_tokens(x, alignment_maps(flows, g, len(features)))
+                   for x, g in zip(spatial, grids)]
         merged, outs = mita(aligned, params[f"layer{layer}"]["mita"], sset, grids, 2,
                             cfg2.joints, cfg2.channels)
         streams = [merged + streams[0]] + outs[1:]
