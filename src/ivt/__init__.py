@@ -13,7 +13,7 @@ from .blocks import (AttentionConfig, attention, block_params, ffn, layer_norm,
                      multi_head_attention, multi_head_self_attention,
                      transformer_block_cross, transformer_block_self,
                      zero_block_outputs)
-from .igt import (BlockGrid, extract_blocks, fuse_config, gather_indices,
+from .igt import (BlockGrid, extract_blocks, gather_indices,
                   gather_instance, igt_frame, offset_head_params,
                   predict_offsets, retile, tokenize)
 from .video import (GridGeometry, ScaleSet, VideoConfig, align_tokens,
@@ -26,11 +26,10 @@ from .codec import (ROOT_JOINT, Pose3D, center_mask, decode_poses,
 from .losses import LossWeights, masked_l1, total_loss
 from .metrics import (EvalReport, FrameEval, depth_error, greedy_match,
                       match_and_evaluate, mpjpe, pa_mpjpe, procrustes_align)
-from .synth import (SceneSpec, SceneTruth, export_manifest, generate,
-                    gt_feature_provider, import_manifest)
+from .synth import SceneSpec, SceneTruth, generate, gt_feature_provider
 from .checkpoint import load_params, save_params
 from .train import (Adam, IVTModel, ModelOutput, TrainConfig, TrainResult,
-                    build_model, clip_loss, decode_output, evaluate, load_model,
-                    lr_at, scaled_targets, train)
+                    build_model, check_frames, clip_loss, decode_output, evaluate,
+                    load_model, lr_at, scaled_targets, train)
 
 __version__ = "0.1.0"

@@ -14,15 +14,16 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, fields as dc_fields, replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from .gradcheck import GRAD_UNITS
-from .synth import SceneSpec, export_manifest, generate, gt_feature_provider, import_manifest
-from .tensor import NumericError, macs
-from .train import TrainConfig, evaluate, load_model, train
+from .codec import poses_from_lines, poses_to_lines
+from .synth import SceneSpec, generate, gt_feature_provider
+from .tensor import ConfigError, ContractError, NumericError, macs
+from .train import TrainConfig, check_frames, evaluate, load_model, train
 from .video import VideoConfig, ivt_forward, video_params
 
 EXIT_OK = 0
@@ -53,43 +54,76 @@ def cmd_gradcheck(args) -> int:
 
 
 def read_config(path, seed_override=None) -> tuple[SceneSpec, TrainConfig]:
-    """Flat key = value config with [scene] and [train] sections."""
-    scene_kwargs: dict = {}
-    train_kwargs: dict = {}
+    """INI settings file: [scene] and [train] set SceneSpec and TrainConfig fields.
+
+    Each value is parsed as the type of its field's default. An optional
+    [poses] section holds the scene's poses in the codec's line format and
+    must equal, bitwise, the poses generated from [scene]; `ivt scene`
+    writes such a file, so a scene manifest is a config file.
+    """
+    parser = _ini()
     if path is not None:
-        parser = configparser.ConfigParser()
-        read = parser.read(path)
-        if not read:
-            raise ValueError(f"config file {path} not found or unreadable")
-        scene_fields = {f.name: f.type for f in dc_fields(SceneSpec)}
-        train_fields = {f.name: f.type for f in dc_fields(TrainConfig)}
-        for section, fields, kwargs in (("scene", scene_fields, scene_kwargs),
-                                        ("train", train_fields, train_kwargs)):
-            if not parser.has_section(section):
-                continue
-            for key, value in parser.items(section):
-                if key not in fields:
-                    raise ValueError(f"config [{section}]: unknown key {key!r}")
-                kwargs[key] = _parse_field(key, value)
-    scene = SceneSpec(**scene_kwargs)
-    cfg = TrainConfig(**train_kwargs)
+        try:
+            if not parser.read(path, encoding="utf-8"):
+                raise ConfigError(f"config file {path} not found or unreadable")
+        except configparser.Error as exc:
+            raise ConfigError(f"config file {path}: {exc}") from None
+        unknown = set(parser) - {parser.default_section, "scene", "train", "poses"}
+        if unknown:
+            raise ConfigError(f"{path}: unknown section(s) {sorted(unknown)}")
+    scene = _read_section(parser, path, "scene", SceneSpec)
+    cfg = _read_section(parser, path, "train", TrainConfig)
+    if parser.has_section("poses"):
+        _check_poses(path, scene, list(parser["poses"]))
     if seed_override is not None:
         cfg = replace(cfg, seed=seed_override)
     return scene, cfg
 
 
-def _parse_field(key: str, value: str):
-    if key in ("scales", "milestones"):
-        parts = [v for v in value.replace(",", " ").split() if v]
-        return tuple(int(v) if key == "scales" else float(v) for v in parts)
-    if key == "teacher_forcing":
-        return value.strip().lower() in ("1", "true", "yes", "on")
-    for cast in (int, float):
+def _ini() -> configparser.ConfigParser:
+    # Pose lines are keys without values.
+    return configparser.ConfigParser(allow_no_value=True, interpolation=None)
+
+
+def _read_section(parser, path, name: str, cls):
+    if not parser.has_section(name):
+        return cls()
+    defaults = asdict(cls())
+    section = parser[name]
+    kwargs = {}
+    for key, text in section.items():
+        if key not in defaults:
+            raise ConfigError(f"{path} [{name}]: unknown key {key!r}")
+        default = defaults[key]
         try:
-            return cast(value)
-        except ValueError:
-            continue
-    raise ValueError(f"config: cannot parse {key} = {value!r}")
+            if text is None:
+                raise ValueError("no value")
+            if isinstance(default, bool):
+                kwargs[key] = section.getboolean(key)
+            elif isinstance(default, tuple):
+                kwargs[key] = tuple(type(default[0])(v) for v in text.replace(",", " ").split())
+            else:
+                kwargs[key] = type(default)(text)
+        except ValueError as exc:
+            raise ConfigError(f"{path} [{name}] {key} = {text!r}: expected "
+                              f"{type(default).__name__} ({exc})") from None
+    return cls(**kwargs)
+
+
+def _check_poses(path, scene: SceneSpec, lines: list[str]) -> None:
+    try:
+        got = poses_from_lines(lines)
+    except ValueError as exc:
+        raise ContractError(f"{path} [poses]: {exc}") from None
+    want = dict(enumerate(generate(scene)[1].poses))
+
+    def bits(poses):
+        return [(p.score, p.joints.tobytes()) for p in poses]
+
+    for t in sorted(set(got) | set(want)):
+        if bits(got.get(t, [])) != bits(want.get(t, [])):
+            raise ContractError(f"{path} [poses]: frame {t} differs from the "
+                                "poses generated from [scene]")
 
 
 def _hash_file(path) -> str:
@@ -112,10 +146,17 @@ def write_manifest(out_dir: Path, command: str, config: dict, seed,
 # -- train / eval / bench / scene ---------------------------------------------------
 
 
-def cmd_train(args) -> int:
+def run_settings(args) -> tuple[SceneSpec, TrainConfig]:
+    """--config's scene and train config; a --scene file replaces the scene."""
     scene, cfg = read_config(args.config, args.seed)
     if args.scene:
-        scene, _ = import_manifest(args.scene)
+        scene, _ = read_config(args.scene)
+    check_frames(scene, cfg)
+    return scene, cfg
+
+
+def cmd_train(args) -> int:
+    scene, cfg = run_settings(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt = out_dir / "checkpoint.ivtc"
@@ -133,16 +174,14 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    scene, cfg = read_config(args.config, args.seed)
-    if args.scene:
-        scene, _ = import_manifest(args.scene)
+    scene, cfg = run_settings(args)
     if args.threshold is not None:
         cfg = replace(cfg, threshold=args.threshold)
     if args.oracle:
         # Splice ground truth in place of predictions: checks the
         # matching/metric/report path end to end (all errors must be zero).
         from .metrics import match_and_evaluate
-        _, truth = generate(replace(scene, frames=cfg.frames))
+        _, truth = generate(scene)
         report = match_and_evaluate(truth.poses, truth.poses)
     else:
         if not args.checkpoint:
@@ -216,7 +255,12 @@ def cmd_scene(args) -> int:
     if args.seed is not None:
         scene = replace(scene, seed=args.seed)
     _, truth = generate(scene)
-    export_manifest(args.out, scene, truth)
+    manifest = _ini()
+    manifest["scene"] = asdict(scene)
+    manifest["poses"] = dict.fromkeys(line for t, poses in enumerate(truth.poses)
+                                      for line in poses_to_lines(t, poses))
+    with open(args.out, "w", encoding="utf-8") as fh:
+        manifest.write(fh)
     print(f"wrote scene manifest to {args.out}")
     return EXIT_OK
 

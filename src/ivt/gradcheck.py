@@ -13,7 +13,7 @@ import numpy as np
 
 from . import tensor as T
 from .blocks import AttentionConfig, block_params, ffn, layer_norm, multi_head_self_attention
-from .igt import fuse_config, tokenize
+from .igt import tokenize
 from .losses import LossWeights, total_loss
 from .synth import SceneSpec, generate
 from .tensor import ContractError, NumericError, Tensor, backward
@@ -77,7 +77,7 @@ def _unit_ffn(rng: np.random.Generator, eps: float) -> float:
 
 
 def _unit_igt(rng: np.random.Generator, eps: float) -> float:
-    cfg = fuse_config(c_b=4, heads=2)
+    cfg = AttentionConfig(d_model=4, heads=2)
     params = block_params(rng, cfg)
     gathered = Tensor(rng.uniform(-1, 1, size=(3 * 4,)))
     return grad_check(lambda t: T.tsum(tokenize(t, params, cfg)), gathered, eps)

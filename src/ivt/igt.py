@@ -111,10 +111,6 @@ def gather_instance(grid: BlockGrid, offsets: np.ndarray, i: int, joints: int) -
     return T.reshape(T.take_rows(grid.tokens, idx), (joints * grid.tokens.shape[1],))
 
 
-def fuse_config(c_b: int, heads: int = 2) -> AttentionConfig:
-    return AttentionConfig(d_model=c_b, heads=heads)
-
-
 def tokenize(gathered: Tensor, fuse_params: dict[str, Tensor], cfg: AttentionConfig) -> Tensor:
     """Self-attention over the J joint rows of one gathered vector.
 

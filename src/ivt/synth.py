@@ -10,8 +10,7 @@ motion network.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,8 +44,6 @@ class SceneTruth:
     poses: list[list[Pose3D]]          # per frame
     offsets2d: list[np.ndarray]        # per frame, (2J, H, W)
     flows: list[np.ndarray]            # per adjacent pair, (2, H, W)
-    heatmaps: list[np.ndarray]         # per frame, (H, W)
-    offsets3d: list[np.ndarray]        # per frame, (3J, H, W)
 
 
 def _blob_radius(spec: SceneSpec) -> int:
@@ -138,15 +135,9 @@ def generate(spec: SceneSpec) -> tuple[list[np.ndarray], SceneTruth]:
             flow[1][owner == p] = step[1]
         flows.append(flow)
 
-    offsets2d, heatmaps, offsets3d = [], [], []
-    for t in range(spec.frames):
-        hm, o3, o2 = encode_targets(poses_per_frame[t], spec.height, spec.width,
-                                    spec.target_sigma)
-        heatmaps.append(hm)
-        offsets3d.append(o3)
-        offsets2d.append(o2)
-
-    truth = SceneTruth(poses_per_frame, offsets2d, flows, heatmaps, offsets3d)
+    offsets2d = [encode_targets(poses, spec.height, spec.width, spec.target_sigma)[2]
+                 for poses in poses_per_frame]
+    truth = SceneTruth(poses_per_frame, offsets2d, flows)
     return features, truth
 
 
@@ -154,46 +145,3 @@ def gt_feature_provider(features: list[np.ndarray]) -> list[Tensor]:
     """Expose rendered maps through the pluggable feature-provider contract."""
     return [Tensor(f) for f in features]
 
-
-# -- replayable scene manifests -----------------------------------------------
-
-
-def export_manifest(path, spec: SceneSpec, truth: SceneTruth) -> None:
-    """Structured text manifest: spec fields plus per-frame pose lines."""
-    lines = ["[scene]"]
-    for key in ("seed", "persons", "joints", "frames", "height", "width", "channels",
-                "amplitude", "depth_min", "depth_max", "blob_sigma", "target_sigma",
-                "body_radius"):
-        lines.append(f"{key} = {getattr(spec, key)!r}")
-    lines.append("")
-    lines.append("[poses]")
-    for t, frame_poses in enumerate(truth.poses):
-        for p, pose in enumerate(frame_poses):
-            coords = " ".join(format(v, ".17g") for v in pose.joints.reshape(-1))
-            lines.append(f"{t} {p} {coords}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def import_manifest(path) -> tuple[SceneSpec, list[list[Pose3D]]]:
-    fields: dict[str, str] = {}
-    poses: dict[int, list[Pose3D]] = {}
-    section = None
-    for raw in Path(path).read_text().splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("["):
-            section = line.strip("[]")
-            continue
-        if section == "scene":
-            key, _, value = line.partition("=")
-            fields[key.strip()] = value.strip()
-        elif section == "poses":
-            parts = line.split()
-            t = int(parts[0])
-            joints = np.array([float(v) for v in parts[2:]]).reshape(-1, 3)
-            poses.setdefault(t, []).append(Pose3D(joints))
-    ints = {"seed", "persons", "joints", "frames", "height", "width", "channels"}
-    kwargs = {k: (int(v) if k in ints else float(v)) for k, v in fields.items()}
-    spec = SceneSpec(**kwargs)
-    return spec, [poses.get(t, []) for t in range(spec.frames)]

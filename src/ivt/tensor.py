@@ -145,12 +145,6 @@ class Tensor:
     def numpy(self) -> np.ndarray:
         return self.data
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -276,11 +270,6 @@ def tanh(a: Tensor) -> Tensor:
 def sigmoid(a: Tensor) -> Tensor:
     data = 1.0 / (1.0 + np.exp(-a.data))
     return Tensor._result(data, (a,), lambda g: (g * data * (1.0 - data),), "sigmoid")
-
-
-def relu(a: Tensor) -> Tensor:
-    data = np.maximum(a.data, 0.0)
-    return Tensor._result(data, (a,), lambda g: (g * (a.data > 0.0),), "relu")
 
 
 _GELU_C = np.sqrt(2.0 / np.pi)

@@ -10,7 +10,7 @@ resolution, and the composite loss drives adaptive-moment updates.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .igt import BlockGrid, offset_head_params, predict_offsets, retile
 from .losses import LossWeights, total_loss
 from .metrics import EvalReport, match_and_evaluate
 from .synth import SceneSpec, SceneTruth, generate, gt_feature_provider
-from .tensor import ContractError, NumericError, Tensor
+from .tensor import ConfigError, ContractError, NumericError, Tensor
 from .video import VideoConfig, ivt_forward, video_params
 
 
@@ -234,6 +234,13 @@ class TrainResult:
             writer.writerows(self.log_rows)
 
 
+def check_frames(scene: SceneSpec, cfg: TrainConfig) -> None:
+    """The scene and the train config name one clip length; they must agree."""
+    if scene.frames != cfg.frames:
+        raise ConfigError(f"scene frames = {scene.frames} but train frames = "
+                          f"{cfg.frames}; the two must be equal")
+
+
 def train(scene: SceneSpec, cfg: TrainConfig, checkpoint_path=None) -> TrainResult:
     """Optimize the full model on one synthetic scene clip.
 
@@ -241,10 +248,10 @@ def train(scene: SceneSpec, cfg: TrainConfig, checkpoint_path=None) -> TrainResu
     aborts with the step index after saving the last good parameters to
     checkpoint_path (when given).
     """
-    spec = replace(scene, frames=cfg.frames)
-    features_np, truth = generate(spec)
+    check_frames(scene, cfg)
+    features_np, truth = generate(scene)
     features = gt_feature_provider(features_np)
-    model = build_model(spec, cfg)
+    model = build_model(scene, cfg)
     optimizer = Adam(model.named_params())
     gather = truth.offsets2d if cfg.teacher_forcing else None
 
@@ -291,8 +298,8 @@ def evaluate(model: IVTModel, scene: SceneSpec, cfg: TrainConfig) -> EvalReport:
     No teacher forcing: tokens are always gathered at the model's own
     predicted 2D offsets, whatever ``cfg.teacher_forcing`` says.
     """
-    spec = replace(scene, frames=cfg.frames)
-    features_np, truth = generate(spec)
+    check_frames(scene, cfg)
+    features_np, truth = generate(scene)
     features = gt_feature_provider(features_np)
     out = model.forward(features, truth.flows)
     decoded = decode_output(model, out, cfg.threshold, cfg.max_people)

@@ -1,11 +1,16 @@
 """Command-line interface: exit codes, artifacts, manifests, reproducibility."""
 
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ivt.cli import main
+from ivt.cli import main, read_config
+from ivt.codec import poses_from_lines
+from ivt.synth import generate
+from ivt.train import TrainConfig
 
 TINY_CONFIG = """\
 [scene]
@@ -126,3 +131,102 @@ def test_config_unknown_key_exit_two(tmp_path):
 def test_missing_config_file_exit_two(tmp_path):
     assert main(["train", "--config", str(tmp_path / "nope.cfg"),
                  "--out", str(tmp_path / "o")]) == 2
+
+
+def _edit_pose_line(text):
+    """Move frame 1's root x by half a cell."""
+    lines = text.splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith("1 0 "))
+    parts = lines[i].split()
+    parts[3] = repr(float(parts[3]) + 0.5)
+    lines[i] = " ".join(parts)
+    return "\n".join(lines) + "\n"
+
+
+# (file edited, edit, text the error must name). "config" edits the tiny
+# config passed as --config; "scene" edits a manifest from `ivt scene`
+# passed as --scene.
+BAD_INPUTS = {
+    "manifest-unknown-key": ("scene", lambda t: t.replace("[scene]\n", "[scene]\nbogus = 1\n"),
+                             "bogus"),
+    "float-persons": ("config", lambda t: t.replace("persons = 1\n", "persons = 2.0\n"),
+                      "persons"),
+    "float-seed": ("config", lambda t: t.replace("seed = 7\n", "seed = 1.5\n"), "seed"),
+    "no-section-header": ("config", lambda t: t.replace("[scene]\n", ""), "seed"),
+    "duplicate-section": ("config", lambda t: t + "[scene]\nseed = 8\n", "scene"),
+    "bad-boolean": ("config", lambda t: t + "teacher_forcing = maybe\n", "teacher_forcing"),
+    "edited-pose-line": ("scene", _edit_pose_line, "frame 1"),
+    "frames-mismatch": ("config", lambda t: t.replace("frames = 2\n", "frames = 3\n", 1),
+                        "frames"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_bad_settings_exit_two_and_name_the_key(tmp_path, tiny_config, capsys, case):
+    target, edit, named = BAD_INPUTS[case]
+    path = tmp_path / "bad.ini"
+    if target == "config":
+        path.write_text(edit(Path(tiny_config).read_text()))
+        argv = ["train", "--config", str(path)]
+    else:
+        assert main(["scene", "--config", tiny_config, "--out", str(path)]) == 0
+        path.write_text(edit(path.read_text()))
+        argv = ["train", "--config", tiny_config, "--scene", str(path)]
+    out = tmp_path / "run"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()  # rejected before the run starts
+
+
+def test_config_values_typed_by_field(tmp_path):
+    path = tmp_path / "typed.cfg"
+    path.write_text("[scene]\namplitude = 1\n\n"
+                    "[train]\nscales = 2, 4\nmilestones = 0.5\nteacher_forcing = off\n")
+    scene, cfg = read_config(path)
+    assert type(scene.amplitude) is float and scene.amplitude == 1.0
+    assert cfg.scales == (2, 4) and cfg.milestones == (0.5,)
+    assert cfg.teacher_forcing is False
+
+
+# -- scene manifests ------------------------------------------------------------------
+
+MANIFEST_SCENE = """\
+[scene]
+seed = 21
+persons = 2
+joints = 3
+frames = 4
+height = 32
+width = 32
+channels = 4
+amplitude = 1.5
+blob_sigma = 1.0
+body_radius = 3.0
+"""
+
+
+def test_manifest_round_trip(tmp_path):
+    config = tmp_path / "scene.cfg"
+    config.write_text(MANIFEST_SCENE)
+    manifest = tmp_path / "scene.ini"
+    assert main(["scene", "--config", str(config), "--seed", "22", "--out", str(manifest)]) == 0
+    scene = replace(read_config(config)[0], seed=22)
+    assert read_config(manifest) == (scene, TrainConfig())  # checks [poses] too
+    lines = [line for line in manifest.read_text().split("[poses]\n")[1].splitlines() if line]
+    back = poses_from_lines(lines)
+    _, truth = generate(scene)
+    assert [len(back[t]) for t in range(scene.frames)] == [2] * scene.frames
+    for t, frame in enumerate(truth.poses):
+        for want, got in zip(frame, back[t]):
+            assert got.joints.tobytes() == want.joints.tobytes() and got.score == want.score
+
+
+def test_manifest_replays_same_scene(tmp_path, tiny_config):
+    manifest = tmp_path / "scene.ini"
+    assert main(["scene", "--config", tiny_config, "--out", str(manifest)]) == 0
+    text = Path(tiny_config).read_text()
+    manifest.write_text(manifest.read_text() + text[text.index("[train]"):])
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    assert main(["train", "--config", str(manifest), "--out", str(out_a)]) == 0
+    assert main(["train", "--config", tiny_config, "--out", str(out_b)]) == 0
+    assert (out_a / "checkpoint.ivtc").read_bytes() == (out_b / "checkpoint.ivtc").read_bytes()

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ivt.codec import (Pose3D, center_mask, decode_poses, encode_targets,
                        keypoint_nms, poses_from_lines, poses_to_lines)
@@ -195,16 +197,23 @@ def test_decode_rejects_bad_arguments():
 # -- text format ---------------------------------------------------------------------
 
 
-def test_pose_lines_round_trip_exact():
-    rng = RNG(7)
-    poses = [Pose3D(rng.uniform(-10, 10, size=(4, 3)), score=0.625),
-             Pose3D(rng.uniform(-10, 10, size=(4, 3)), score=1.0 / 3.0)]
-    lines = poses_to_lines(2, poses)
-    back = poses_from_lines(lines)
-    assert list(back) == [2]
-    for orig, rec in zip(poses, back[2]):
-        np.testing.assert_array_equal(rec.joints, orig.joints)
-        assert rec.score == orig.score
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(deadline=None)
+@given(frame=st.integers(0, 10**6),
+       people=st.lists(st.tuples(arrays(np.float64, st.tuples(st.integers(0, 4), st.just(3)),
+                                        elements=FINITE), FINITE), max_size=3))
+def test_pose_lines_round_trip_exact(frame, people):
+    poses = [Pose3D(joints, score=score) for joints, score in people]
+    back = poses_from_lines(poses_to_lines(frame, poses))
+    assert list(back) == ([frame] if poses else [])
+    got = back.get(frame, [])
+    assert len(got) == len(poses)
+    for orig, rec in zip(poses, got):
+        assert rec.joints.shape == orig.joints.shape
+        assert rec.joints.tobytes() == orig.joints.tobytes()  # bitwise, keeps -0.0
+        assert rec.score.hex() == orig.score.hex()
 
 
 def test_malformed_pose_line_rejected():

@@ -6,7 +6,7 @@ import pytest
 from ivt import tensor as T
 from ivt.blocks import AttentionConfig, block_params, zero_block_outputs
 from ivt.gradcheck import grad_check
-from ivt.igt import (BlockGrid, extract_blocks, fuse_config, gather_indices,
+from ivt.igt import (BlockGrid, extract_blocks, gather_indices,
                      gather_instance, igt_frame, offset_head_params,
                      predict_offsets, retile, tokenize)
 from ivt.tensor import ConfigError, Tensor
@@ -159,7 +159,7 @@ def test_gather_gradient_supported_only_on_source_blocks():
 
 def test_zeroed_fusion_is_identity():
     rng = RNG(12)
-    cfg = fuse_config(4, heads=2)
+    cfg = AttentionConfig(4, heads=2)
     params = zero_block_outputs(block_params(rng, cfg))
     gathered = rt(rng, 12)
     np.testing.assert_array_equal(tokenize(gathered, params, cfg).data, gathered.data)
@@ -167,7 +167,7 @@ def test_zeroed_fusion_is_identity():
 
 def test_tokenize_preserves_length():
     rng = RNG(13)
-    cfg = fuse_config(4, heads=2)
+    cfg = AttentionConfig(4, heads=2)
     params = block_params(rng, cfg)
     assert tokenize(rt(rng, 12), params, cfg).shape == (12,)
 
@@ -176,7 +176,7 @@ def test_tokenize_matches_reshape_block_composition():
     from ivt.blocks import transformer_block_self
 
     rng = RNG(14)
-    cfg = fuse_config(4, heads=2)
+    cfg = AttentionConfig(4, heads=2)
     params = block_params(rng, cfg)
     gathered = rt(rng, 12)
     got = tokenize(gathered, params, cfg).data
@@ -192,7 +192,7 @@ def test_igt_frame_single_block_grid():
     rng = RNG(15)
     joints = 2
     c_b = 1 * 4 * 4
-    cfg = fuse_config(c_b, heads=2)
+    cfg = AttentionConfig(c_b, heads=2)
     params = block_params(rng, cfg)
     f = rt(rng, 1, 4, 4)
     offsets = np.zeros((2 * joints, 4, 4))
@@ -208,7 +208,7 @@ def test_igt_frame_output_shape():
     rng = RNG(16)
     joints = 3
     c_b = 2 * 2 * 2
-    cfg = fuse_config(c_b, heads=2)
+    cfg = AttentionConfig(c_b, heads=2)
     params = block_params(rng, cfg)
     out = igt_frame(rt(rng, 2, 8, 8), np.zeros((2 * joints, 8, 8)), 2,
                     params, cfg, joints)
@@ -220,7 +220,7 @@ def test_igt_frame_hand_built_offsets_match_manual_trace():
     joints = 2
     k = 2
     c_b = 1 * k * k
-    cfg = fuse_config(c_b, heads=2)
+    cfg = AttentionConfig(c_b, heads=2)
     params = block_params(rng, cfg)
     f = rt(rng, 1, 4, 4)
     grid = extract_blocks(f, k)
@@ -250,7 +250,7 @@ def test_igt_frame_joint_permutation_consistency():
 def test_igt_frame_deterministic():
     rng = RNG(19)
     joints = 2
-    cfg = fuse_config(4, heads=2)
+    cfg = AttentionConfig(4, heads=2)
     params = block_params(rng, cfg)
     f = rt(rng, 1, 4, 4)
     offsets = rng.uniform(-2, 2, size=(2 * joints, 4, 4))

@@ -178,7 +178,6 @@ UNARY_OPS = [
     ("sigmoid", T.sigmoid, (-3.0, 3.0)),
     ("gelu", T.gelu, (-2.0, 2.0)),
     ("sqrt", T.sqrt, (0.5, 3.0)),
-    ("relu", T.relu, (0.1, 2.0)),  # sampled away from the kink
     ("absolute", T.absolute, (0.1, 2.0)),
     ("softmax", T.softmax, (-2.0, 2.0)),
     ("layernorm", T.layernorm, (-2.0, 2.0)),

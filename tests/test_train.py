@@ -8,7 +8,7 @@ from ivt.checkpoint import load_params, save_params
 from ivt.codec import Pose3D
 from ivt.metrics import match_and_evaluate
 from ivt.synth import SceneSpec, generate
-from ivt.tensor import ContractError, Tensor
+from ivt.tensor import ConfigError, ContractError, Tensor
 from ivt.train import (Adam, TrainConfig, build_model, decode_output, evaluate,
                        load_model, lr_at, train)
 
@@ -134,6 +134,14 @@ def test_loss_history_deterministic_bitwise():
     a = train(scene, cfg).loss_history
     b = train(scene, cfg).loss_history
     assert a == b
+
+
+def test_scene_and_config_frames_must_agree():
+    scene, cfg = tiny_scene(frames=3), tiny_config()
+    with pytest.raises(ConfigError, match="frames"):
+        train(scene, cfg)
+    with pytest.raises(ConfigError, match="frames"):
+        evaluate(build_model(scene, cfg), scene, cfg)
 
 
 def test_training_log_columns(tmp_path):

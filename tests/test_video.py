@@ -8,7 +8,7 @@ from ivt.blocks import (AttentionConfig, attention, block_params, linear,
                         transformer_block_cross, transformer_block_self,
                         zero_block_outputs)
 from ivt.gradcheck import grad_check
-from ivt.igt import fuse_config, igt_frame
+from ivt.igt import igt_frame
 from ivt.tensor import ContractError, ShapeError, Tensor, macs
 from ivt.video import (GridGeometry, ScaleSet, VideoConfig, align_tokens,
                        alignment_maps, block_mean_flow, cisa, cisa_params, ita,
@@ -391,7 +391,7 @@ def test_forward_single_scale_single_layer_matches_composition():
     out = ivt_forward(features, offsets, flows, cfg, params).data
     sset = cfg.scale_set()
     acfg = AttentionConfig(sset.token_dims[0], cfg.heads)
-    fuse_cfg = fuse_config(cfg.channels * 16, cfg.fuse_heads)
+    fuse_cfg = AttentionConfig(cfg.channels * 16, cfg.fuse_heads)
     maps = [igt_frame(f, off, 4, params["fuse4"], fuse_cfg, cfg.joints)
             for f, off in zip(features, offsets)]
     tokens = T.concat([T.reshape(m, (1,) + m.shape) for m in maps], axis=0)
