@@ -13,10 +13,9 @@ from .blocks import (AttentionConfig, attention, block_params, ffn, layer_norm,
                      multi_head_attention, multi_head_self_attention,
                      transformer_block_cross, transformer_block_self,
                      zero_block_outputs)
-from .igt import (BlockGrid, extract_blocks, gather_indices,
-                  gather_instance, igt_frame, offset_head_params,
-                  predict_offsets, retile, tokenize)
-from .video import (GridGeometry, ScaleSet, VideoConfig, align_tokens,
+from .igt import (GridGeometry, extract_blocks, gather_indices, offset_head_params,
+                  predict_offsets, retile, take_frame_rows, tokenize)
+from .video import (ScaleSet, VideoConfig, align_tokens,
                     alignment_maps, block_mean_flow, cisa, cisa_params, ita,
                     ivt_forward, ivt_layer, mita, split_to_finest, tokenize_clip,
                     video_params)
@@ -29,7 +28,7 @@ from .metrics import (EvalReport, FrameEval, depth_error, greedy_match,
 from .synth import SceneSpec, SceneTruth, generate, gt_feature_provider
 from .checkpoint import load_params, save_params
 from .train import (Adam, IVTModel, ModelOutput, TrainConfig, TrainResult,
-                    build_model, check_frames, clip_loss, decode_output, evaluate,
-                    load_model, lr_at, scaled_targets, train)
+                    build_model, check_frames, clip_loss, clip_targets, decode_output,
+                    evaluate, load_model, lr_at, train)
 
 __version__ = "0.1.0"

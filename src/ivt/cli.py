@@ -251,9 +251,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_scene(args) -> int:
-    scene, _ = read_config(args.config, None)
-    if args.seed is not None:
-        scene = replace(scene, seed=args.seed)
+    scene, _ = read_config(args.config)
     _, truth = generate(scene)
     manifest = _ini()
     manifest["scene"] = asdict(scene)
@@ -280,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("train", help="toy training on a synthetic scene")
     t.add_argument("--config", default=None)
     t.add_argument("--scene", default=None, help="scene manifest path")
-    t.add_argument("--seed", type=int, default=None)
+    t.add_argument("--seed", type=int, default=None, help="train seed (replaces [train] seed)")
     t.add_argument("--out", required=True)
 
     e = sub.add_parser("eval", help="evaluate a checkpoint on a scene")
@@ -289,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="evaluate ground truth against itself (pipeline check)")
     e.add_argument("--config", default=None)
     e.add_argument("--scene", default=None)
-    e.add_argument("--seed", type=int, default=None)
+    e.add_argument("--seed", type=int, default=None, help="train seed (replaces [train] seed)")
     e.add_argument("--threshold", type=float, default=None)
     e.add_argument("--out", required=True)
 
@@ -302,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("scene", help="export a replayable scene manifest")
     s.add_argument("--config", default=None)
-    s.add_argument("--seed", type=int, default=None)
     s.add_argument("--out", required=True)
     return parser
 

@@ -13,13 +13,12 @@ import numpy as np
 
 from . import tensor as T
 from .blocks import AttentionConfig, block_params, ffn, layer_norm, multi_head_self_attention
-from .igt import tokenize
+from .igt import GridGeometry, tokenize
 from .losses import LossWeights, total_loss
 from .synth import SceneSpec, generate
 from .tensor import ContractError, NumericError, Tensor, backward
-from .train import TrainConfig, build_model, clip_loss
-from .video import (GridGeometry, ScaleSet, VideoConfig, alignment_maps, cisa, cisa_params,
-                    ita, ivt_layer)
+from .train import TrainConfig, build_model, clip_loss, clip_targets
+from .video import ScaleSet, VideoConfig, alignment_maps, cisa, cisa_params, ita, ivt_layer
 
 
 def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-6) -> float:
@@ -120,38 +119,42 @@ def _unit_cisa_mita(rng: np.random.Generator, eps: float) -> float:
 
 
 def _unit_heads(rng: np.random.Generator, eps: float) -> float:
+    """The prediction head on a 2-frame batch, wrt the maps and the shared weight."""
     joints = 2
     d = 8
     bound = 1.0 / np.sqrt(d * 9)
     w = Tensor(rng.uniform(-bound, bound, size=(1 + 3 * joints, d, 3, 3)))
     b = Tensor(rng.uniform(-0.1, 0.1, size=(1 + 3 * joints,)))
-    x = Tensor(rng.uniform(-1, 1, size=(d, 4, 4)))
+    x = Tensor(rng.uniform(-1, 1, size=(2, d, 4, 4)))
 
-    def f(t):
-        out = T.conv2d(t, w, b)
-        hm = T.sigmoid(T.narrow(out, 0, 0, 1))
-        return T.tsum(hm) + T.tsum(T.narrow(out, 0, 1, 3 * joints))
+    def head(x, w):
+        out = T.conv2d(x, w, b)
+        hm = T.sigmoid(T.narrow(out, 1, 0, 1))
+        return T.tsum(hm) + T.tsum(T.narrow(out, 1, 1, 3 * joints))
 
-    return grad_check(f, x, eps)
+    return max(grad_check(lambda t: head(t, w), x, eps),
+               grad_check(lambda t: head(x, t), w, eps))
 
 
 def _unit_loss(rng: np.random.Generator, eps: float) -> float:
+    """The composite loss on a 2-frame clip with one and two centers."""
     joints = 2
-    h = w = 4
-    tgt_hm = rng.uniform(0, 1, size=(h, w))
-    tgt_o3 = np.zeros((3 * joints, h, w))
-    tgt_o2 = np.zeros((2 * joints, h, w))
-    mask = np.zeros((h, w), dtype=bool)
-    mask[1, 2] = True
-    tgt_o3[:, 1, 2] = rng.uniform(-1, 1, size=3 * joints)
-    tgt_o2[:, 1, 2] = rng.uniform(-1, 1, size=2 * joints)
+    frames, h, w = 2, 4, 4
+    tgt_hm = rng.uniform(0, 1, size=(frames, h, w))
+    tgt_o3 = np.zeros((frames, 3 * joints, h, w))
+    tgt_o2 = np.zeros((frames, 2 * joints, h, w))
+    mask = np.zeros((frames, h, w), dtype=bool)
+    for t, y, x in ((0, 1, 2), (1, 0, 0), (1, 3, 1)):
+        mask[t, y, x] = True
+        tgt_o3[t, :, y, x] = rng.uniform(-1, 1, size=3 * joints)
+        tgt_o2[t, :, y, x] = rng.uniform(-1, 1, size=2 * joints)
     ch = 1 + 3 * joints + 2 * joints
-    x = Tensor(rng.uniform(0.1, 0.9, size=(ch, h, w)))
+    x = Tensor(rng.uniform(0.1, 0.9, size=(frames, ch, h, w)))
 
     def f(t):
-        hm = T.reshape(T.narrow(t, 0, 0, 1), (h, w))
-        o3 = T.narrow(t, 0, 1, 3 * joints)
-        o2 = T.narrow(t, 0, 1 + 3 * joints, 2 * joints)
+        hm = T.reshape(T.narrow(t, 1, 0, 1), (frames, h, w))
+        o3 = T.narrow(t, 1, 1, 3 * joints)
+        o2 = T.narrow(t, 1, 1 + 3 * joints, 2 * joints)
         return total_loss((hm, o3, o2), (tgt_hm, tgt_o3, tgt_o2),
                           LossWeights(10.0), mask)[0]
 
@@ -169,15 +172,16 @@ def _unit_full(rng: np.random.Generator, eps: float) -> float:
     # Dither the flat background: constant-zero blocks sit in the
     # zero-variance regime of the normalization, where the curvature blows
     # up and finite differences lose accuracy without any gradient bug.
-    features_np = [f + rng.uniform(0.05, 0.5, size=f.shape) for f in features_np]
+    features_np = features_np + rng.uniform(0.05, 0.5, size=features_np.shape)
     model = build_model(scene, cfg)
-    rest = [Tensor(f) for f in features_np[1:]]
+    targets = clip_targets(truth, model.fine_k, cfg.head_sigma)
+    rest = Tensor(features_np[1:])
 
     def f(t):
-        out = model.forward([t] + rest, truth.flows, truth.offsets2d)
-        return clip_loss(model, out, truth, cfg)[0]
+        out = model.forward(T.concat([t, rest]), truth.flows, truth.offsets2d)
+        return clip_loss(out, targets, cfg)[0]
 
-    return grad_check(f, Tensor(features_np[0]), eps)
+    return grad_check(f, Tensor(features_np[:1]), eps)
 
 
 GRAD_UNITS = {

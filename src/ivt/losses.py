@@ -1,6 +1,7 @@
 """Composite training objective: masked L1 offsets + weighted L2 heatmap.
 
-The two L1 terms are mean absolute error over ground-truth center pixels
+Each term is the mean over a clip's frames of its per-frame value. The
+two L1 terms are mean absolute error over ground-truth center pixels
 only (mean over persons and channels); the heatmap term is mean squared
 error over all pixels, scaled by alpha. Whole-map L1 would be dominated
 by the zero padding outside centers, hence the masking.
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .tensor import ContractError, Tensor
+from .tensor import ContractError, ShapeError, Tensor
 
 
 @dataclass(frozen=True)
@@ -26,18 +27,21 @@ class LossWeights:
 
 
 def masked_l1(pred: Tensor, target: np.ndarray, mask: np.ndarray) -> Tensor:
-    """Mean |pred - target| over mask-selected pixels, all channels."""
-    ch = pred.shape[0]
-    hw = pred.shape[1] * pred.shape[2]
-    idx = np.flatnonzero(mask.reshape(-1))
-    if idx.size == 0:
-        if np.any(target != 0):
-            raise ContractError("masked_l1: empty mask with nonzero targets")
-        return T.tsum(pred) * 0.0
-    cols = T.transpose(T.reshape(pred, (ch, hw)), (1, 0))  # (H*W, ch)
-    sel = T.take_rows(cols, idx)
-    tgt = target.reshape(ch, hw).T[idx]
-    return T.tmean(T.absolute(sel - Tensor(tgt)))
+    """Mean over frames of |pred - target| averaged over each frame's mask pixels
+    and all channels; pred, target (T, ch, H, W), mask (T, H, W). A frame
+    without mask pixels adds 0 but still counts in the 1/T."""
+    frames, ch, h, w = pred.shape
+    if target.shape != pred.shape or mask.shape != (frames, h, w):
+        raise ShapeError(f"masked_l1: {pred.shape} pred, {target.shape} target, {mask.shape} mask")
+    counts = mask.reshape(frames, h * w).sum(axis=1)
+    if np.any(target[counts == 0] != 0):
+        raise ContractError("masked_l1: empty mask with nonzero targets")
+    idx = np.flatnonzero(mask)  # rows of the (T*H*W, ch) pixel table
+    cols = T.transpose(T.reshape(pred, (frames, ch, h * w)), (0, 2, 1))
+    sel = T.take_rows(T.reshape(cols, (frames * h * w, ch)), idx)
+    tgt = target.reshape(frames, ch, h * w).transpose(0, 2, 1).reshape(-1, ch)[idx]
+    weight = 1.0 / (frames * ch * counts[idx // (h * w)])
+    return T.tsum(T.absolute(sel - Tensor(tgt)) * Tensor(np.repeat(weight[:, None], ch, axis=1)))
 
 
 def total_loss(pred: tuple[Tensor, Tensor, Tensor],
@@ -45,11 +49,12 @@ def total_loss(pred: tuple[Tensor, Tensor, Tensor],
                weights: LossWeights,
                mask: np.ndarray | tuple[np.ndarray, np.ndarray]
                ) -> tuple[Tensor, dict[str, float]]:
-    """Scalar objective plus per-term values for logging.
+    """Scalar objective plus per-term values for logging, means over frames.
 
-    pred/target order: (heatmap, 3D offsets, 2D offsets). ``mask`` is a
-    center-pixel mask, or a pair (mask for 3D map, mask for 2D map) when
-    the two offset maps live at different resolutions.
+    pred/target order: heatmaps (T, h, w), 3D offsets (T, 3J, h, w), 2D
+    offsets (T, 2J, H, W). ``mask`` is a (T, h, w) center-pixel mask, or a
+    pair (mask for 3D maps, mask for 2D maps) when the two offset maps live
+    at different resolutions.
     """
     pred_hm, pred_o3, pred_o2 = pred
     tgt_hm, tgt_o3, tgt_o2 = target

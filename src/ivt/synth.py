@@ -42,7 +42,7 @@ class SceneSpec:
 @dataclass
 class SceneTruth:
     poses: list[list[Pose3D]]          # per frame
-    offsets2d: list[np.ndarray]        # per frame, (2J, H, W)
+    offsets2d: np.ndarray              # (T, 2J, H, W)
     flows: list[np.ndarray]            # per adjacent pair, (2, H, W)
 
 
@@ -95,8 +95,8 @@ def _render_frame(spec: SceneSpec, poses: list[Pose3D], signatures: np.ndarray) 
     return feat
 
 
-def generate(spec: SceneSpec) -> tuple[list[np.ndarray], SceneTruth]:
-    """Rendered feature maps plus exact ground truth, deterministic in seed."""
+def generate(spec: SceneSpec) -> tuple[np.ndarray, SceneTruth]:
+    """Rendered (T, C, H, W) feature maps plus exact ground truth, deterministic in seed."""
     rng = np.random.default_rng(spec.seed)
     roots, offs = _trajectories(spec, rng)
     signatures = rng.uniform(0.5, 1.5, size=(spec.joints, spec.channels))
@@ -110,8 +110,7 @@ def generate(spec: SceneSpec) -> tuple[list[np.ndarray], SceneTruth]:
             frame_poses.append(Pose3D(joints))
         poses_per_frame.append(frame_poses)
 
-    features = [_render_frame(spec, poses_per_frame[t], signatures)
-                for t in range(spec.frames)]
+    features = np.stack([_render_frame(spec, poses, signatures) for poses in poses_per_frame])
 
     r = _blob_radius(spec)
     flows = []
@@ -135,13 +134,15 @@ def generate(spec: SceneSpec) -> tuple[list[np.ndarray], SceneTruth]:
             flow[1][owner == p] = step[1]
         flows.append(flow)
 
-    offsets2d = [encode_targets(poses, spec.height, spec.width, spec.target_sigma)[2]
-                 for poses in poses_per_frame]
+    offsets2d = np.zeros((spec.frames, 2 * spec.joints, spec.height, spec.width))
+    for t, poses in enumerate(poses_per_frame):
+        if poses:
+            offsets2d[t] = encode_targets(poses, spec.height, spec.width, spec.target_sigma)[2]
     truth = SceneTruth(poses_per_frame, offsets2d, flows)
     return features, truth
 
 
-def gt_feature_provider(features: list[np.ndarray]) -> list[Tensor]:
-    """Expose rendered maps through the pluggable feature-provider contract."""
-    return [Tensor(f) for f in features]
+def gt_feature_provider(features: np.ndarray) -> Tensor:
+    """Expose the rendered (T, C, H, W) maps through the feature-provider contract."""
+    return Tensor(features)
 

@@ -278,14 +278,29 @@ _GELU_C = np.sqrt(2.0 / np.pi)
 def gelu(a: Tensor) -> Tensor:
     """Smooth activation x * Phi(x), tanh approximation."""
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * (x * x * x))
-    t = np.tanh(inner)
-    data = 0.5 * x * (1.0 + t)
+    t = x * x
+    t *= x
+    t *= 0.044715
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    data = 0.5 * x
+    data *= 1.0 + t
 
     def bw(g):
-        dinner = _GELU_C * (1.0 + 3 * 0.044715 * x * x)
-        d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
-        return (g * d,)
+        dinner = (3 * 0.044715) * x
+        dinner *= x
+        dinner += 1.0
+        dinner *= _GELU_C
+        w = t * t
+        d = 0.5 * x
+        d *= np.subtract(1.0, w, out=w)
+        d *= dinner
+        np.add(1.0, t, out=w)
+        w *= 0.5
+        d += w
+        d *= g
+        return (d,)
 
     return Tensor._result(data, (a,), bw, "gelu")
 
@@ -440,34 +455,23 @@ def take_rows(a: Tensor, indices) -> Tensor:
 
 
 def reduce(a: Tensor, axis: Optional[int] = None, op: str = "sum", keepdims: bool = False) -> Tensor:
+    """Sum or mean over one axis, or over all of them (``axis=None``)."""
     if op not in ("sum", "mean"):
         raise ConfigError(f"reduce: unknown op {op!r}")
-    if axis is None:
-        n = a.size
-        data = a.data.sum()
-        if op == "mean":
-            data = data / n
-        data = np.asarray(data)
-
-        def bw(g):
-            gg = np.broadcast_to(g, a.shape).astype(np.float64)
-            return (gg / n if op == "mean" else gg.copy(),)
-
-        return Tensor._result(data, (a,), bw, op)
-    axis = int(axis)
-    if axis < -a.ndim or axis >= a.ndim:
+    if axis is not None and not -a.ndim <= int(axis) < a.ndim:
         raise BoundsError(f"reduce: axis {axis} out of range for rank {a.ndim}")
-    n = a.shape[axis]
-    data = a.data.sum(axis=axis, keepdims=keepdims)
+    whole = axis is None
+    n = a.size if whole else a.shape[axis]
+    data = a.data.sum(axis=axis, keepdims=keepdims and not whole)
     if op == "mean":
         data = data / n
 
-    def bw_axis(g):
-        gg = g if keepdims else np.expand_dims(g, axis)
-        gg = np.broadcast_to(gg, a.shape).astype(np.float64)
-        return (gg / n if op == "mean" else gg.copy(),)
+    def bw(g):
+        gg = g if keepdims or whole else np.expand_dims(g, axis)
+        gg = np.broadcast_to(gg, a.shape).astype(np.float64)  # a copy
+        return (gg / n if op == "mean" else gg,)
 
-    return Tensor._result(np.asarray(data), (a,), bw_axis, op)
+    return Tensor._result(np.asarray(data), (a,), bw, op)
 
 
 def tsum(a: Tensor, axis: Optional[int] = None, keepdims: bool = False) -> Tensor:
@@ -607,38 +611,41 @@ def layernorm(a: Tensor, eps: float = 1e-6) -> Tensor:
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """3x3-style 2-D convolution, stride 1, zero 'same' padding.
+    """3x3-style 2-D convolution, stride 1, zero 'same' padding, over a batch.
 
-    x: (C_in, H, W); w: (C_out, C_in, kh, kw) with odd kh, kw; b: (C_out,).
-    Implemented by im2col so the backward rule is two matmul transposes.
+    x: (B, C_in, H, W); w: (C_out, C_in, kh, kw) with odd kh, kw; b: (C_out,).
+    im2col over all B maps at once: the forward is one matmul, the backward
+    one matmul for dw (summed over the batch) and one per kernel tap for dx.
     """
-    cin, h, wid = x.shape
+    if x.ndim != 4:
+        raise ShapeError(f"conv2d: input must be (B, C, H, W), got {x.shape}")
+    bsz, cin, h, wid = x.shape
     cout, cin_w, kh, kw = w.shape
     if cin != cin_w:
         raise ShapeError(f"conv2d: input channels {cin} != weight channels {cin_w}")
     if kh % 2 == 0 or kw % 2 == 0:
         raise ConfigError("conv2d: kernel dims must be odd")
     ph, pw = kh // 2, kw // 2
-    xp = np.pad(x.data, ((0, 0), (ph, ph), (pw, pw)))
-    # cols: (H*W, C_in*kh*kw)
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    cols = windows.transpose(1, 2, 0, 3, 4).reshape(h * wid, cin * kh * kw)
+    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    # cols: (B*H*W, C_in*kh*kw)
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(bsz * h * wid, cin * kh * kw)
     wmat = w.data.reshape(cout, cin * kh * kw)
-    out = cols @ wmat.T + b.data
-    macs.add(h * wid * cin * kh * kw * cout)
-    data = np.ascontiguousarray(out.T.reshape(cout, h, wid))
+    # (C_out, B*H*W); cols @ wmat.T touched 12 MiB more 2-thread OpenBLAS buffer.
+    out = wmat @ cols.T + b.data[:, None]
+    macs.add(bsz * h * wid * cin * kh * kw * cout)
+    data = np.ascontiguousarray(out.reshape(cout, bsz, h, wid).transpose(1, 0, 2, 3))
 
     def bw(g):
-        gmat = g.reshape(cout, h * wid).T  # (H*W, C_out)
+        gmat = g.transpose(0, 2, 3, 1).reshape(bsz * h * wid, cout)
         dw = (gmat.T @ cols).reshape(w.shape)
         db = gmat.sum(axis=0)
-        dcols = gmat @ wmat  # (H*W, C_in*kh*kw)
         dxp = np.zeros_like(xp)
-        dcols6 = dcols.reshape(h, wid, cin, kh, kw)
         for di in range(kh):
-            for dj in range(kw):
-                dxp[:, di:di + h, dj:dj + wid] += dcols6[:, :, :, di, dj].transpose(2, 0, 1)
-        dx = dxp[:, ph:ph + h, pw:pw + wid]
+            for dj in range(kw):  # dcols = gmat @ wmat one kernel tap at a time, to bound memory
+                dtap = (gmat @ w.data[:, :, di, dj]).reshape(bsz, h, wid, cin)
+                dxp[:, :, di:di + h, dj:dj + wid] += dtap.transpose(0, 3, 1, 2)
+        dx = dxp[:, :, ph:ph + h, pw:pw + wid]
         return np.ascontiguousarray(dx), dw, db
 
     return Tensor._result(data, (x, w, b), bw, "conv2d")

@@ -1,10 +1,11 @@
 """Toy optimization driver: full model, Adam updates, logging, evaluation.
 
-One training step runs the whole pipeline on one scene clip: predicted 2D
-offsets guide tokenization (optionally teacher-forced from ground truth),
-the stacked video transformer produces finest-scale tokens, convolutional
-heads regress the center heatmap and 3D offsets at the token grid
-resolution, and the composite loss drives adaptive-moment updates.
+One training step runs each stage once over the whole clip: predicted 2D
+offsets (T, 2J, H, W) guide tokenization (optionally teacher-forced from
+ground truth), the stacked video transformer produces finest-scale tokens
+(T, N, D), a convolutional head regresses the center heatmaps and 3D
+offsets at the token grid resolution, and one composite loss against
+targets built once per run drives adaptive-moment updates.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from . import tensor as T
 from .checkpoint import load_params, save_params
 from .codec import Pose3D, center_mask, decode_poses, encode_targets
-from .igt import BlockGrid, offset_head_params, predict_offsets, retile
+from .igt import GridGeometry, offset_head_params, predict_offsets, retile
 from .losses import LossWeights, total_loss
 from .metrics import EvalReport, match_and_evaluate
 from .synth import SceneSpec, SceneTruth, generate, gt_feature_provider
@@ -53,9 +54,15 @@ class TrainConfig:
 
 @dataclass
 class ModelOutput:
-    heatmaps: list[Tensor]    # per frame, (n_h, n_w), logistic-activated
-    offsets3d: list[Tensor]   # per frame, (3J, n_h, n_w)
-    offsets2d: list[Tensor]   # per frame, (2J, H, W)
+    """The model's three output maps for a clip of T frames."""
+    heatmap: Tensor    # (T, n_h, n_w), logistic-activated
+    offset3d: Tensor   # (T, 3J, n_h, n_w)
+    offset2d: Tensor   # (T, 2J, H, W)
+
+    # The tape roots as lists, as perfbench's tracer reads them.
+    heatmaps = property(lambda self: [self.heatmap])
+    offsets3d = property(lambda self: [self.offset3d])
+    offsets2d = property(lambda self: [self.offset2d])
 
 
 class IVTModel:
@@ -113,24 +120,20 @@ class IVTModel:
 
     # -- forward ----------------------------------------------------------------
 
-    def forward(self, features: list[Tensor], flows: list[np.ndarray],
-                gather_offsets: list[np.ndarray] | None = None) -> ModelOutput:
-        """Run the pipeline; gather_offsets overrides the predicted 2D offsets
-        for the token-gather step (teacher forcing)."""
-        pred_off2d = [predict_offsets(f, self.tree["offset_head"]) for f in features]
+    def forward(self, features: Tensor, flows: list[np.ndarray],
+                gather_offsets: np.ndarray | None = None) -> ModelOutput:
+        """Run the pipeline on a (T, C, H, W) clip; gather_offsets (T, 2J, H, W)
+        override the predicted 2D offsets for the token gather (teacher forcing)."""
+        off2d = predict_offsets(features, self.tree["offset_head"])
         if gather_offsets is None:
-            gather_offsets = [o.data for o in pred_off2d]
+            gather_offsets = off2d.data
         tokens = ivt_forward(features, gather_offsets, flows, self.cfg, self.tree["video"])
-        frames, n, d = tokens.shape
-        n_h, n_w = self.h // self.fine_k, self.w // self.fine_k
-        hm_list, o3_list = [], []
-        for t in range(frames):
-            frame_tokens = T.reshape(T.narrow(tokens, 0, t, 1), (n, d))
-            spatial = retile(BlockGrid(frame_tokens, 1, n_h, n_w), d)
-            out = T.conv2d(spatial, self.tree["pred_head"]["w"], self.tree["pred_head"]["b"])
-            hm_list.append(T.sigmoid(T.reshape(T.narrow(out, 0, 0, 1), (n_h, n_w))))
-            o3_list.append(T.narrow(out, 0, 1, 3 * self.cfg.joints))
-        return ModelOutput(hm_list, o3_list, pred_off2d)
+        frames, _, d = tokens.shape
+        grid = GridGeometry(1, self.h // self.fine_k, self.w // self.fine_k)
+        spatial = retile(tokens, grid, d)  # (T, D, n_h, n_w)
+        out = T.conv2d(spatial, self.tree["pred_head"]["w"], self.tree["pred_head"]["b"])
+        heatmap = T.sigmoid(T.reshape(T.narrow(out, 1, 0, 1), (frames, grid.n_h, grid.n_w)))
+        return ModelOutput(heatmap, T.narrow(out, 1, 1, 3 * self.cfg.joints), off2d)
 
 
 # -- optimizer --------------------------------------------------------------------
@@ -169,9 +172,18 @@ class Adam:
             g = p.grad
             if g is None:
                 continue
-            self.m[k] = self.beta1 * self.m[k] + (1 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1 - self.beta2) * g * g
-            p.data[...] = p.data - lr * (self.m[k] / bc1) / (np.sqrt(self.v[k] / bc2) + self.eps)
+            m, v = self.m[k], self.v[k]
+            m *= self.beta1
+            m += (1 - self.beta1) * g
+            g2 = (1 - self.beta2) * g
+            g2 *= g
+            v *= self.beta2
+            v += g2
+            denom = np.sqrt(np.divide(v, bc2, out=g2), out=g2)
+            denom += self.eps
+            update = m / bc1
+            update *= lr
+            p.data -= np.divide(update, denom, out=update)
             p.grad = None
 
 
@@ -186,37 +198,31 @@ def lr_at(cfg: TrainConfig, step: int) -> float:
 # -- training --------------------------------------------------------------------
 
 
-def scaled_targets(truth: SceneTruth, frame: int, n_h: int, n_w: int, k: int,
-                   sigma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ground-truth heatmap/3D-offset targets at the head (token grid) resolution."""
-    scaled = [Pose3D(np.column_stack([p.joints[:, 0] / k, p.joints[:, 1] / k,
-                                      p.joints[:, 2]]))
-              for p in truth.poses[frame]]
-    hm, o3, _ = encode_targets(scaled, n_h, n_w, sigma)
-    mask = center_mask(scaled, n_h, n_w)
-    return hm, o3, mask
+def clip_targets(truth: SceneTruth, k: int, sigma: float) -> tuple:
+    """The (targets, masks) of ``total_loss`` for the clip, stacked over frames:
+    heatmaps and 3D offsets on the head's grid (feature cells over the finest
+    block size k), 2D offsets at feature resolution."""
+    frames, two_j, h, w = truth.offsets2d.shape
+    n_h, n_w = h // k, w // k
+    hm = np.zeros((frames, n_h, n_w))
+    o3 = np.zeros((frames, 3 * (two_j // 2), n_h, n_w))
+    mask_head = np.zeros((frames, n_h, n_w), dtype=bool)
+    mask_feat = np.zeros((frames, h, w), dtype=bool)
+    for t, poses in enumerate(truth.poses):
+        scaled = [Pose3D(p.joints / (k, k, 1.0)) for p in poses]
+        if scaled:
+            hm[t], o3[t], _ = encode_targets(scaled, n_h, n_w, sigma)
+        mask_head[t] = center_mask(scaled, n_h, n_w)
+        mask_feat[t] = center_mask(poses, h, w)
+    return (hm, o3, truth.offsets2d), (mask_head, mask_feat)
 
 
-def clip_loss(model: IVTModel, out: ModelOutput, truth: SceneTruth,
+def clip_loss(out: ModelOutput, targets: tuple,
               cfg: TrainConfig) -> tuple[Tensor, dict[str, float]]:
-    """Mean of the per-frame composite losses over the clip."""
-    k = model.fine_k
-    n_h, n_w = model.h // k, model.w // k
-    weights = LossWeights(cfg.alpha)
-    total = None
-    sums = {"l1_3d": 0.0, "l1_2d": 0.0, "l2_hm": 0.0, "total": 0.0}
-    frames = len(out.heatmaps)
-    for t in range(frames):
-        hm_t, o3_t, mask_head = scaled_targets(truth, t, n_h, n_w, k, cfg.head_sigma)
-        mask_feat = center_mask(truth.poses[t], model.h, model.w)
-        loss_t, terms = total_loss(
-            (out.heatmaps[t], out.offsets3d[t], out.offsets2d[t]),
-            (hm_t, o3_t, truth.offsets2d[t]),
-            weights, (mask_head, mask_feat))
-        total = loss_t if total is None else total + loss_t
-        for key in sums:
-            sums[key] += terms[key] / frames
-    return T.scale(total, 1.0 / frames), sums
+    """Mean over the clip's frames of the per-frame composite loss."""
+    target, masks = targets
+    return total_loss((out.heatmap, out.offset3d, out.offset2d), target,
+                      LossWeights(cfg.alpha), masks)
 
 
 @dataclass
@@ -254,12 +260,13 @@ def train(scene: SceneSpec, cfg: TrainConfig, checkpoint_path=None) -> TrainResu
     model = build_model(scene, cfg)
     optimizer = Adam(model.named_params())
     gather = truth.offsets2d if cfg.teacher_forcing else None
+    targets = clip_targets(truth, model.fine_k, cfg.head_sigma)
 
     history: list[float] = []
     rows: list[dict] = []
     for step in range(cfg.steps):
         out = model.forward(features, truth.flows, gather)
-        loss, terms = clip_loss(model, out, truth, cfg)
+        loss, terms = clip_loss(out, targets, cfg)
         if not np.isfinite(loss.item()):
             if checkpoint_path is not None:
                 save_params(checkpoint_path, model.named_params())
@@ -283,11 +290,10 @@ def decode_output(model: IVTModel, out: ModelOutput, threshold: float,
     """Decoded poses per frame, rescaled from head grid to feature cells."""
     k = model.fine_k
     decoded = []
-    for hm, o3 in zip(out.heatmaps, out.offsets3d):
-        poses = decode_poses(hm.data, o3.data, threshold, max_people)
+    for hm, o3 in zip(out.heatmap.data, out.offset3d.data):
+        poses = decode_poses(hm, o3, threshold, max_people)
         for pose in poses:
-            pose.joints[:, 0] *= k
-            pose.joints[:, 1] *= k
+            pose.joints[:, :2] *= k
         decoded.append(poses)
     return decoded
 

@@ -1,11 +1,13 @@
 """Video transformer core: cross-scale spatial and per-scale temporal attention.
 
-Token sequences are single tensors of shape (T, N, D): T frames, N blocks
-per frame, token length D = J*C_b, one sequence per block scale. CISA
-attends, per frame, over the union of tokens from all scales after
-projecting them to a common width; ITA attends, per block slot, over the
-T frames after flow alignment; MITA runs ITA per scale and merges every
-scale onto the finest grid.
+A clip enters as one (T, C, H, W) feature tensor with its (T, 2J, H, W)
+offset maps, and each block scale is tokenized in one pass over it. Token
+sequences are single tensors of shape (T, N, D): T frames, N blocks per
+frame, token length D = J*C_b, one sequence per block scale. CISA attends,
+per frame, over the union of tokens from all scales after projecting them
+to a common width; ITA attends, per block slot, over the T frames after
+flow alignment; MITA runs ITA per scale and merges every scale onto the
+finest grid.
 
 A layer composes them with the outer residual on the finest scale
     out = MITA(aligned(CISA(streams))) + streams[0].
@@ -23,18 +25,9 @@ import numpy as np
 from . import tensor as T
 from .blocks import (AttentionConfig, block_params, init_linear, linear,
                      transformer_block_cross, transformer_block_self)
+from .igt import (GridGeometry, extract_blocks, gather_indices, take_frame_rows,
+                  tokenize)
 from .tensor import ConfigError, ContractError, ShapeError, Tensor, macs
-
-
-@dataclass(frozen=True)
-class GridGeometry:
-    block_size: int
-    n_h: int
-    n_w: int
-
-    @property
-    def n(self) -> int:
-        return self.n_h * self.n_w
 
 
 @dataclass(frozen=True)
@@ -113,12 +106,9 @@ def align_tokens(tokens: Tensor, assigns: np.ndarray) -> Tensor:
 
     ``assigns`` is the (T, N) map of ``alignment_maps`` for the tokens' grid.
     """
-    frames, n, d = tokens.shape
-    if assigns.shape != (frames, n):
+    if assigns.shape != tokens.shape[:2]:
         raise ShapeError(f"align_tokens: map {assigns.shape} for tokens {tokens.shape}")
-    flat = T.reshape(tokens, (frames * n, d))
-    idx = (assigns + (np.arange(frames) * n)[:, None]).reshape(-1)
-    return T.reshape(T.take_rows(flat, idx), (frames, n, d))
+    return take_frame_rows(tokens, assigns)
 
 
 # -- temporal attention ----------------------------------------------------------
@@ -271,19 +261,19 @@ def video_params(rng: np.random.Generator, cfg: VideoConfig, h: int, w: int) -> 
     return p
 
 
-def tokenize_clip(features: list[Tensor], offsets: list[np.ndarray],
-                  cfg: VideoConfig, params: dict) -> list[Tensor]:
-    """Instance-guided tokens per scale, each of shape (T, N_s, D_s)."""
-    from .igt import igt_frame
-
-    sset = cfg.scale_set()
+def tokenize_clip(features: Tensor, offsets: np.ndarray, cfg: VideoConfig,
+                  params: dict) -> list[Tensor]:
+    """Instance-guided tokens per scale, each of shape (T, N_s, D_s): one gather
+    of J blocks per token within its frame, one fuse block over all T*N tokens."""
+    frames, _, h, w = features.shape
     streams = []
-    for s in sset.scales:
-        c_b = cfg.channels * s * s
-        fuse_cfg = AttentionConfig(c_b, cfg.fuse_heads)
-        maps = [igt_frame(f, off, s, params[f"fuse{s}"], fuse_cfg, cfg.joints)
-                for f, off in zip(features, offsets)]
-        streams.append(T.concat([T.reshape(m, (1,) + m.shape) for m in maps], axis=0))
+    for geom in cfg.grids(h, w):
+        s = geom.block_size
+        idx = gather_indices(offsets, geom, cfg.joints).reshape(frames, -1)
+        gathered = take_frame_rows(extract_blocks(features, s), idx)  # (T, N*J, C_b)
+        gathered = T.reshape(gathered, (frames, geom.n, -1))
+        fuse_cfg = AttentionConfig(cfg.channels * s * s, cfg.fuse_heads)
+        streams.append(tokenize(gathered, params[f"fuse{s}"], fuse_cfg))
     return streams
 
 
@@ -304,15 +294,15 @@ def ivt_layer(streams: list[Tensor], maps: list[np.ndarray], params: dict,
     return [merged + streams[0]] + outs[1:]
 
 
-def ivt_forward(features: list[Tensor], offsets: list[np.ndarray],
-                flows: list[np.ndarray], cfg: VideoConfig, params: dict) -> Tensor:
-    """IGT per scale per frame, then the stacked attention layers.
+def ivt_forward(features: Tensor, offsets: np.ndarray, flows: list[np.ndarray],
+                cfg: VideoConfig, params: dict) -> Tensor:
+    """IGT per scale over the (T, C, H, W) clip, then the stacked attention layers.
 
     Returns the finest-scale token sequence (T, N_finest, D_finest).
     """
-    _, h, w = features[0].shape
+    frames, _, h, w = features.shape
     grids = cfg.grids(h, w)
-    maps = [alignment_maps(flows, geom, len(features)) for geom in grids]
+    maps = [alignment_maps(flows, geom, frames) for geom in grids]
     streams = tokenize_clip(features, offsets, cfg, params)
     for layer in range(cfg.layers):
         streams = ivt_layer(streams, maps, params[f"layer{layer}"], cfg, grids)

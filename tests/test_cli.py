@@ -1,7 +1,6 @@
 """Command-line interface: exit codes, artifacts, manifests, reproducibility."""
 
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -207,10 +206,11 @@ body_radius = 3.0
 
 def test_manifest_round_trip(tmp_path):
     config = tmp_path / "scene.cfg"
-    config.write_text(MANIFEST_SCENE)
+    config.write_text(MANIFEST_SCENE.replace("seed = 21\n", "seed = 22\n"))
     manifest = tmp_path / "scene.ini"
-    assert main(["scene", "--config", str(config), "--seed", "22", "--out", str(manifest)]) == 0
-    scene = replace(read_config(config)[0], seed=22)
+    assert main(["scene", "--config", str(config), "--out", str(manifest)]) == 0
+    scene = read_config(config)[0]
+    assert scene.seed == 22
     assert read_config(manifest) == (scene, TrainConfig())  # checks [poses] too
     lines = [line for line in manifest.read_text().split("[poses]\n")[1].splitlines() if line]
     back = poses_from_lines(lines)
@@ -219,6 +219,17 @@ def test_manifest_round_trip(tmp_path):
     for t, frame in enumerate(truth.poses):
         for want, got in zip(frame, back[t]):
             assert got.joints.tobytes() == want.joints.tobytes() and got.score == want.score
+
+
+def test_scene_seed_comes_only_from_the_config(tmp_path, capsys):
+    # `--seed` means the train seed; `ivt scene` has no such option.
+    config = tmp_path / "scene.cfg"
+    config.write_text(MANIFEST_SCENE)
+    with pytest.raises(SystemExit) as exc:
+        main(["scene", "--config", str(config), "--seed", "3", "--out", str(tmp_path / "s.ini")])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "s.ini").exists()
 
 
 def test_manifest_replays_same_scene(tmp_path, tiny_config):

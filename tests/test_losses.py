@@ -1,4 +1,7 @@
-"""Composite objective: hand values, masking, alpha linearity, gradients."""
+"""Composite objective: hand values, masking, alpha linearity, gradients.
+
+Every map is a clip with a leading frame axis; these cases use one frame.
+"""
 
 import numpy as np
 import pytest
@@ -12,15 +15,16 @@ RNG = np.random.default_rng
 
 
 def make_maps(rng, joints=2, h=4, w=4, centers=((1, 2),)):
-    mask = np.zeros((h, w), dtype=bool)
+    """One-frame clips: mask (1, h, w) and targets (1, ...)."""
+    mask = np.zeros((1, h, w), dtype=bool)
     for y, x in centers:
-        mask[y, x] = True
-    tgt_hm = rng.uniform(0, 1, size=(h, w))
-    tgt_o3 = np.zeros((3 * joints, h, w))
-    tgt_o2 = np.zeros((2 * joints, h, w))
+        mask[0, y, x] = True
+    tgt_hm = rng.uniform(0, 1, size=(1, h, w))
+    tgt_o3 = np.zeros((1, 3 * joints, h, w))
+    tgt_o2 = np.zeros((1, 2 * joints, h, w))
     for y, x in centers:
-        tgt_o3[:, y, x] = rng.uniform(-2, 2, size=3 * joints)
-        tgt_o2[:, y, x] = rng.uniform(-2, 2, size=2 * joints)
+        tgt_o3[0, :, y, x] = rng.uniform(-2, 2, size=3 * joints)
+        tgt_o2[0, :, y, x] = rng.uniform(-2, 2, size=2 * joints)
     return mask, tgt_hm, tgt_o3, tgt_o2
 
 
@@ -46,13 +50,13 @@ def test_alpha_zero_drops_heatmap_term():
 def test_hand_computed_single_pixel_value():
     # One joint, 1x1 maps: pred 3D offsets irrelevant here — the 2D term
     # carries offsets (1, -2), targets zero; heatmap pred 0.5 vs target 1.0.
-    mask = np.array([[True]])
-    pred_hm = Tensor(np.array([[0.5]]))
-    tgt_hm = np.array([[1.0]])
-    pred_o2 = Tensor(np.array([1.0, -2.0]).reshape(2, 1, 1))
-    tgt_o2 = np.zeros((2, 1, 1))
-    pred_o3 = Tensor(np.zeros((3, 1, 1)))
-    tgt_o3 = np.zeros((3, 1, 1))
+    mask = np.array([[[True]]])
+    pred_hm = Tensor(np.array([[[0.5]]]))
+    tgt_hm = np.array([[[1.0]]])
+    pred_o2 = Tensor(np.array([1.0, -2.0]).reshape(1, 2, 1, 1))
+    tgt_o2 = np.zeros((1, 2, 1, 1))
+    pred_o3 = Tensor(np.zeros((1, 3, 1, 1)))
+    tgt_o3 = np.zeros((1, 3, 1, 1))
     total, terms = total_loss((pred_hm, pred_o3, pred_o2),
                               (tgt_hm, tgt_o3, tgt_o2), LossWeights(10.0), mask)
     # (|1| + |-2|) / 2 + 10 * (0.5)^2 = 1.5 + 2.5
@@ -70,13 +74,13 @@ def test_scalar_loop_oracle_random_maps():
     alpha = 10.0
     total, _ = total_loss((Tensor(pred_hm), Tensor(pred_o3), Tensor(pred_o2)),
                           (hm, o3, o2), LossWeights(alpha), mask)
-    acc3 = [abs(pred_o3[c, y, x] - o3[c, y, x])
-            for c in range(o3.shape[0])
-            for y in range(4) for x in range(4) if mask[y, x]]
-    acc2 = [abs(pred_o2[c, y, x] - o2[c, y, x])
-            for c in range(o2.shape[0])
-            for y in range(4) for x in range(4) if mask[y, x]]
-    acch = [(pred_hm[y, x] - hm[y, x]) ** 2 for y in range(4) for x in range(4)]
+    acc3 = [abs(pred_o3[0, c, y, x] - o3[0, c, y, x])
+            for c in range(o3.shape[1])
+            for y in range(4) for x in range(4) if mask[0, y, x]]
+    acc2 = [abs(pred_o2[0, c, y, x] - o2[0, c, y, x])
+            for c in range(o2.shape[1])
+            for y in range(4) for x in range(4) if mask[0, y, x]]
+    acch = [(pred_hm[0, y, x] - hm[0, y, x]) ** 2 for y in range(4) for x in range(4)]
     want = np.mean(acc3) + np.mean(acc2) + alpha * np.mean(acch)
     assert total.item() == pytest.approx(want, abs=1e-12)
 
@@ -110,18 +114,21 @@ def test_negative_alpha_rejected():
 
 
 def test_empty_mask_with_nonzero_targets_rejected():
-    pred = Tensor(np.ones((2, 3, 3)))
-    target = np.ones((2, 3, 3))
+    pred = Tensor(np.ones((2, 2, 3, 3)))
+    target = np.zeros((2, 2, 3, 3))
+    target[1] = 1.0
+    mask = np.zeros((2, 3, 3), dtype=bool)
+    mask[0, 1, 1] = True  # the other frame has centers: still rejected
     with pytest.raises(ContractError):
-        masked_l1(pred, target, np.zeros((3, 3), dtype=bool))
+        masked_l1(pred, target, mask)
 
 
 def test_empty_mask_with_zero_targets_gives_zero():
-    pred = Tensor(np.ones((2, 3, 3)), requires_grad=True)
-    out = masked_l1(pred, np.zeros((2, 3, 3)), np.zeros((3, 3), dtype=bool))
+    pred = Tensor(np.ones((1, 2, 3, 3)), requires_grad=True)
+    out = masked_l1(pred, np.zeros((1, 2, 3, 3)), np.zeros((1, 3, 3), dtype=bool))
     assert out.item() == 0.0
     T.backward(out)  # stays connected to the graph
-    np.testing.assert_array_equal(pred.grad, np.zeros((2, 3, 3)))
+    np.testing.assert_array_equal(pred.grad, np.zeros((1, 2, 3, 3)))
 
 
 def test_gradient_of_total_loss():

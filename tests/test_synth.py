@@ -23,6 +23,7 @@ def test_zero_persons_give_empty_scene():
         assert frame_poses == []
     for flow in truth.flows:
         assert not flow.any()
+    assert truth.offsets2d.shape == (4, 6, 32, 32) and not truth.offsets2d.any()
 
 
 def test_static_scene_has_identical_frames_and_zero_flow():
@@ -55,10 +56,10 @@ def test_different_seeds_differ():
 def test_feature_provider_shapes():
     spec = small_spec()
     features, _ = generate(spec)
-    tensors = gt_feature_provider(features)
-    assert len(tensors) == spec.frames
-    for t in tensors:
-        assert t.shape == (spec.channels, spec.height, spec.width)
+    clip = gt_feature_provider(features)
+    assert clip.shape == (spec.frames, spec.channels, spec.height, spec.width)
+    _, truth = generate(spec)
+    assert truth.offsets2d.shape == (spec.frames, 2 * spec.joints, spec.height, spec.width)
 
 
 def test_targets_equal_encoder_output_bitwise():

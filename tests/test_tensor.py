@@ -101,24 +101,27 @@ def test_gelu_known_values():
 
 def test_conv2d_matches_scalar_loops():
     rng = RNG(6)
-    cin, cout, h, w = 2, 3, 5, 4
-    x = rng.uniform(-1, 1, size=(cin, h, w))
+    bsz, cin, cout, h, w = 2, 2, 3, 5, 4
+    x = rng.uniform(-1, 1, size=(bsz, cin, h, w))
     wgt = rng.uniform(-1, 1, size=(cout, cin, 3, 3))
     b = rng.uniform(-1, 1, size=cout)
-    want = np.zeros((cout, h, w))
-    pad = np.zeros((cin, h + 2, w + 2))
-    pad[:, 1:-1, 1:-1] = x
-    for co in range(cout):
-        for i in range(h):
-            for j in range(w):
-                acc = b[co]
-                for ci in range(cin):
-                    for di in range(3):
-                        for dj in range(3):
-                            acc += pad[ci, i + di, j + dj] * wgt[co, ci, di, dj]
-                want[co, i, j] = acc
+    want = np.zeros((bsz, cout, h, w))
+    pad = np.zeros((bsz, cin, h + 2, w + 2))
+    pad[:, :, 1:-1, 1:-1] = x
+    for n in range(bsz):
+        for co in range(cout):
+            for i in range(h):
+                for j in range(w):
+                    acc = b[co]
+                    for ci in range(cin):
+                        for di in range(3):
+                            for dj in range(3):
+                                acc += pad[n, ci, i + di, j + dj] * wgt[co, ci, di, dj]
+                    want[n, co, i, j] = acc
     got = T.conv2d(Tensor(x), Tensor(wgt), Tensor(b)).data
     np.testing.assert_allclose(got, want, atol=1e-12)
+    with pytest.raises(T.ShapeError):
+        T.conv2d(Tensor(x[0]), Tensor(wgt), Tensor(b))  # one map needs its batch axis
 
 
 def test_take_rows_gathers_and_accumulates_grad():
@@ -210,10 +213,10 @@ def test_batched_matmul_gradients():
 
 def test_conv2d_gradients_all_arguments():
     rng = RNG(12)
-    x = rt(rng, 2, 5, 4)
+    x = rt(rng, 2, 2, 5, 4)
     w = rt(rng, 3, 2, 3, 3)
     b = rt(rng, 3)
-    cot = rt(rng, 3, 5, 4)
+    cot = rt(rng, 2, 3, 5, 4)
     assert grad_check(lambda t: T.tsum(T.conv2d(t, w, b) * cot), x) <= 1e-6
     assert grad_check(lambda t: T.tsum(T.conv2d(x, t, b) * cot), w) <= 1e-6
     assert grad_check(lambda t: T.tsum(T.conv2d(x, w, t) * cot), b) <= 1e-6

@@ -9,8 +9,9 @@ from ivt.codec import Pose3D
 from ivt.metrics import match_and_evaluate
 from ivt.synth import SceneSpec, generate
 from ivt.tensor import ConfigError, ContractError, Tensor
-from ivt.train import (Adam, TrainConfig, build_model, decode_output, evaluate,
-                       load_model, lr_at, train)
+from ivt.losses import LossWeights, total_loss
+from ivt.train import (Adam, ModelOutput, TrainConfig, build_model, clip_loss,
+                       decode_output, evaluate, load_model, lr_at, train)
 
 RNG = np.random.default_rng
 
@@ -236,10 +237,47 @@ def test_decode_output_rescales_to_feature_cells():
     from ivt.codec import encode_targets
 
     hm, o3, _ = encode_targets(scaled, n, n, 1.0)
-    out.heatmaps = [Tensor(hm)] * cfg.frames
-    out.offsets3d = [Tensor(o3)] * cfg.frames
+    out.heatmap = Tensor(np.stack([hm] * cfg.frames))
+    out.offset3d = Tensor(np.stack([o3] * cfg.frames))
     decoded = decode_output(model, out, threshold=0.9, max_people=4)
     got = decoded[0][0].joints
     want = truth.poses[0][0].joints
     np.testing.assert_allclose(got[:, :2], want[:, :2], atol=1e-9)
     np.testing.assert_allclose(got[:, 2], want[:, 2], atol=1e-9)
+
+
+# -- loss ------------------------------------------------------------------------------
+
+
+def test_clip_loss_is_mean_of_per_frame_losses():
+    # Frames with 2, 0 and 1 centers: pooling the masked means over the clip
+    # instead of averaging each frame's mean would weigh the centers equally.
+    rng = RNG(4)
+    joints, h, w, k = 2, 4, 4, 2
+    centers = ([(0, 1), (3, 2)], [], [(2, 2)])
+    frames = len(centers)
+    mask_feat = np.zeros((frames, h, w), dtype=bool)
+    mask_head = np.zeros((frames, h // k, w // k), dtype=bool)
+    o2 = np.zeros((frames, 2 * joints, h, w))
+    o3 = np.zeros((frames, 3 * joints, h // k, w // k))
+    for t, frame in enumerate(centers):
+        for y, x in frame:
+            mask_feat[t, y, x] = mask_head[t, y // k, x // k] = True
+            o2[t, :, y, x] = rng.uniform(-2, 2, size=2 * joints)
+            o3[t, :, y // k, x // k] = rng.uniform(-2, 2, size=3 * joints)
+    hm = rng.uniform(0, 1, size=(frames, h // k, w // k))
+    out = ModelOutput(Tensor(rng.uniform(0, 1, size=hm.shape)),
+                      Tensor(rng.standard_normal(o3.shape)),
+                      Tensor(rng.standard_normal(o2.shape)))
+    cfg = tiny_config(alpha=3.0)
+    loss, terms = clip_loss(out, ((hm, o3, o2), (mask_head, mask_feat)), cfg)
+    def frame(t):
+        pred = tuple(Tensor(x.data[t:t + 1]) for x in (out.heatmap, out.offset3d, out.offset2d))
+        return total_loss(pred, (hm[t:t + 1], o3[t:t + 1], o2[t:t + 1]), LossWeights(3.0),
+                          (mask_head[t:t + 1], mask_feat[t:t + 1]))[1]
+
+    per_frame = [frame(t) for t in range(frames)]
+    assert per_frame[1]["l1_3d"] == per_frame[1]["l1_2d"] == 0.0
+    for key in ("l1_3d", "l1_2d", "l2_hm", "total"):
+        assert terms[key] == pytest.approx(np.mean([f[key] for f in per_frame]), abs=1e-12)
+    assert loss.item() == terms["total"]

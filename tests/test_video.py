@@ -8,7 +8,7 @@ from ivt.blocks import (AttentionConfig, attention, block_params, linear,
                         transformer_block_cross, transformer_block_self,
                         zero_block_outputs)
 from ivt.gradcheck import grad_check
-from ivt.igt import igt_frame
+from ivt.igt import extract_blocks, gather_indices, tokenize
 from ivt.tensor import ContractError, ShapeError, Tensor, macs
 from ivt.video import (GridGeometry, ScaleSet, VideoConfig, align_tokens,
                        alignment_maps, block_mean_flow, cisa, cisa_params, ita,
@@ -362,8 +362,8 @@ def clip_fixture(scales=(4,), frames=2, h=8, w=8, joints=2, channels=1, seed=30)
     cfg = VideoConfig(joints=joints, channels=channels, scales=scales, layers=1,
                       heads=2, fuse_heads=2)
     params = video_params(rng, cfg, h, w)
-    features = [rt(rng, channels, h, w) for _ in range(frames)]
-    offsets = [rng.uniform(-2, 2, size=(2 * joints, h, w)) for _ in range(frames)]
+    features = rt(rng, frames, channels, h, w)
+    offsets = rng.uniform(-2, 2, size=(frames, 2 * joints, h, w))
     flows = [rng.uniform(-1, 1, size=(2, h, w)) for _ in range(frames - 1)]
     return rng, cfg, params, features, offsets, flows
 
@@ -392,13 +392,15 @@ def test_forward_single_scale_single_layer_matches_composition():
     sset = cfg.scale_set()
     acfg = AttentionConfig(sset.token_dims[0], cfg.heads)
     fuse_cfg = AttentionConfig(cfg.channels * 16, cfg.fuse_heads)
-    maps = [igt_frame(f, off, 4, params["fuse4"], fuse_cfg, cfg.joints)
-            for f, off in zip(features, offsets)]
+    blocks = extract_blocks(features, 4).data
+    idx = gather_indices(offsets, GridGeometry(4, 2, 2), cfg.joints)  # (T, N, J)
+    maps = [tokenize(Tensor(blocks[t][idx[t]].reshape(4, -1)), params["fuse4"], fuse_cfg)
+            for t in range(2)]  # one frame at a time
     tokens = T.concat([T.reshape(m, (1,) + m.shape) for m in maps], axis=0)
     lp = params["layer0"]
     spatial = transformer_block_self(T.add_bcast(tokens, lp["cisa"]["pos4"]),
                                      lp["cisa"]["block"], acfg)
-    aligned = align_tokens(spatial, alignment_maps(flows, GridGeometry(4, 2, 2), len(features)))
+    aligned = align_tokens(spatial, alignment_maps(flows, GridGeometry(4, 2, 2), 2))
     want = (ita(aligned, lp["mita"]["ita4"], acfg) + tokens).data
     np.testing.assert_allclose(out, want, atol=1e-12)
 
@@ -416,7 +418,7 @@ def test_forward_multiscale_layer_stack_matches_ivt_layer():
     for layer in range(2):
         sset = cfg2.scale_set()
         spatial = cisa(streams, sset, params[f"layer{layer}"]["cisa"], 2)
-        aligned = [align_tokens(x, alignment_maps(flows, g, len(features)))
+        aligned = [align_tokens(x, alignment_maps(flows, g, 2))
                    for x, g in zip(spatial, grids)]
         merged, outs = mita(aligned, params[f"layer{layer}"]["mita"], sset, grids, 2,
                             cfg2.joints, cfg2.channels)
@@ -435,6 +437,7 @@ def test_forward_multiscale_gradient():
     rng, cfg, params, features, offsets, flows = clip_fixture(scales=(2, 4))
 
     def f(t):
-        return T.tsum(ivt_forward([t] + features[1:], offsets, flows, cfg, params))
+        clip = T.concat([t, Tensor(features.data[1:])])
+        return T.tsum(ivt_forward(clip, offsets, flows, cfg, params))
 
-    assert grad_check(f, features[0]) <= 1e-5
+    assert grad_check(f, Tensor(features.data[:1])) <= 1e-5
