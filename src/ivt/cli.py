@@ -3,7 +3,8 @@
 Exit codes are a stable contract: 0 success, 2 usage or config error,
 3 numeric failure. Every run writes a JSON manifest sufficient to
 reproduce it (command, config snapshot, seeds, artifact paths, input
-hashes, timestamps).
+hashes, timestamps) and the machine facts that bitwise results depend on
+(Python, numpy and BLAS versions, BLAS thread variables, git revision).
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import argparse
 import configparser
 import hashlib
 import json
+import os
+import platform
 import sys
 import time
 from dataclasses import asdict, replace
@@ -130,6 +133,43 @@ def _hash_file(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def git_revision(root: Path) -> str:
+    """HEAD commit read from root/.git without running git; 'unknown' outside a clone."""
+    git = root / ".git"
+    try:
+        head = (git / "HEAD").read_text().strip()
+        if not head.startswith("ref: "):
+            return head
+        ref = head[5:]
+        if (git / ref).is_file():
+            return (git / ref).read_text().strip()
+        for line in (git / "packed-refs").read_text().splitlines():
+            if line.endswith(" " + ref):
+                return line.split()[0]
+    except OSError:
+        pass
+    return "unknown"
+
+
+def machine_facts() -> dict:
+    """Versions, BLAS build and threads, and the source revision of this run."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 has no mode="dicts"
+        blas = {}
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "blas_thread_env": {v: os.environ.get(v) for v in BLAS_THREAD_VARS},
+        "git_revision": git_revision(Path(__file__).resolve().parents[2]),
+    }
+
+
 def write_manifest(out_dir: Path, command: str, config: dict, seed,
                    artifacts: list[str], inputs: list[str]) -> None:
     manifest = {
@@ -139,6 +179,7 @@ def write_manifest(out_dir: Path, command: str, config: dict, seed,
         "artifacts": artifacts,
         "input_hashes": {str(p): _hash_file(p) for p in inputs if Path(p).is_file()},
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+        "machine": machine_facts(),
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 

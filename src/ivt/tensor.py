@@ -500,8 +500,8 @@ def softmax(a: Tensor) -> Tensor:
 
 
 # Bytes of one block of attention scores, sized to a core's 2 MiB L2 cache: half
-# of it, since a backward block also holds dS and a temporary of the same size
-# (2 MiB blocks ran the CISA backward about 40% slower on such a Xeon).
+# of it, since a backward block holds the rebuilt P, dS and a temporary of the
+# same size (2 MiB blocks ran the CISA backward about 40% slower on such a Xeon).
 SDPA_BLOCK_BYTES = 1 << 20
 
 
@@ -520,20 +520,37 @@ def _sdpa_blocks(batch: int, nq: int, nk: int) -> list[tuple[int, int, int, int]
     return [(b, b + 1, r, min(r + rows, nq)) for b in range(batch) for r in range(0, nq, rows)]
 
 
+def _sdpa_scores(q3: np.ndarray, kt: np.ndarray, c: float, block, scratch: np.ndarray) -> np.ndarray:
+    """c · q kᵀ of one block, formed in the front of ``scratch``.
+
+    Forward and backward both form a block's scores here, so the P that
+    backward rebuilds is the forward's P bit for bit.
+    """
+    b0, b1, r0, r1 = block
+    shape = (b1 - b0, r1 - r0, kt.shape[-1])
+    s = scratch[:shape[0] * shape[1] * shape[2]].reshape(shape)
+    np.matmul(q3[b0:b1, r0:r1], kt[b0:b1], out=s)
+    s *= c
+    return s
+
+
 def sdpa(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """Scaled dot-product attention softmax(q kᵀ / √d) v over the last two axes.
 
-    2-D, or stacked with identical leading batch dims. One fused op that
-    keeps only the attention weights P for its hand-written backward pass.
-    Forward and backward walk P in blocks of at most ``SDPA_BLOCK_BYTES``
-    (see ``_sdpa_blocks``), so every pass over a block of scores runs in
-    cache: scores, scale, max-shift, exp and normalise in place in P, the
-    finiteness and row-sum checks, then the block's rows of P v; backward
-    forms each block's dS, writes its rows of dq and assigns (whole rows)
-    or accumulates (row ranges) dk and dv (Rabe & Staats,
-    arXiv:2112.05682; FlashAttention, arXiv:2205.14135). A tensor within
-    the budget is one block, computed by exactly the ops of the unblocked
-    form. MACs are charged as the two matmuls q kᵀ and P v.
+    2-D, or stacked with identical leading batch dims. One fused op with a
+    hand-written backward that keeps no attention weights: forward keeps
+    only each query row's score max m and exp-sum l, and backward rebuilds
+    each block of P from q, k, m and l (the FlashAttention backward, Dao
+    et al., arXiv:2205.14135). Both passes walk the scores in blocks of at
+    most ``SDPA_BLOCK_BYTES`` (see ``_sdpa_blocks``) in one block-sized
+    scratch buffer, so every pass over a block runs in cache. Forward:
+    scores, scale, max-shift, exp and normalise in place, the finiteness
+    and row-sum checks, then the block's rows of P v. Backward: the same
+    scores, scale, shift by m, exp and divide by l, then the block's dS,
+    its rows of dq, and dk and dv assigned (whole rows) or accumulated
+    (row ranges) (Rabe & Staats, arXiv:2112.05682). A tensor within the
+    budget is one block, computed by exactly the ops of the unblocked
+    form. MACs are charged as the two forward matmuls q kᵀ and P v.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if (q.ndim < 2 or not q.ndim == k.ndim == v.ndim
@@ -548,15 +565,19 @@ def sdpa(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     kt, vt = np.swapaxes(k3, -1, -2), np.swapaxes(v3, -1, -2)
     c = float(1.0 / np.sqrt(d))
     blocks = _sdpa_blocks(batch, nq, nk)
-    p = np.empty((batch, nq, nk))
+    scratch_len = max((b1 - b0) * (r1 - r0) for b0, b1, r0, r1 in blocks) * nk
+    scratch = np.empty(scratch_len)
+    m, l = np.empty((batch, nq, 1)), np.empty((batch, nq, 1))
     data = np.empty((batch, nq, dv))
-    for b0, b1, r0, r1 in blocks:
-        pb = p[b0:b1, r0:r1]
-        np.matmul(q3[b0:b1, r0:r1], kt[b0:b1], out=pb)
-        pb *= c
-        pb -= pb.max(axis=-1, keepdims=True)
+    for block in blocks:
+        b0, b1, r0, r1 = block
+        pb = _sdpa_scores(q3, kt, c, block, scratch)
+        mb = pb.max(axis=-1, keepdims=True)
+        pb -= mb
         np.exp(pb, out=pb)
-        pb /= pb.sum(axis=-1, keepdims=True)
+        lb = pb.sum(axis=-1, keepdims=True)
+        pb /= lb
+        m[b0:b1, r0:r1], l[b0:b1, r0:r1] = mb, lb
         if _debug_checks:
             if not np.all(np.isfinite(pb)):
                 b, r, j = np.argwhere(~np.isfinite(pb))[0]
@@ -569,8 +590,13 @@ def sdpa(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     def bw(g):
         g3 = g.reshape(batch, nq, dv)
         dq, dk, dvv = np.empty_like(q3), np.empty_like(k3), np.empty_like(v3)
-        for b0, b1, r0, r1 in blocks:
-            pb = p[b0:b1, r0:r1]
+        scratch = np.empty(scratch_len)
+        for block in blocks:
+            b0, b1, r0, r1 = block
+            pb = _sdpa_scores(q3, kt, c, block, scratch)
+            pb -= m[b0:b1, r0:r1]
+            np.exp(pb, out=pb)
+            pb /= l[b0:b1, r0:r1]  # P, bit for bit as in forward
             ds = g3[b0:b1, r0:r1] @ vt[b0:b1]  # dP
             ds -= (ds * pb).sum(axis=-1, keepdims=True)
             ds *= pb

@@ -27,7 +27,7 @@ from .blocks import (AttentionConfig, block_params, init_linear, linear,
                      transformer_block_cross, transformer_block_self)
 from .igt import (GridGeometry, extract_blocks, gather_indices, take_frame_rows,
                   tokenize)
-from .tensor import ConfigError, ContractError, ShapeError, Tensor, macs
+from .tensor import ConfigError, ContractError, NumericError, ShapeError, Tensor, macs
 
 
 @dataclass(frozen=True)
@@ -71,14 +71,19 @@ def alignment_maps(flows: list[np.ndarray], geom: GridGeometry, frames: int) -> 
     Returns (T, N) int array A with aligned[t, n] = tokens[t, A[t, n]].
     Block flow is the block-mean of the pixel flow, chained across the
     intermediate frames (re-reading the flow at the displaced block each
-    step), rounded to block units and clamped. Collisions overwrite in
-    row-major grid order; vacated cells keep their original token.
+    step), rounded to the nearest pixel, clamped to the map and divided by
+    the block size. Collisions overwrite in row-major grid order; vacated
+    cells keep their original token. A non-finite block flow (a NaN or
+    infinite flow value, or block means beyond the float64 range) raises
+    ``NumericError``.
     """
     if len(flows) != frames - 1:
         raise ContractError(f"alignment_maps: need {frames - 1} flow pairs, got {len(flows)}")
     k = geom.block_size
     h, w = geom.n_h * k, geom.n_w * k
     means = [block_mean_flow(f, geom) for f in flows]
+    if not all(np.all(np.isfinite(m)) for m in means):
+        raise NumericError("alignment_maps: flow contains non-finite block means")
     rows, cols = np.divmod(np.arange(geom.n), geom.n_w)
     cy = rows * k + k // 2.0
     cx = cols * k + k // 2.0
@@ -86,13 +91,14 @@ def alignment_maps(flows: list[np.ndarray], geom: GridGeometry, frames: int) -> 
     for t in range(frames):
         px, py = cx.copy(), cy.copy()
         for s in range(t, frames - 1):
-            bx = np.clip(np.rint(px).astype(np.int64), 0, w - 1) // k
-            by = np.clip(np.rint(py).astype(np.int64), 0, h - 1) // k
+            # Clamp before the integer cast, which would wrap flows beyond int64.
+            bx = np.clip(np.rint(px), 0, w - 1).astype(np.int64) // k
+            by = np.clip(np.rint(py), 0, h - 1).astype(np.int64) // k
             bidx = by * geom.n_w + bx
             px = px + means[s][bidx, 0]
             py = py + means[s][bidx, 1]
-        dc = np.clip(np.rint(px).astype(np.int64), 0, w - 1) // k
-        dr = np.clip(np.rint(py).astype(np.int64), 0, h - 1) // k
+        dc = np.clip(np.rint(px), 0, w - 1).astype(np.int64) // k
+        dr = np.clip(np.rint(py), 0, h - 1).astype(np.int64) // k
         dest = dr * geom.n_w + dc
         assign = np.arange(geom.n, dtype=np.int64)
         for i in range(geom.n):

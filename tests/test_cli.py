@@ -1,12 +1,13 @@
 """Command-line interface: exit codes, artifacts, manifests, reproducibility."""
 
 import json
+import platform
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ivt.cli import main, read_config
+from ivt.cli import git_revision, main, read_config
 from ivt.codec import poses_from_lines
 from ivt.synth import generate
 from ivt.train import TrainConfig
@@ -68,6 +69,13 @@ def test_train_then_eval_end_to_end(tmp_path, tiny_config, capsys):
     assert manifest["command"] == "train"
     assert manifest["config"]["train"]["steps"] == 10
     assert "checkpoint.ivtc" in manifest["artifacts"]
+    machine = manifest["machine"]
+    assert machine["python"] == platform.python_version()
+    assert machine["numpy"] == np.__version__
+    assert {"blas", "blas_version"} <= set(machine)
+    assert set(machine["blas_thread_env"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                               "MKL_NUM_THREADS"}
+    assert machine["git_revision"] == "unknown" or len(machine["git_revision"]) == 40
 
     eval_out = tmp_path / "eval"
     code = main(["eval", "--checkpoint", str(out / "checkpoint.ivtc"),
@@ -75,6 +83,19 @@ def test_train_then_eval_end_to_end(tmp_path, tiny_config, capsys):
     assert code == 0
     assert (eval_out / "eval.csv").is_file()
     assert (eval_out / "manifest.json").is_file()
+
+
+def test_git_revision_reads_loose_and_packed_refs(tmp_path):
+    assert git_revision(tmp_path) == "unknown"
+    git = tmp_path / ".git"
+    (git / "refs" / "heads").mkdir(parents=True)
+    (git / "HEAD").write_text("ref: refs/heads/main\n")
+    (git / "packed-refs").write_text("# pack-refs\n" + "a" * 40 + " refs/heads/main\n")
+    assert git_revision(tmp_path) == "a" * 40
+    (git / "refs" / "heads" / "main").write_text("b" * 40 + "\n")
+    assert git_revision(tmp_path) == "b" * 40
+    (git / "HEAD").write_text("c" * 40 + "\n")  # detached
+    assert git_revision(tmp_path) == "c" * 40
 
 
 def test_train_reruns_give_identical_checkpoints(tmp_path, tiny_config):

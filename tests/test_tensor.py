@@ -1,6 +1,7 @@
 """Tensor core: ops, autodiff against finite differences and hand oracles."""
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -360,6 +361,28 @@ def test_sdpa_over_the_block_budget_matches_unfused_chain():
     assert 300 * 600 * 8 > T.SDPA_BLOCK_BYTES
     assert len(T._sdpa_blocks(2, 300, 600)) > 2
     assert_sdpa_matches_unfused_chain(shapes)
+
+
+def test_sdpa_forward_keeps_row_statistics_not_weights(monkeypatch):
+    """Between forward and backward, sdpa holds less than one score block
+    beyond its output: the row max and sum, not P (batch·nq·nk·8 bytes)."""
+    block = 32 * 600 * 8
+    monkeypatch.setattr(T, "SDPA_BLOCK_BYTES", block)
+    assert len(T._sdpa_blocks(4, 300, 600)) == 4 * 10
+    rng = RNG(19)
+    q, k, v = (Tensor(rng.uniform(-2, 2, size=s), requires_grad=True)
+               for s in ((4, 300, 8), (4, 600, 8), (4, 600, 4)))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = T.sdpa(q, k, v)
+        kept = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
+    finally:
+        tracemalloc.stop()
+    assert kept < block < 4 * 300 * 600 * 8
+    T.backward(T.tsum(out))
+    assert all(np.all(np.isfinite(t.grad)) for t in (q, k, v))
 
 
 def test_blocked_sdpa_nan_names_the_global_score_index(monkeypatch):

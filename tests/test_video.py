@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ivt import tensor as T
 from ivt.blocks import (AttentionConfig, attention, block_params, linear,
@@ -9,7 +11,7 @@ from ivt.blocks import (AttentionConfig, attention, block_params, linear,
                         zero_block_outputs)
 from ivt.gradcheck import grad_check
 from ivt.igt import extract_blocks, gather_indices, tokenize
-from ivt.tensor import ContractError, ShapeError, Tensor, macs
+from ivt.tensor import ContractError, NumericError, ShapeError, Tensor, macs
 from ivt.video import (GridGeometry, ScaleSet, VideoConfig, align_tokens,
                        alignment_maps, block_mean_flow, cisa, cisa_params, ita,
                        ivt_forward, ivt_layer, mita, split_to_finest, video_params)
@@ -141,6 +143,73 @@ def test_alignment_requires_matching_flow_count():
     geom = GridGeometry(2, 2, 2)
     with pytest.raises(ContractError):
         alignment_maps([np.zeros((2, 4, 4))], geom, 3)
+
+
+def reference_alignment_maps(flows, geom, frames):
+    """Scalar loop: chain block flows, round, clamp, divide; row-major overwrite."""
+    k, n_w = geom.block_size, geom.n_w
+    h, w = geom.n_h * k, n_w * k
+    means = [block_mean_flow(f, geom) for f in flows]
+
+    def cell(x, y):
+        col = int(min(max(np.rint(x), 0.0), w - 1.0)) // k
+        row = int(min(max(np.rint(y), 0.0), h - 1.0)) // k
+        return row * n_w + col
+
+    out = []
+    for t in range(frames):
+        assign = list(range(geom.n))
+        for i in range(geom.n):
+            r, c = divmod(i, n_w)
+            x, y = c * k + k // 2.0, r * k + k // 2.0
+            for s in range(t, frames - 1):
+                j = cell(x, y)
+                x, y = x + means[s][j, 0], y + means[s][j, 1]
+            assign[cell(x, y)] = i
+        out.append(assign)
+    return np.array(out, dtype=np.int64)
+
+
+# Small whole-pixel moves, as the synthetic scenes make, and floats up to
+# 1e300 either way, beyond int64 but with finite block means.
+FLOW_VALUES = st.one_of(st.integers(-6, 6).map(float),
+                        st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def flow_clips(draw):
+    geom = GridGeometry(draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    frames = draw(st.integers(1, 4))
+    shape = (2, geom.n_h * geom.block_size, geom.n_w * geom.block_size)
+    flows = [draw(arrays(np.float64, shape, elements=FLOW_VALUES)) for _ in range(frames - 1)]
+    return geom, frames, flows
+
+
+@settings(deadline=None, max_examples=200)
+@given(clip=flow_clips())
+def test_alignment_maps_match_scalar_reference(clip):
+    geom, frames, flows = clip
+    maps = alignment_maps(flows, geom, frames)
+    assert maps.shape == (frames, geom.n) and maps.dtype == np.int64
+    assert np.all((maps >= 0) & (maps < geom.n))
+    np.testing.assert_array_equal(maps, reference_alignment_maps(flows, geom, frames))
+    zero = alignment_maps([np.zeros_like(f) for f in flows], geom, frames)
+    np.testing.assert_array_equal(zero, np.tile(np.arange(geom.n), (frames, 1)))
+
+
+def test_huge_flow_clamps_like_a_large_one():
+    geom = GridGeometry(1, 2, 2)
+    for value in (1e6, 1e19):
+        np.testing.assert_array_equal(
+            alignment_maps([np.full((2, 2, 2), value)], geom, 2)[0], [0, 1, 2, 3])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_flow_raises(bad):
+    flow = np.zeros((2, 4, 4))
+    flow[1, 3, 0] = bad
+    with pytest.raises(NumericError, match="alignment_maps"):
+        alignment_maps([flow], GridGeometry(2, 2, 2), 2)
 
 
 def test_block_mean_flow_averages_pixels():
