@@ -3,8 +3,8 @@
 Tokens live on a block grid per frame. With a single block size the
 layer's cross-scale stage (CISA) is self-attention inside each frame.
 The layer then shifts tokens along block-level motion so each grid slot
-tracks the same content over time, and cross-attends each slot over its
-frames. The whole layer sits inside an outer residual, so
+tracks the same content over time, and runs self-attention over each
+slot's frames. The whole layer sits inside an outer residual, so
 zeroing the inner blocks turns it into an exact doubling.
 """
 

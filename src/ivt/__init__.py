@@ -10,8 +10,7 @@ from .tensor import (BoundsError, ConfigError, ContractError, MacCounter,
                      NumericError, ShapeError, Tensor, macs, set_debug_checks)
 from .gradcheck import grad_check
 from .blocks import (AttentionConfig, attention, block_params, ffn, layer_norm,
-                     multi_head_attention, multi_head_self_attention,
-                     transformer_block_cross, transformer_block_self,
+                     multi_head_self_attention, transformer_block_self,
                      zero_block_outputs)
 from .igt import (GridGeometry, extract_blocks, gather_indices, offset_head_params,
                   predict_offsets, retile, take_frame_rows, tokenize)

@@ -1,4 +1,4 @@
-"""Transformer primitives: attention, MHA/MHSA, FFN, layer norm, blocks.
+"""Transformer primitives: attention, MHSA, FFN, layer norm, one block.
 
 All functions are pure maps over immutable parameter tensors. Blocks use
 the pre-norm residual layout Y = X + MHSA(LN(X)); out = Y + FFN(LN(Y)),
@@ -13,8 +13,6 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import ConfigError, ContractError, ShapeError, Tensor
-
-LN_EPS = 1e-6
 
 
 @dataclass(frozen=True)
@@ -41,18 +39,16 @@ def init_linear(rng: np.random.Generator, d_in: int, d_out: int) -> tuple[Tensor
     return w, b
 
 
-def block_params(rng: np.random.Generator, cfg: AttentionConfig, d_ffn: int | None = None) -> dict[str, Tensor]:
-    """Parameters for one transformer block (attention projections + FFN + LN)."""
+def block_params(rng: np.random.Generator, cfg: AttentionConfig) -> dict[str, Tensor]:
+    """Parameters for one transformer block (attention projections, 4x FFN, LN)."""
     d = cfg.d_model
-    if d_ffn is None:
-        d_ffn = 4 * d
     p: dict[str, Tensor] = {}
     p["wq"], p["bq"] = init_linear(rng, d, d)
     p["wk"], p["bk"] = init_linear(rng, d, d)
     p["wv"], p["bv"] = init_linear(rng, d, d)
     p["wo"], p["bo"] = init_linear(rng, d, d)
-    p["ffn_w1"], p["ffn_b1"] = init_linear(rng, d, d_ffn)
-    p["ffn_w2"], p["ffn_b2"] = init_linear(rng, d_ffn, d)
+    p["ffn_w1"], p["ffn_b1"] = init_linear(rng, d, 4 * d)
+    p["ffn_w2"], p["ffn_b2"] = init_linear(rng, 4 * d, d)
     p["ln1_g"] = Tensor(np.ones(d), requires_grad=True)
     p["ln1_b"] = Tensor(np.zeros(d), requires_grad=True)
     p["ln2_g"] = Tensor(np.ones(d), requires_grad=True)
@@ -80,13 +76,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """softmax(Q K^T / sqrt(d)) V over the last two axes; batched if 3-D."""
-    d = q.shape[-1]
-    if d == 0:
+    if q.shape[-1] == 0:
         raise ContractError("attention: feature dim is zero")
-    if k.shape[-1] != d:
-        raise ShapeError(f"attention: query/key dims differ: {q.shape}, {k.shape}")
-    if v.shape[-2] != k.shape[-2]:
-        raise ShapeError(f"attention: key/value counts differ: {k.shape}, {v.shape}")
     if k.shape[-2] < 1:
         raise ContractError("attention: need at least one key")
     return T.sdpa(q, k, v)
@@ -108,28 +99,17 @@ def _merge_heads(x: Tensor, cfg: AttentionConfig) -> Tensor:
     return T.reshape(x, (bh // cfg.heads, n, cfg.d_model))
 
 
-def multi_head_attention(q: Tensor, k: Tensor, v: Tensor,
-                         params: dict[str, Tensor], cfg: AttentionConfig) -> Tensor:
-    """Project Q/K/V, attend per feature-axis head, concat, project out."""
-    if q.shape[-1] != cfg.d_model:
-        raise ConfigError(f"multi_head_attention: input dim {q.shape[-1]} != d_model {cfg.d_model}")
-    lead = q.shape[:-2]
-    nq, nk = q.shape[-2], k.shape[-2]
-
-    def as3d(t: Tensor, n: int) -> Tensor:
-        return T.reshape(t, (-1, n, cfg.d_model))
-
-    qp = as3d(linear(q, params["wq"], params["bq"]), nq)
-    kp = as3d(linear(k, params["wk"], params["bk"]), nk)
-    vp = as3d(linear(v, params["wv"], params["bv"]), nk)
-    heads = attention(_split_heads(qp, cfg), _split_heads(kp, cfg), _split_heads(vp, cfg))
-    merged = _merge_heads(heads, cfg)
-    out = linear(merged, params["wo"], params["bo"])
-    return T.reshape(out, lead + (nq, cfg.d_model))
-
-
 def multi_head_self_attention(x: Tensor, params: dict[str, Tensor], cfg: AttentionConfig) -> Tensor:
-    return multi_head_attention(x, x, x, params, cfg)
+    """Project X to Q/K/V, attend per feature-axis head, concat, project out."""
+    if x.shape[-1] != cfg.d_model:
+        raise ConfigError(f"multi_head_self_attention: input dim {x.shape[-1]} "
+                          f"!= d_model {cfg.d_model}")
+    n = x.shape[-2]
+    q, k, v = (T.reshape(linear(x, params[f"w{c}"], params[f"b{c}"]), (-1, n, cfg.d_model))
+               for c in "qkv")
+    heads = attention(_split_heads(q, cfg), _split_heads(k, cfg), _split_heads(v, cfg))
+    out = linear(_merge_heads(heads, cfg), params["wo"], params["bo"])
+    return T.reshape(out, x.shape)
 
 
 def ffn(x: Tensor, params: dict[str, Tensor]) -> Tensor:
@@ -138,9 +118,9 @@ def ffn(x: Tensor, params: dict[str, Tensor]) -> Tensor:
     return linear(h, params["ffn_w2"], params["ffn_b2"])
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LN_EPS) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Zero-mean / unit-variance per token row, then gain and bias."""
-    return T.add_last(T.mul_last(T.layernorm(x, eps), gain), bias)
+    return T.add_last(T.mul_last(T.layernorm(x), gain), bias)
 
 
 def transformer_block_self(x: Tensor, params: dict[str, Tensor], cfg: AttentionConfig) -> Tensor:
@@ -148,9 +128,3 @@ def transformer_block_self(x: Tensor, params: dict[str, Tensor], cfg: AttentionC
         layer_norm(x, params["ln1_g"], params["ln1_b"]), params, cfg)
     return y + ffn(layer_norm(y, params["ln2_g"], params["ln2_b"]), params)
 
-
-def transformer_block_cross(q: Tensor, k: Tensor, v: Tensor,
-                            params: dict[str, Tensor], cfg: AttentionConfig) -> Tensor:
-    ln = lambda t: layer_norm(t, params["ln1_g"], params["ln1_b"])
-    y = q + multi_head_attention(ln(q), ln(k), ln(v), params, cfg)
-    return y + ffn(layer_norm(y, params["ln2_g"], params["ln2_b"]), params)

@@ -81,13 +81,10 @@ def center_mask(poses: list[Pose3D], h: int, w: int) -> np.ndarray:
     return mask
 
 
-def keypoint_nms(hm: np.ndarray, window: int = 3) -> np.ndarray:
-    """Keep pixels equal to their window x window neighborhood max; ties kept."""
-    if window < 1 or window % 2 == 0:
-        raise ConfigError(f"keypoint_nms: window must be odd and >= 1, got {window}")
-    r = window // 2
-    padded = np.pad(hm, r, constant_values=-np.inf)
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (window, window))
+def keypoint_nms(hm: np.ndarray) -> np.ndarray:
+    """Keep pixels equal to their 3x3 neighborhood max; ties kept."""
+    padded = np.pad(hm, 1, constant_values=-np.inf)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (3, 3))
     local_max = windows.max(axis=(2, 3))
     return np.where(hm >= local_max, hm, 0.0)
 
@@ -100,7 +97,7 @@ def decode_poses(hm: np.ndarray, off3d: np.ndarray, threshold: float = 0.5,
     if max_people < 1:
         raise ContractError(f"decode_poses: max_people must be >= 1, got {max_people}")
     joints = off3d.shape[0] // 3
-    peaks = keypoint_nms(hm, 3)
+    peaks = keypoint_nms(hm)
     h, w = hm.shape
     flat = peaks.reshape(-1)
     keep = np.flatnonzero(flat >= threshold)

@@ -1,9 +1,8 @@
 """Evaluation metrics: MPJPE, Procrustes-aligned MPJPE, depth error.
 
 PA-MPJPE aligns the prediction to the ground truth with the optimal
-similarity transform (rotation restricted to det +1, optional scale,
-translation) before measuring; a rigid-only variant is available behind
-the ``scale`` flag.
+similarity transform (rotation restricted to det +1, scale, translation)
+before measuring.
 """
 
 from __future__ import annotations
@@ -40,8 +39,7 @@ def mpjpe(pred: Pose3D, gt: Pose3D, root_align: bool = False) -> float:
     return float(np.mean(np.linalg.norm(p - g, axis=1)))
 
 
-def procrustes_align(pred: np.ndarray, gt: np.ndarray, scale: bool = True
-                     ) -> tuple[np.ndarray, bool]:
+def procrustes_align(pred: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, bool]:
     """Similarity-align pred onto gt; returns (aligned, performed).
 
     Degenerate targets (collinear joints) skip the alignment and report
@@ -57,18 +55,15 @@ def procrustes_align(pred: np.ndarray, gt: np.ndarray, scale: bool = True
     flip = np.ones(3)
     flip[-1] = d
     rot = vt.T @ np.diag(flip) @ u.T
-    if scale:
-        denom = float((pc * pc).sum())
-        k = float((s * flip).sum()) / denom if denom > 0 else 1.0
-    else:
-        k = 1.0
+    denom = float((pc * pc).sum())
+    k = float((s * flip).sum()) / denom if denom > 0 else 1.0
     return (k * pc @ rot.T) + gm, True
 
 
-def pa_mpjpe(pred: Pose3D, gt: Pose3D, scale: bool = True) -> float:
+def pa_mpjpe(pred: Pose3D, gt: Pose3D) -> float:
     """MPJPE after optimal similarity (Procrustes) alignment."""
     _check_joints(pred, gt)
-    aligned, _ = procrustes_align(pred.joints, gt.joints, scale=scale)
+    aligned, _ = procrustes_align(pred.joints, gt.joints)
     return float(np.mean(np.linalg.norm(aligned - gt.joints, axis=1)))
 
 
@@ -127,12 +122,13 @@ class EvalReport:
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["frame", "persons_matched", "mpjpe", "pa_mpjpe", "depth_error"])
+            writer.writerow(["frame", "persons_matched", "misses", "mpjpe", "pa_mpjpe",
+                             "depth_error"])
             fmt = lambda v: "" if v is None else format(v, ".17g")
             for f in self.frames:
-                writer.writerow([f.frame, f.persons_matched,
+                writer.writerow([f.frame, f.persons_matched, f.misses,
                                  fmt(f.mpjpe), fmt(f.pa_mpjpe), fmt(f.depth_error)])
-            writer.writerow(["aggregate", self.matched_pairs,
+            writer.writerow(["aggregate", self.matched_pairs, self.missed,
                              fmt(self.mpjpe), fmt(self.pa_mpjpe), fmt(self.depth_error)])
 
 

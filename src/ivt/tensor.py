@@ -614,17 +614,17 @@ def sdpa(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     return Tensor._result(data.reshape(lead + (nq, dv)), (q, k, v), bw, "sdpa")
 
 
-def layernorm(a: Tensor, eps: float = 1e-6) -> Tensor:
+LN_EPS = 1e-6  # added to the variance in layernorm
+
+
+def layernorm(a: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance (no gain/bias)."""
-    if eps <= 0:
-        raise ConfigError(f"layernorm: eps must be positive, got {eps}")
     x = a.data
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
-    n = a.shape[-1]
 
     def bw(g):
         gh = g * inv

@@ -50,6 +50,11 @@ class TrainConfig:
     def __post_init__(self):
         if self.steps < 1 or self.lr <= 0:
             raise ContractError(f"invalid train config: steps={self.steps}, lr={self.lr}")
+        if not self.scales or min(self.scales) < 1 or len(set(self.scales)) != len(self.scales):
+            raise ConfigError(f"invalid train config: scales = {self.scales}; "
+                              f"need one or more distinct block sizes >= 1")
+        if self.layers < 0:
+            raise ConfigError(f"invalid train config: layers = {self.layers}; need >= 0")
 
 
 @dataclass
@@ -69,7 +74,7 @@ class IVTModel:
     """All learned parameters plus the end-to-end forward pass."""
 
     def __init__(self, video_cfg: VideoConfig, h: int, w: int, seed: int,
-                 head_hidden: int = 16):
+                 head_hidden: int):
         self.cfg = video_cfg
         self.h, self.w = h, w
         rng = np.random.default_rng(seed)
@@ -140,12 +145,11 @@ class IVTModel:
 
 
 class Adam:
-    """Adaptive-moment gradient descent: decay 0.9/0.999, epsilon 1e-8."""
+    """Adaptive-moment gradient descent with fixed decays and epsilon."""
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, params: dict[str, Tensor], beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor]):
         self.params = params
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.t = 0
@@ -166,21 +170,21 @@ class Adam:
 
     def step(self, lr: float) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - self.BETA1 ** self.t
+        bc2 = 1.0 - self.BETA2 ** self.t
         for k, p in self.params.items():
             g = p.grad
             if g is None:
                 continue
             m, v = self.m[k], self.v[k]
-            m *= self.beta1
-            m += (1 - self.beta1) * g
-            g2 = (1 - self.beta2) * g
+            m *= self.BETA1
+            m += (1 - self.BETA1) * g
+            g2 = (1 - self.BETA2) * g
             g2 *= g
-            v *= self.beta2
+            v *= self.BETA2
             v += g2
             denom = np.sqrt(np.divide(v, bc2, out=g2), out=g2)
-            denom += self.eps
+            denom += self.EPS
             update = m / bc1
             update *= lr
             p.data -= np.divide(update, denom, out=update)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import tensor as T
 from .blocks import (AttentionConfig, block_params, init_linear, linear,
-                     transformer_block_cross, transformer_block_self)
+                     transformer_block_self)
 from .igt import (GridGeometry, extract_blocks, gather_indices, take_frame_rows,
                   tokenize)
 from .tensor import ConfigError, ContractError, NumericError, ShapeError, Tensor, macs
@@ -121,18 +121,18 @@ def align_tokens(tokens: Tensor, assigns: np.ndarray) -> Tensor:
 
 
 def ita(aligned: Tensor, params: dict[str, Tensor], cfg: AttentionConfig) -> Tensor:
-    """Cross-attention of every (frame, block) token over its block slot.
+    """Self-attention of every (frame, block) token over its block slot.
 
     Every query at block i attends to the tokens of block i from all T
-    frames, so the temporal stage is one cross block over the T rows of
-    each slot.
+    frames, so the temporal stage is one self-attention block over the T
+    rows of each slot.
     """
     _, _, d = aligned.shape
     if d != cfg.d_model:
         raise ConfigError(f"ita: token dim {d} != d_model {cfg.d_model}")
     with macs.scope("ita"):
         slots = T.transpose(aligned, (1, 0, 2))  # (N, T, D)
-        out = transformer_block_cross(slots, slots, slots, params, cfg)
+        out = transformer_block_self(slots, params, cfg)
         return T.transpose(out, (1, 0, 2))
 
 

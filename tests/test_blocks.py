@@ -5,9 +5,8 @@ import pytest
 
 from ivt import tensor as T
 from ivt.blocks import (AttentionConfig, attention, block_params, ffn,
-                        layer_norm, linear, multi_head_attention,
-                        multi_head_self_attention, transformer_block_self,
-                        zero_block_outputs)
+                        layer_norm, linear, multi_head_self_attention,
+                        transformer_block_self, zero_block_outputs)
 from ivt.gradcheck import grad_check
 from ivt.tensor import ConfigError, Tensor
 

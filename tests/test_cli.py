@@ -178,6 +178,14 @@ BAD_INPUTS = {
     "edited-pose-line": ("scene", _edit_pose_line, "frame 1"),
     "frames-mismatch": ("config", lambda t: t.replace("frames = 2\n", "frames = 3\n", 1),
                         "frames"),
+    "zero-scale": ("config", lambda t: t.replace("scales = 4\n", "scales = 0\n"), "scales"),
+    "negative-scale": ("config", lambda t: t.replace("scales = 4\n", "scales = -8\n"),
+                       "scales"),
+    "repeated-scale": ("config", lambda t: t.replace("scales = 4\n", "scales = 8 8\n"),
+                       "scales"),
+    "no-scales": ("config", lambda t: t.replace("scales = 4\n", "scales =\n"), "scales"),
+    "negative-layers": ("config", lambda t: t.replace("layers = 1\n", "layers = -1\n"),
+                        "layers"),
 }
 
 

@@ -119,11 +119,6 @@ def test_nms_idempotent_bitwise():
     np.testing.assert_array_equal(keypoint_nms(once), once)
 
 
-def test_nms_rejects_even_window():
-    with pytest.raises(ConfigError):
-        keypoint_nms(np.zeros((4, 4)), window=2)
-
-
 # -- decoding ------------------------------------------------------------------------
 
 
@@ -137,6 +132,41 @@ def test_round_trip_recovers_exact_joints():
     want = sorted(poses, key=lambda p: tuple(p.root[:2]))
     for g, w in zip(got, want):
         np.testing.assert_allclose(g.joints, w.joints, atol=1e-9)
+
+
+@st.composite
+def spaced_scenes(draw):
+    """A map with 1-3 poses whose roots sit on distinct integer pixels, each
+    pair at least 3 cells apart (Chebyshev), so no root is in another's NMS
+    window."""
+    h, w = draw(st.integers(4, 16)), draw(st.integers(4, 16))
+    joints = draw(st.integers(1, 4))
+    coord = st.floats(-8.0, 8.0, allow_nan=False)
+    roots: list[tuple[int, int]] = []
+    poses = []
+    for _ in range(draw(st.integers(1, 3))):
+        free = [(x, y) for y in range(h) for x in range(w)
+                if all(max(abs(x - rx), abs(y - ry)) >= 3 for rx, ry in roots)]
+        if not free:
+            break
+        x, y = draw(st.sampled_from(free))
+        roots.append((x, y))
+        rel = draw(arrays(np.float64, (joints - 1, 3), elements=coord))
+        poses.append(Pose3D(np.vstack([[x, y, draw(coord)], rel + (x, y, 0.0)])))
+    return h, w, poses
+
+
+@settings(deadline=None, max_examples=200)
+@given(spaced_scenes(), st.floats(0.5, 2.0))
+def test_encode_decode_round_trip_property(scene, sigma):
+    h, w, poses = scene
+    hm, off3d, _ = encode_targets(poses, h, w, sigma)
+    decoded = decode_poses(hm, off3d, threshold=0.9, max_people=10)
+    assert len(decoded) == len(poses)
+    got = sorted(decoded, key=lambda p: tuple(p.root[:2]))
+    want = sorted(poses, key=lambda p: tuple(p.root[:2]))
+    for g, wp in zip(got, want):
+        np.testing.assert_allclose(g.joints, wp.joints, rtol=0, atol=1e-12)
 
 
 def test_threshold_above_all_peaks_gives_empty_list():

@@ -164,12 +164,11 @@ def test_pa_matches_numerical_minimization_oracle():
         assert pa_mpjpe(p, g) == pytest.approx(oracle_pa(p.joints, g.joints), abs=1e-6)
 
 
-def test_rigid_variant_excludes_scale():
+def test_pa_alignment_removes_scale():
     rng = RNG(11)
     g = rand_pose(rng)
     p = Pose3D(2.0 * g.joints)
-    assert pa_mpjpe(p, g, scale=True) <= 1e-9
-    assert pa_mpjpe(p, g, scale=False) > 1e-3
+    assert pa_mpjpe(p, g) <= 1e-9
 
 
 # -- depth error --------------------------------------------------------------------
@@ -252,7 +251,7 @@ def test_report_csv_round_trip(tmp_path):
     path = tmp_path / "eval.csv"
     report.to_csv(path)
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "frame,persons_matched,mpjpe,pa_mpjpe,depth_error"
-    assert lines[1].startswith("0,1,0.5,0.25,0.125")
-    assert lines[2] == "1,0,,,"
-    assert lines[3].startswith("aggregate,1,0.5")
+    assert lines[0] == "frame,persons_matched,misses,mpjpe,pa_mpjpe,depth_error"
+    assert lines[1].startswith("0,1,0,0.5,0.25,0.125")
+    assert lines[2] == "1,0,2,,,"  # every person missed, not an empty frame
+    assert lines[3].startswith("aggregate,1,2,0.5")

@@ -7,8 +7,7 @@ from hypothesis.extra.numpy import arrays
 
 from ivt import tensor as T
 from ivt.blocks import (AttentionConfig, attention, block_params, linear,
-                        transformer_block_cross, transformer_block_self,
-                        zero_block_outputs)
+                        transformer_block_self, zero_block_outputs)
 from ivt.gradcheck import grad_check
 from ivt.igt import extract_blocks, gather_indices, tokenize
 from ivt.tensor import ContractError, NumericError, ShapeError, Tensor, macs
@@ -231,8 +230,7 @@ def test_ita_single_frame_attends_to_itself():
     x = rt(rng, 1, 3, 4)
     got = ita(x, params, cfg).data
     slots = T.transpose(x, (1, 0, 2))
-    want = T.transpose(transformer_block_cross(slots, slots, slots, params, cfg),
-                       (1, 0, 2)).data
+    want = T.transpose(transformer_block_self(slots, params, cfg), (1, 0, 2)).data
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
@@ -255,7 +253,7 @@ def test_ita_matches_per_slot_oracle():
     got = ita(x, params, cfg).data
     for i in range(2):
         slot = Tensor(x.data[:, i, :][None])  # (1, T, D)
-        want = transformer_block_cross(slot, slot, slot, params, cfg).data[0]
+        want = transformer_block_self(slot, params, cfg).data[0]
         np.testing.assert_allclose(got[:, i, :], want, atol=1e-12)
 
 
