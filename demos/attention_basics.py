@@ -8,8 +8,7 @@ sum to one, and a single key/value pair makes attention a copy.
 import numpy as np
 
 from ivt import tensor as T
-from ivt.blocks import (AttentionConfig, attention, block_params,
-                        multi_head_self_attention)
+from ivt.blocks import attention, block_params, multi_head_self_attention
 from ivt.tensor import Tensor
 
 rng = np.random.default_rng(0)
@@ -30,16 +29,15 @@ single = attention(q, Tensor(k.data[:1]), Tensor(v.data[:1]))
 print("\nsingle key copies the value:", np.array_equal(single.data, v.data[:1]))
 
 # Multi-head self-attention mixes a whole token sequence.
-cfg = AttentionConfig(d_model=8, heads=2)
-params = block_params(rng, cfg)
+params = block_params(rng, 8)
 tokens = Tensor(rng.uniform(-1, 1, size=(5, 8)), requires_grad=True)
-mixed = multi_head_self_attention(tokens, params, cfg)
+mixed = multi_head_self_attention(tokens, params, 2)
 print("\nMHSA: 5 tokens of width 8 ->", mixed.shape)
 
 # Self-attention has no notion of order: permuting the tokens permutes
 # the outputs the same way (up to float summation noise).
 perm = rng.permutation(5)
-moved = multi_head_self_attention(Tensor(tokens.data[perm]), params, cfg)
+moved = multi_head_self_attention(Tensor(tokens.data[perm]), params, 2)
 print("permutation equivariance error:",
       float(np.max(np.abs(moved.data - mixed.data[perm]))))
 

@@ -10,7 +10,7 @@ zeroing the inner blocks turns it into an exact doubling.
 
 import numpy as np
 
-from ivt.blocks import AttentionConfig, block_params, zero_block_outputs
+from ivt.blocks import block_params, zero_block_outputs
 from ivt.tensor import Tensor, macs
 from ivt.video import (GridGeometry, VideoConfig, alignment_maps, align_tokens, ita,
                        ivt_layer, video_params)
@@ -43,13 +43,12 @@ print("\nafter alignment, frame 0 slot 1 holds frame 0 block 0:",
       np.array_equal(aligned.data[0, 1], tokens.data[0, 0]))
 
 # Temporal attention cost is linear in the window length.
-cfg16 = AttentionConfig(16, 2)
-params16 = block_params(rng, cfg16)
+params16 = block_params(rng, 16)
 
 def ita_macs(t):
     macs.reset()
     with macs.counting():
-        ita(Tensor(rng.uniform(-1, 1, size=(t, geom.n, 16))), params16, cfg16)
+        ita(Tensor(rng.uniform(-1, 1, size=(t, geom.n, 16))), params16, 2)
     return macs.by_scope["ita"]
 
 print("\ntemporal MACs, 8 frames vs 4:", ita_macs(8) / ita_macs(4))

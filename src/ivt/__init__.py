@@ -9,15 +9,14 @@ synthetic scene generator, and a toy training loop.
 from .tensor import (BoundsError, ConfigError, ContractError, MacCounter,
                      NumericError, ShapeError, Tensor, macs, set_debug_checks)
 from .gradcheck import grad_check
-from .blocks import (AttentionConfig, attention, block_params, ffn, layer_norm,
+from .blocks import (attention, block_params, ffn, layer_norm,
                      multi_head_self_attention, transformer_block_self,
                      zero_block_outputs)
 from .igt import (GridGeometry, extract_blocks, gather_indices, offset_head_params,
                   predict_offsets, retile, take_frame_rows, tokenize)
-from .video import (ScaleSet, VideoConfig, align_tokens,
-                    alignment_maps, block_mean_flow, cisa, cisa_params, ita,
-                    ivt_forward, ivt_layer, mita, split_to_finest, tokenize_clip,
-                    video_params)
+from .video import (VideoConfig, align_tokens, alignment_maps, block_mean_flow, cisa,
+                    cisa_params, ita, ivt_forward, ivt_layer, mita, split_to_finest,
+                    tokenize_clip, video_params)
 from .codec import (ROOT_JOINT, Pose3D, center_mask, decode_poses,
                     encode_targets, keypoint_nms, poses_from_lines,
                     poses_to_lines)
@@ -28,6 +27,6 @@ from .synth import SceneSpec, SceneTruth, generate, gt_feature_provider
 from .checkpoint import load_params, save_params
 from .train import (Adam, IVTModel, ModelOutput, TrainConfig, TrainResult,
                     build_model, check_frames, clip_loss, clip_targets, decode_output,
-                    evaluate, load_model, lr_at, train)
+                    evaluate, load_model, lr_at, train, video_config)
 
 __version__ = "0.1.0"

@@ -7,28 +7,10 @@ so zero-initialized output projections make a block the identity map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as T
 from .tensor import ConfigError, ContractError, ShapeError, Tensor
-
-
-@dataclass(frozen=True)
-class AttentionConfig:
-    d_model: int
-    heads: int
-
-    def __post_init__(self):
-        if self.d_model <= 0 or self.heads <= 0:
-            raise ConfigError(f"d_model and heads must be positive, got {self}")
-        if self.d_model % self.heads != 0:
-            raise ConfigError(f"d_model {self.d_model} not divisible by heads {self.heads}")
-
-    @property
-    def d_head(self) -> int:
-        return self.d_model // self.heads
 
 
 def init_linear(rng: np.random.Generator, d_in: int, d_out: int) -> tuple[Tensor, Tensor]:
@@ -39,9 +21,8 @@ def init_linear(rng: np.random.Generator, d_in: int, d_out: int) -> tuple[Tensor
     return w, b
 
 
-def block_params(rng: np.random.Generator, cfg: AttentionConfig) -> dict[str, Tensor]:
-    """Parameters for one transformer block (attention projections, 4x FFN, LN)."""
-    d = cfg.d_model
+def block_params(rng: np.random.Generator, d: int) -> dict[str, Tensor]:
+    """Parameters for one width-d transformer block (attention projections, 4x FFN, LN)."""
     p: dict[str, Tensor] = {}
     p["wq"], p["bq"] = init_linear(rng, d, d)
     p["wk"], p["bk"] = init_linear(rng, d, d)
@@ -83,32 +64,36 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     return T.sdpa(q, k, v)
 
 
-def _split_heads(x: Tensor, cfg: AttentionConfig) -> Tensor:
-    """(B, n, d) -> (B*h, n, d_head)."""
-    b, n, _ = x.shape
-    x = T.reshape(x, (b, n, cfg.heads, cfg.d_head))
+def _split_heads(x: Tensor, heads: int) -> Tensor:
+    """(B, n, d) -> (B*h, n, d/h)."""
+    b, n, d = x.shape
+    x = T.reshape(x, (b, n, heads, d // heads))
     x = T.transpose(x, (0, 2, 1, 3))
-    return T.reshape(x, (b * cfg.heads, n, cfg.d_head))
+    return T.reshape(x, (b * heads, n, d // heads))
 
 
-def _merge_heads(x: Tensor, cfg: AttentionConfig) -> Tensor:
-    """(B*h, n, d_head) -> (B, n, d)."""
-    bh, n, _ = x.shape
-    x = T.reshape(x, (bh // cfg.heads, cfg.heads, n, cfg.d_head))
+def _merge_heads(x: Tensor, heads: int) -> Tensor:
+    """(B*h, n, d/h) -> (B, n, d)."""
+    bh, n, d_head = x.shape
+    x = T.reshape(x, (bh // heads, heads, n, d_head))
     x = T.transpose(x, (0, 2, 1, 3))
-    return T.reshape(x, (bh // cfg.heads, n, cfg.d_model))
+    return T.reshape(x, (bh // heads, n, heads * d_head))
 
 
-def multi_head_self_attention(x: Tensor, params: dict[str, Tensor], cfg: AttentionConfig) -> Tensor:
-    """Project X to Q/K/V, attend per feature-axis head, concat, project out."""
-    if x.shape[-1] != cfg.d_model:
-        raise ConfigError(f"multi_head_self_attention: input dim {x.shape[-1]} "
-                          f"!= d_model {cfg.d_model}")
+def multi_head_self_attention(x: Tensor, params: dict[str, Tensor], heads: int) -> Tensor:
+    """Project X to Q/K/V, attend per feature-axis head, concat, project out.
+
+    The width d is the projections' width; ``heads`` must divide it.
+    """
+    d = params["wq"].shape[1]
+    if heads < 1 or d % heads != 0:
+        raise ConfigError(f"multi_head_self_attention: width {d} not divisible by "
+                          f"heads {heads}")
     n = x.shape[-2]
-    q, k, v = (T.reshape(linear(x, params[f"w{c}"], params[f"b{c}"]), (-1, n, cfg.d_model))
+    q, k, v = (T.reshape(linear(x, params[f"w{c}"], params[f"b{c}"]), (-1, n, d))
                for c in "qkv")
-    heads = attention(_split_heads(q, cfg), _split_heads(k, cfg), _split_heads(v, cfg))
-    out = linear(_merge_heads(heads, cfg), params["wo"], params["bo"])
+    out = attention(_split_heads(q, heads), _split_heads(k, heads), _split_heads(v, heads))
+    out = linear(_merge_heads(out, heads), params["wo"], params["bo"])
     return T.reshape(out, x.shape)
 
 
@@ -123,8 +108,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return T.add_last(T.mul_last(T.layernorm(x), gain), bias)
 
 
-def transformer_block_self(x: Tensor, params: dict[str, Tensor], cfg: AttentionConfig) -> Tensor:
+def transformer_block_self(x: Tensor, params: dict[str, Tensor], heads: int) -> Tensor:
     y = x + multi_head_self_attention(
-        layer_norm(x, params["ln1_g"], params["ln1_b"]), params, cfg)
+        layer_norm(x, params["ln1_g"], params["ln1_b"]), params, heads)
     return y + ffn(layer_norm(y, params["ln2_g"], params["ln2_b"]), params)
 

@@ -26,7 +26,7 @@ from .gradcheck import GRAD_UNITS
 from .codec import poses_from_lines, poses_to_lines
 from .synth import SceneSpec, generate, gt_feature_provider
 from .tensor import ConfigError, ContractError, NumericError, macs
-from .train import TrainConfig, check_frames, evaluate, load_model, train
+from .train import TrainConfig, check_frames, evaluate, load_model, train, video_config
 from .video import VideoConfig, ivt_forward, video_params
 
 EXIT_OK = 0
@@ -188,11 +188,16 @@ def write_manifest(out_dir: Path, command: str, config: dict, seed,
 
 
 def run_settings(args) -> tuple[SceneSpec, TrainConfig]:
-    """--config's scene and train config; a --scene file replaces the scene."""
+    """--config's scene and train config; a --scene file replaces the scene.
+
+    Both are checked against each other and the model architecture they
+    name here, before any run writes output.
+    """
     scene, cfg = read_config(args.config, args.seed)
     if args.scene:
         scene, _ = read_config(args.scene)
     check_frames(scene, cfg)
+    video_config(scene, cfg).grids(scene.height, scene.width)
     return scene, cfg
 
 

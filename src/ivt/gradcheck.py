@@ -12,13 +12,13 @@ from typing import Callable
 import numpy as np
 
 from . import tensor as T
-from .blocks import AttentionConfig, block_params, ffn, layer_norm, multi_head_self_attention
+from .blocks import block_params, ffn, layer_norm, multi_head_self_attention
 from .igt import GridGeometry, tokenize
 from .losses import LossWeights, total_loss
 from .synth import SceneSpec, generate
 from .tensor import ContractError, NumericError, Tensor, backward
 from .train import TrainConfig, build_model, clip_loss, clip_targets
-from .video import ScaleSet, VideoConfig, alignment_maps, cisa, cisa_params, ita, ivt_layer
+from .video import VideoConfig, alignment_maps, cisa, cisa_params, ita, ivt_layer
 
 
 def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-6) -> float:
@@ -58,15 +58,13 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-6) -> f
 
 
 def _unit_mhsa(rng: np.random.Generator, eps: float) -> float:
-    cfg = AttentionConfig(8, 2)
-    params = block_params(rng, cfg)
+    params = block_params(rng, 8)
     x = Tensor(rng.uniform(-1, 1, size=(3, 8)))
-    return grad_check(lambda t: T.tsum(multi_head_self_attention(t, params, cfg)), x, eps)
+    return grad_check(lambda t: T.tsum(multi_head_self_attention(t, params, 2)), x, eps)
 
 
 def _unit_ffn(rng: np.random.Generator, eps: float) -> float:
-    cfg = AttentionConfig(8, 2)
-    params = block_params(rng, cfg)
+    params = block_params(rng, 8)
     x = Tensor(rng.uniform(-1, 1, size=(3, 8)))
 
     def f(t):
@@ -76,25 +74,23 @@ def _unit_ffn(rng: np.random.Generator, eps: float) -> float:
 
 
 def _unit_igt(rng: np.random.Generator, eps: float) -> float:
-    cfg = AttentionConfig(d_model=4, heads=2)
-    params = block_params(rng, cfg)
+    params = block_params(rng, 4)
     gathered = Tensor(rng.uniform(-1, 1, size=(3 * 4,)))
-    return grad_check(lambda t: T.tsum(tokenize(t, params, cfg)), gathered, eps)
+    return grad_check(lambda t: T.tsum(tokenize(t, params, 2)), gathered, eps)
 
 
 def _unit_isa(rng: np.random.Generator, eps: float) -> float:
     """One-scale CISA: positional embedding plus one self-attention block."""
-    sset = ScaleSet.build((2,), joints=2, channels=1)  # 4 tokens of width 8 per frame
-    params = cisa_params(rng, sset, [GridGeometry(2, 2, 2)], heads=2)
+    cfg = VideoConfig(joints=2, channels=1, scales=(2,), heads=2)  # 4 tokens of width 8
+    params = cisa_params(rng, cfg, [GridGeometry(2, 2, 2)])
     tokens = Tensor(rng.uniform(-1, 1, size=(2, 4, 8)))
-    return grad_check(lambda t: T.tsum(cisa([t], sset, params, 2)[0]), tokens, eps)
+    return grad_check(lambda t: T.tsum(cisa([t], params, cfg)[0]), tokens, eps)
 
 
 def _unit_ita(rng: np.random.Generator, eps: float) -> float:
-    cfg = AttentionConfig(8, 2)
-    params = block_params(rng, cfg)
+    params = block_params(rng, 8)
     tokens = Tensor(rng.uniform(-1, 1, size=(3, 2, 8)))
-    return grad_check(lambda t: T.tsum(ita(t, params, cfg)), tokens, eps)
+    return grad_check(lambda t: T.tsum(ita(t, params, 2)), tokens, eps)
 
 
 def _unit_cisa_mita(rng: np.random.Generator, eps: float) -> float:
@@ -102,15 +98,13 @@ def _unit_cisa_mita(rng: np.random.Generator, eps: float) -> float:
     joints, channels = 2, 1
     h = w = 8
     cfg = VideoConfig(joints=joints, channels=channels, scales=(2, 4), layers=1, heads=2)
-    sset = cfg.scale_set()
     grids = cfg.grids(h, w)
-    cp = cisa_params(rng, sset, grids, cfg.heads)
-    mp = {f"ita{s}": block_params(rng, AttentionConfig(d, cfg.heads))
-          for s, d in zip(sset.scales, sset.token_dims)}
+    cp = cisa_params(rng, cfg, grids)
+    mp = {f"ita{s}": block_params(rng, d) for s, d in zip(cfg.scales, cfg.token_dims)}
     frames = 2
     maps = [alignment_maps([np.zeros((2, h, w))], geom, frames) for geom in grids]
-    coarse = Tensor(rng.uniform(-1, 1, size=(frames, grids[1].n, sset.token_dims[1])))
-    fine = Tensor(rng.uniform(-1, 1, size=(frames, grids[0].n, sset.token_dims[0])))
+    coarse = Tensor(rng.uniform(-1, 1, size=(frames, grids[1].n, cfg.token_dims[1])))
+    fine = Tensor(rng.uniform(-1, 1, size=(frames, grids[0].n, cfg.token_dims[0])))
 
     def f(t):
         return T.tsum(ivt_layer([t, coarse], maps, {"cisa": cp, "mita": mp}, cfg, grids)[0])

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .blocks import AttentionConfig, transformer_block_self
+from .blocks import transformer_block_self
 from .tensor import ConfigError, NumericError, Tensor
 
 
@@ -57,7 +57,7 @@ def retile(tokens: Tensor, geom: GridGeometry, channels: int) -> Tensor:
 
 
 def offset_head_params(rng: np.random.Generator, channels: int, joints: int,
-                       hidden: int = 16) -> dict[str, Tensor]:
+                       hidden: int) -> dict[str, Tensor]:
     """Two stacked 3x3 conv layers; nonlinearity between, linear final."""
     def conv_init(cin, cout):
         bound = 1.0 / np.sqrt(cin * 9)
@@ -115,12 +115,13 @@ def take_frame_rows(tokens: Tensor, rows: np.ndarray) -> Tensor:
     return T.reshape(T.take_rows(flat, idx), (frames, rows.shape[1], d))
 
 
-def tokenize(gathered: Tensor, fuse_params: dict[str, Tensor], cfg: AttentionConfig) -> Tensor:
-    """One self-attention block over the J joint rows of every (..., J*C_b) vector."""
-    c_b = cfg.d_model
+def tokenize(gathered: Tensor, fuse_params: dict[str, Tensor], heads: int) -> Tensor:
+    """One self-attention block over the J joint rows of every (..., J*C_b) vector;
+    C_b is the fuse block's width."""
+    c_b = fuse_params["wq"].shape[0]
     if gathered.shape[-1] % c_b != 0:
         raise T.ContractError(
             f"tokenize: length {gathered.shape[-1]} not divisible by C_b {c_b}")
     rows = T.reshape(gathered, (-1, gathered.shape[-1] // c_b, c_b))
-    fused = transformer_block_self(rows, fuse_params, cfg)
+    fused = transformer_block_self(rows, fuse_params, heads)
     return T.reshape(fused, gathered.shape)

@@ -31,7 +31,6 @@ class SceneSpec:
     depth_min: float = 0.0
     depth_max: float = 4.0
     blob_sigma: float = 1.5
-    target_sigma: float = 2.0
     body_radius: float = 5.0    # max joint offset from the root, cells
 
     def __post_init__(self):
@@ -137,7 +136,7 @@ def generate(spec: SceneSpec) -> tuple[np.ndarray, SceneTruth]:
     offsets2d = np.zeros((spec.frames, 2 * spec.joints, spec.height, spec.width))
     for t, poses in enumerate(poses_per_frame):
         if poses:
-            offsets2d[t] = encode_targets(poses, spec.height, spec.width, spec.target_sigma)[2]
+            offsets2d[t] = encode_targets(poses, spec.height, spec.width)[2]
     truth = SceneTruth(poses_per_frame, offsets2d, flows)
     return features, truth
 

@@ -53,8 +53,13 @@ class TrainConfig:
         if not self.scales or min(self.scales) < 1 or len(set(self.scales)) != len(self.scales):
             raise ConfigError(f"invalid train config: scales = {self.scales}; "
                               f"need one or more distinct block sizes >= 1")
-        if self.layers < 0:
-            raise ConfigError(f"invalid train config: layers = {self.layers}; need >= 0")
+        for key, ok, need in (("layers", self.layers >= 0, ">= 0"),
+                              ("head_sigma", self.head_sigma > 0, "> 0"),
+                              ("threshold", self.threshold > 0, "> 0"),
+                              ("max_people", self.max_people >= 1, ">= 1")):
+            if not ok:
+                raise ConfigError(f"invalid train config: {key} = {getattr(self, key)}; "
+                                  f"need {need}")
 
 
 @dataclass
@@ -79,9 +84,8 @@ class IVTModel:
         self.h, self.w = h, w
         rng = np.random.default_rng(seed)
         joints = video_cfg.joints
-        fine = min(video_cfg.scales)
-        self.fine_k = fine
-        d_fine = joints * video_cfg.channels * fine * fine
+        self.fine_k = video_cfg.scales[0]
+        d_fine = video_cfg.token_dims[0]
         self.tree: dict = {
             "video": video_params(rng, video_cfg, h, w),
             "offset_head": offset_head_params(rng, video_cfg.channels, joints, head_hidden),
@@ -109,19 +113,19 @@ class IVTModel:
         return flat
 
     def load_named(self, flat: dict[str, Tensor]) -> None:
-        def walk(prefix: str, node):
-            for key in list(node):
-                name = f"{prefix}.{key}" if prefix else key
-                if isinstance(node[key], Tensor):
-                    if name not in flat:
-                        raise ContractError(f"checkpoint missing parameter {name}")
-                    if flat[name].shape != node[key].shape:
-                        raise ContractError(f"checkpoint shape mismatch for {name}")
-                    node[key] = flat[name]
-                else:
-                    walk(name, node[key])
-
-        walk("", self.tree)
+        """Replace every parameter by the one of the same name in ``flat``, which
+        must name exactly the model's parameters, each with its shape."""
+        own = self.named_params()
+        unexpected = [name for name in flat if name not in own]
+        if unexpected:
+            raise ContractError(f"checkpoint has unexpected parameter {unexpected[0]}")
+        for name, param in own.items():
+            if name not in flat:
+                raise ContractError(f"checkpoint missing parameter {name}")
+            if flat[name].shape != param.shape:
+                raise ContractError(f"checkpoint shape mismatch for {name}")
+        for name, param in own.items():
+            param.data = flat[name].data
 
     # -- forward ----------------------------------------------------------------
 
@@ -316,11 +320,16 @@ def evaluate(model: IVTModel, scene: SceneSpec, cfg: TrainConfig) -> EvalReport:
     return match_and_evaluate(decoded, truth.poses)
 
 
+def video_config(scene: SceneSpec, cfg: TrainConfig) -> VideoConfig:
+    """The model architecture a scene and a train config name together."""
+    return VideoConfig(joints=scene.joints, channels=scene.channels,
+                       scales=cfg.scales, layers=cfg.layers,
+                       heads=cfg.heads, fuse_heads=cfg.fuse_heads)
+
+
 def build_model(scene: SceneSpec, cfg: TrainConfig) -> IVTModel:
-    video_cfg = VideoConfig(joints=scene.joints, channels=scene.channels,
-                            scales=tuple(cfg.scales), layers=cfg.layers,
-                            heads=cfg.heads, fuse_heads=cfg.fuse_heads)
-    return IVTModel(video_cfg, scene.height, scene.width, cfg.seed, cfg.head_hidden)
+    return IVTModel(video_config(scene, cfg), scene.height, scene.width, cfg.seed,
+                    cfg.head_hidden)
 
 
 def load_model(scene: SceneSpec, cfg: TrainConfig, checkpoint_path) -> IVTModel:

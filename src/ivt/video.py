@@ -23,27 +23,54 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .blocks import (AttentionConfig, block_params, init_linear, linear,
-                     transformer_block_self)
+from .blocks import block_params, init_linear, linear, transformer_block_self
 from .igt import (GridGeometry, extract_blocks, gather_indices, take_frame_rows,
                   tokenize)
 from .tensor import ConfigError, ContractError, NumericError, ShapeError, Tensor, macs
 
 
 @dataclass(frozen=True)
-class ScaleSet:
-    """Ordered block sizes (finest first) and the shared projection width."""
-    scales: tuple[int, ...]
-    d_common: int
-    token_dims: tuple[int, ...]  # native token length per scale
+class VideoConfig:
+    """Architecture of the stacked video transformer, and every width it implies.
 
-    @staticmethod
-    def build(scales, joints: int, channels: int) -> "ScaleSet":
-        scales = tuple(sorted(int(s) for s in scales))
-        dims = tuple(joints * channels * s * s for s in scales)
-        # Common width balances projection distortion: the middle scale's dim.
-        d_common = dims[len(dims) // 2]
-        return ScaleSet(scales, d_common, dims)
+    ``scales`` is kept sorted, finest first. Per scale s the fuse block is
+    C*s^2 wide and a token is J*C*s^2 wide; CISA runs at ``d_common``.
+    ``fuse_heads`` must divide every fuse width and, when there are layers,
+    ``heads`` every token width (``d_common`` is one of them).
+    """
+    joints: int
+    channels: int
+    scales: tuple[int, ...] = (2, 4, 8)
+    layers: int = 3
+    heads: int = 2
+    fuse_heads: int = 2
+
+    def __post_init__(self):
+        object.__setattr__(self, "scales", tuple(sorted(int(s) for s in self.scales)))
+        served = [("fuse_heads", self.fuse_heads, self.fuse_dims)]
+        if self.layers > 0:
+            served.append(("heads", self.heads, self.token_dims))
+        for name, heads, dims in served:
+            for s, d in zip(self.scales, dims):
+                if heads < 1 or d % heads != 0:
+                    raise ConfigError(f"{name} = {heads} does not divide the width {d} "
+                                      f"it serves at block size {s}")
+
+    @property
+    def fuse_dims(self) -> tuple[int, ...]:
+        """Fuse-block width C*s^2 per scale."""
+        return tuple(self.channels * s * s for s in self.scales)
+
+    @property
+    def token_dims(self) -> tuple[int, ...]:
+        """Native token length J*C*s^2 per scale."""
+        return tuple(self.joints * d for d in self.fuse_dims)
+
+    @property
+    def d_common(self) -> int:
+        """CISA's width: the middle scale's token length balances projection distortion."""
+        dims = self.token_dims
+        return dims[len(dims) // 2]
 
     @property
     def projected(self) -> bool:
@@ -53,6 +80,14 @@ class ScaleSet:
         of several scales has d_s == d_common and keeps its projections.
         """
         return len(self.scales) > 1
+
+    def grids(self, h: int, w: int) -> list[GridGeometry]:
+        out = []
+        for s in self.scales:
+            if h % s != 0 or w % s != 0:
+                raise ConfigError(f"feature map {h}x{w} not divisible by block size {s}")
+            out.append(GridGeometry(s, h // s, w // s))
+        return out
 
 
 # -- flow alignment -------------------------------------------------------------
@@ -120,65 +155,59 @@ def align_tokens(tokens: Tensor, assigns: np.ndarray) -> Tensor:
 # -- temporal attention ----------------------------------------------------------
 
 
-def ita(aligned: Tensor, params: dict[str, Tensor], cfg: AttentionConfig) -> Tensor:
+def ita(aligned: Tensor, params: dict[str, Tensor], heads: int) -> Tensor:
     """Self-attention of every (frame, block) token over its block slot.
 
     Every query at block i attends to the tokens of block i from all T
     frames, so the temporal stage is one self-attention block over the T
     rows of each slot.
     """
-    _, _, d = aligned.shape
-    if d != cfg.d_model:
-        raise ConfigError(f"ita: token dim {d} != d_model {cfg.d_model}")
     with macs.scope("ita"):
         slots = T.transpose(aligned, (1, 0, 2))  # (N, T, D)
-        out = transformer_block_self(slots, params, cfg)
+        out = transformer_block_self(slots, params, heads)
         return T.transpose(out, (1, 0, 2))
 
 
 # -- cross-scale attention ---------------------------------------------------------
 
 
-def cisa_params(rng: np.random.Generator, scale_set: ScaleSet,
-                grids: list[GridGeometry], heads: int) -> dict[str, Tensor | dict[str, Tensor]]:
-    p: dict = {"block": block_params(rng, AttentionConfig(scale_set.d_common, heads))}
-    for s, d_s, geom in zip(scale_set.scales, scale_set.token_dims, grids):
+def cisa_params(rng: np.random.Generator, cfg: VideoConfig,
+                grids: list[GridGeometry]) -> dict[str, Tensor | dict[str, Tensor]]:
+    p: dict = {"block": block_params(rng, cfg.d_common)}
+    for s, d_s, geom in zip(cfg.scales, cfg.token_dims, grids):
         p[f"pos{s}"] = Tensor(np.zeros((geom.n, d_s)), requires_grad=True)
-        if scale_set.projected:
-            p[f"proj{s}_w"], p[f"proj{s}_b"] = init_linear(rng, d_s, scale_set.d_common)
-            p[f"back{s}_w"], p[f"back{s}_b"] = init_linear(rng, scale_set.d_common, d_s)
+        if cfg.projected:
+            p[f"proj{s}_w"], p[f"proj{s}_b"] = init_linear(rng, d_s, cfg.d_common)
+            p[f"back{s}_w"], p[f"back{s}_b"] = init_linear(rng, cfg.d_common, d_s)
     return p
 
 
-def cisa(per_scale: list[Tensor], scale_set: ScaleSet, params: dict,
-         heads: int) -> list[Tensor]:
+def cisa(per_scale: list[Tensor], params: dict, cfg: VideoConfig) -> list[Tensor]:
     """Project all scales to a common width, attend over the union, back-project.
 
     With one scale nothing is projected: the stage is the positional
     embedding plus one self-attention block over each frame's tokens.
     """
-    if len(per_scale) != len(scale_set.scales):
-        raise ConfigError(
-            f"cisa: {len(per_scale)} token maps for {len(scale_set.scales)} scales")
-    cfg = AttentionConfig(scale_set.d_common, heads)
+    if len(per_scale) != len(cfg.scales):
+        raise ConfigError(f"cisa: {len(per_scale)} token maps for {len(cfg.scales)} scales")
     with macs.scope("cisa"):
         projected = []
         counts = []
-        for tokens, s, d_s in zip(per_scale, scale_set.scales, scale_set.token_dims):
+        for tokens, s, d_s in zip(per_scale, cfg.scales, cfg.token_dims):
             if tokens.shape[-1] != d_s:
                 raise ShapeError(f"cisa: scale {s} token dim {tokens.shape[-1]} != {d_s}")
             x = T.add_bcast(tokens, params[f"pos{s}"])
-            if scale_set.projected:
+            if cfg.projected:
                 x = linear(x, params[f"proj{s}_w"], params[f"proj{s}_b"])
             projected.append(x)
             counts.append(tokens.shape[1])
         union = T.concat(projected, axis=1)  # (T, sum N_s, D_common)
-        fused = transformer_block_self(union, params["block"], cfg)
+        fused = transformer_block_self(union, params["block"], cfg.heads)
         outs = []
         start = 0
-        for count, s in zip(counts, scale_set.scales):
+        for count, s in zip(counts, cfg.scales):
             part = T.narrow(fused, 1, start, count)
-            if scale_set.projected:
+            if cfg.projected:
                 part = linear(part, params[f"back{s}_w"], params[f"back{s}_b"])
             outs.append(part)
             start += count
@@ -204,21 +233,18 @@ def split_to_finest(tokens: Tensor, geom: GridGeometry, fine: GridGeometry,
 
 
 def mita(per_scale: list[Tensor], params: dict[str, dict[str, Tensor]],
-         scale_set: ScaleSet, grids: list[GridGeometry], heads: int,
-         joints: int, channels: int) -> tuple[Tensor, list[Tensor]]:
+         cfg: VideoConfig, grids: list[GridGeometry]) -> tuple[Tensor, list[Tensor]]:
     """Per-scale temporal attention, then frame-wise merge onto the finest grid.
 
     Returns (merged finest-grid token map, per-scale ITA outputs).
     """
-    outs = []
-    for tokens, s, d_s in zip(per_scale, scale_set.scales, scale_set.token_dims):
-        cfg = AttentionConfig(d_s, heads)
-        outs.append(ita(tokens, params[f"ita{s}"], cfg))
+    outs = [ita(tokens, params[f"ita{s}"], cfg.heads)
+            for tokens, s in zip(per_scale, cfg.scales)]
     fine = grids[0]
     merged = None
     for out, geom in zip(outs, grids):
         contrib = out if geom.block_size == fine.block_size else split_to_finest(
-            out, geom, fine, joints, channels)
+            out, geom, fine, cfg.joints, cfg.channels)
         merged = contrib if merged is None else merged + contrib
     return merged, outs
 
@@ -226,41 +252,16 @@ def mita(per_scale: list[Tensor], params: dict[str, dict[str, Tensor]],
 # -- full stack ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VideoConfig:
-    """Architecture knobs for the stacked video transformer."""
-    joints: int
-    channels: int
-    scales: tuple[int, ...] = (2, 4, 8)
-    layers: int = 3
-    heads: int = 2
-    fuse_heads: int = 2
-
-    def scale_set(self) -> ScaleSet:
-        return ScaleSet.build(self.scales, self.joints, self.channels)
-
-    def grids(self, h: int, w: int) -> list[GridGeometry]:
-        out = []
-        for s in self.scale_set().scales:
-            if h % s != 0 or w % s != 0:
-                raise ConfigError(f"feature map {h}x{w} not divisible by block size {s}")
-            out.append(GridGeometry(s, h // s, w // s))
-        return out
-
-
 def video_params(rng: np.random.Generator, cfg: VideoConfig, h: int, w: int) -> dict:
     """All learned parameters of the tokenizer fusion and the layer stack."""
-    sset = cfg.scale_set()
     grids = cfg.grids(h, w)
-    p: dict = {}
-    for s in sset.scales:
-        c_b = cfg.channels * s * s
-        p[f"fuse{s}"] = block_params(rng, AttentionConfig(c_b, cfg.fuse_heads))
-    draw = {"cisa": lambda: cisa_params(rng, sset, grids, cfg.heads),
-            "mita": lambda: {f"ita{s}": block_params(rng, AttentionConfig(d_s, cfg.heads))
-                             for s, d_s in zip(sset.scales, sset.token_dims)}}
+    p: dict = {f"fuse{s}": block_params(rng, c_b)
+               for s, c_b in zip(cfg.scales, cfg.fuse_dims)}
+    draw = {"cisa": lambda: cisa_params(rng, cfg, grids),
+            "mita": lambda: {f"ita{s}": block_params(rng, d_s)
+                             for s, d_s in zip(cfg.scales, cfg.token_dims)}}
     # Seeded draw order: one scale draws CISA before MITA, several scales MITA first.
-    order = ("cisa", "mita") if len(sset.scales) == 1 else ("mita", "cisa")
+    order = ("cisa", "mita") if len(cfg.scales) == 1 else ("mita", "cisa")
     for layer in range(cfg.layers):
         drawn = {key: draw[key]() for key in order}
         p[f"layer{layer}"] = {"cisa": drawn["cisa"], "mita": drawn["mita"]}
@@ -278,8 +279,7 @@ def tokenize_clip(features: Tensor, offsets: np.ndarray, cfg: VideoConfig,
         idx = gather_indices(offsets, geom, cfg.joints).reshape(frames, -1)
         gathered = take_frame_rows(extract_blocks(features, s), idx)  # (T, N*J, C_b)
         gathered = T.reshape(gathered, (frames, geom.n, -1))
-        fuse_cfg = AttentionConfig(cfg.channels * s * s, cfg.fuse_heads)
-        streams.append(tokenize(gathered, params[f"fuse{s}"], fuse_cfg))
+        streams.append(tokenize(gathered, params[f"fuse{s}"], cfg.fuse_heads))
     return streams
 
 
@@ -292,11 +292,9 @@ def ivt_layer(streams: list[Tensor], maps: list[np.ndarray], params: dict,
     merged temporal output plus the layer input; the coarser outputs are
     their scales' ITA outputs.
     """
-    sset = cfg.scale_set()
-    spatial = cisa(streams, sset, params["cisa"], cfg.heads)
+    spatial = cisa(streams, params["cisa"], cfg)
     aligned = [align_tokens(x, m) for x, m in zip(spatial, maps)]
-    merged, outs = mita(aligned, params["mita"], sset, grids, cfg.heads,
-                        cfg.joints, cfg.channels)
+    merged, outs = mita(aligned, params["mita"], cfg, grids)
     return [merged + streams[0]] + outs[1:]
 
 

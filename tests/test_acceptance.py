@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from ivt import tensor as T
-from ivt.blocks import (AttentionConfig, attention, block_params,
+from ivt.blocks import (attention, block_params,
                         multi_head_self_attention, zero_block_outputs)
 from ivt.codec import Pose3D, decode_poses, encode_targets, keypoint_nms
 from ivt.gradcheck import GRAD_UNITS
@@ -146,20 +146,18 @@ def test_criterion_2_attention_algebra():
         ok &= bool(all(np.array_equal(out[i], v.data[0]) for i in range(3)))
         cases += 1
         # Permutation equivariance of self-attention (no positional term).
-        cfg = AttentionConfig(8, 2)
-        params = block_params(rng, cfg)
+        params = block_params(rng, 8)
         xs = rng.uniform(-1, 1, size=(5, 8))
         perm = rng.permutation(5)
-        base = multi_head_self_attention(Tensor(xs), params, cfg).data
-        moved = multi_head_self_attention(Tensor(xs[perm]), params, cfg).data
+        base = multi_head_self_attention(Tensor(xs), params, 2).data
+        moved = multi_head_self_attention(Tensor(xs[perm]), params, 2).data
         ok &= bool(np.max(np.abs(moved - base[perm])) <= 1e-12)
         cases += 1
         # Single-head degeneracy: MHA equals attention in projections.
         from ivt.blocks import linear
-        cfg1 = AttentionConfig(6, 1)
-        p1 = block_params(rng, cfg1)
+        p1 = block_params(rng, 6)
         y = Tensor(rng.uniform(-1, 1, size=(4, 6)))
-        got = multi_head_self_attention(y, p1, cfg1).data
+        got = multi_head_self_attention(y, p1, 1).data
         qp = linear(y, p1["wq"], p1["bq"])
         kp = linear(y, p1["wk"], p1["bk"])
         vp = linear(y, p1["wv"], p1["bv"])
@@ -239,14 +237,13 @@ def test_criterion_6_temporal_cost_linearity(tmp_path):
     from ivt.video import ita
 
     rng = RNG(0)
-    cfg = AttentionConfig(16, 2)
-    params = bp(rng, cfg)
+    params = bp(rng, 16)
 
     def count(frames):
         macs.reset()
         x = Tensor(rng.uniform(-1, 1, size=(frames, 4, 16)))
         with macs.counting():
-            ita(x, params, cfg)
+            ita(x, params, 2)
         return macs.by_scope["ita"]
 
     ratio = count(8) / count(4)

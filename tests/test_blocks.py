@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from ivt import tensor as T
-from ivt.blocks import (AttentionConfig, attention, block_params, ffn,
-                        layer_norm, linear, multi_head_self_attention,
-                        transformer_block_self, zero_block_outputs)
+from ivt.blocks import (attention, block_params, ffn, layer_norm, linear,
+                        multi_head_self_attention, transformer_block_self,
+                        zero_block_outputs)
 from ivt.gradcheck import grad_check
-from ivt.tensor import ConfigError, Tensor
+from ivt.tensor import ConfigError, ShapeError, Tensor
+from ivt.video import VideoConfig
 
 RNG = np.random.default_rng
 
@@ -99,16 +100,28 @@ def test_attention_macs_are_the_two_matmuls():
 
 
 def test_heads_must_divide_model_dim():
-    with pytest.raises(ConfigError):
-        AttentionConfig(d_model=6, heads=4)
+    params = block_params(RNG(4), 6)
+    for heads in (4, 0):
+        with pytest.raises(ConfigError, match="heads"):
+            multi_head_self_attention(rt(RNG(4), 3, 6), params, heads)
+    # J*C*s^2 = 6 for the one scale; the fuse width C*s^2 = 3 takes fuse_heads = 3.
+    with pytest.raises(ConfigError, match="heads = 4"):
+        VideoConfig(joints=2, channels=3, scales=(1,), heads=4, fuse_heads=3)
+
+
+def test_input_width_must_match_the_weights():
+    params = block_params(RNG(4), 6)
+    with pytest.raises(ShapeError):
+        multi_head_self_attention(rt(RNG(4), 3, 8), params, 2)
+    with pytest.raises(ShapeError):
+        transformer_block_self(rt(RNG(4), 3, 8), params, 2)
 
 
 def test_single_head_equals_projected_attention():
     rng = RNG(5)
-    cfg = AttentionConfig(6, 1)
-    params = block_params(rng, cfg)
+    params = block_params(rng, 6)
     x = rt(rng, 4, 6)
-    got = multi_head_self_attention(x, params, cfg).data
+    got = multi_head_self_attention(x, params, 1).data
     qp = linear(x, params["wq"], params["bq"])
     kp = linear(x, params["wk"], params["bk"])
     vp = linear(x, params["wv"], params["bv"])
@@ -118,8 +131,7 @@ def test_single_head_equals_projected_attention():
 
 def test_two_heads_match_slice_oracle():
     rng = RNG(6)
-    cfg = AttentionConfig(4, 2)
-    params = block_params(rng, cfg)
+    params = block_params(rng, 4)
     x = rng.uniform(-1, 1, size=(3, 4))
     qp = x @ params["wq"].data + params["bq"].data
     kp = x @ params["wk"].data + params["bk"].data
@@ -129,38 +141,35 @@ def test_two_heads_match_slice_oracle():
         s = slice(2 * h, 2 * h + 2)
         halves.append(attention_oracle(qp[:, s], kp[:, s], vp[:, s]))
     want = np.hstack(halves) @ params["wo"].data + params["bo"].data
-    got = multi_head_self_attention(Tensor(x), params, cfg).data
+    got = multi_head_self_attention(Tensor(x), params, 2).data
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 def test_zero_values_give_output_bias():
     rng = RNG(7)
-    cfg = AttentionConfig(4, 2)
-    params = block_params(rng, cfg)
+    params = block_params(rng, 4)
     params["wv"] = Tensor(np.zeros((4, 4)))
     params["bv"] = Tensor(np.zeros(4))
-    out = multi_head_self_attention(rt(rng, 3, 4), params, cfg).data
+    out = multi_head_self_attention(rt(rng, 3, 4), params, 2).data
     np.testing.assert_allclose(out, np.tile(params["bo"].data, (3, 1)), atol=1e-12)
 
 
 def test_mhsa_single_token_is_deterministic():
     rng = RNG(8)
-    cfg = AttentionConfig(4, 2)
-    params = block_params(rng, cfg)
+    params = block_params(rng, 4)
     x = rt(rng, 1, 4)
-    a = multi_head_self_attention(x, params, cfg).data
-    b = multi_head_self_attention(x, params, cfg).data
+    a = multi_head_self_attention(x, params, 2).data
+    b = multi_head_self_attention(x, params, 2).data
     np.testing.assert_array_equal(a, b)
 
 
 def test_mhsa_permutation_equivariance():
     rng = RNG(9)
-    cfg = AttentionConfig(8, 2)
-    params = block_params(rng, cfg)
+    params = block_params(rng, 8)
     x = rng.uniform(-1, 1, size=(5, 8))
     perm = rng.permutation(5)
-    base = multi_head_self_attention(Tensor(x), params, cfg).data
-    permuted = multi_head_self_attention(Tensor(x[perm]), params, cfg).data
+    base = multi_head_self_attention(Tensor(x), params, 2).data
+    permuted = multi_head_self_attention(Tensor(x[perm]), params, 2).data
     # Equality holds exactly in real arithmetic; the float reductions over
     # keys run in permuted order, so allow a few ulps of summation noise.
     np.testing.assert_allclose(permuted, base[perm], atol=1e-12, rtol=0)
@@ -168,8 +177,7 @@ def test_mhsa_permutation_equivariance():
 
 def test_mhsa_composition_oracle():
     rng = RNG(10)
-    cfg = AttentionConfig(8, 2)
-    params = block_params(rng, cfg)
+    params = block_params(rng, 8)
     x = rng.uniform(-1, 1, size=(4, 8))
     qp = x @ params["wq"].data + params["bq"].data
     kp = x @ params["wk"].data + params["bk"].data
@@ -177,7 +185,7 @@ def test_mhsa_composition_oracle():
     heads = [attention_oracle(qp[:, 4 * h:4 * h + 4], kp[:, 4 * h:4 * h + 4],
                               vp[:, 4 * h:4 * h + 4]) for h in range(2)]
     want = np.hstack(heads) @ params["wo"].data + params["bo"].data
-    got = multi_head_self_attention(Tensor(x), params, cfg).data
+    got = multi_head_self_attention(Tensor(x), params, 2).data
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
@@ -194,8 +202,7 @@ def test_layer_norm_constant_row_returns_bias():
 
 def test_ffn_gradient():
     rng = RNG(12)
-    cfg = AttentionConfig(6, 2)
-    params = block_params(rng, cfg)
+    params = block_params(rng, 6)
     x = rt(rng, 3, 6)
     assert grad_check(lambda t: T.tsum(ffn(t, params)), x) <= 1e-5
 
@@ -205,53 +212,48 @@ def test_ffn_gradient():
 
 def test_zeroed_block_is_identity():
     rng = RNG(13)
-    cfg = AttentionConfig(8, 2)
-    params = zero_block_outputs(block_params(rng, cfg))
+    params = zero_block_outputs(block_params(rng, 8))
     x = rt(rng, 5, 8)
-    out = transformer_block_self(x, params, cfg).data
+    out = transformer_block_self(x, params, 2).data
     np.testing.assert_array_equal(out, x.data)
 
 
 @pytest.mark.parametrize("n,d,h", [(1, 4, 2), (3, 8, 2), (7, 6, 3)])
 def test_block_preserves_shape(n, d, h):
     rng = RNG(14)
-    cfg = AttentionConfig(d, h)
-    params = block_params(rng, cfg)
+    params = block_params(rng, d)
     x = rt(rng, n, d)
-    assert transformer_block_self(x, params, cfg).shape == (n, d)
+    assert transformer_block_self(x, params, h).shape == (n, d)
 
 
 def test_gradient_through_two_stacked_blocks():
     rng = RNG(15)
-    cfg = AttentionConfig(6, 2)
-    p1, p2 = block_params(rng, cfg), block_params(rng, cfg)
+    p1, p2 = block_params(rng, 6), block_params(rng, 6)
     x = rt(rng, 3, 6)
 
     def f(t):
-        return T.tsum(transformer_block_self(transformer_block_self(t, p1, cfg), p2, cfg))
+        return T.tsum(transformer_block_self(transformer_block_self(t, p1, 2), p2, 2))
 
     assert grad_check(f, x) <= 1e-5
 
 
 def test_no_dead_parameters():
     rng = RNG(16)
-    cfg = AttentionConfig(6, 2)
     for trial in range(5):
-        params = block_params(RNG(100 + trial), cfg)
+        params = block_params(RNG(100 + trial), 6)
         for p in params.values():
             p.requires_grad = True
             p.grad = None
         x = rt(rng, 4, 6)
-        T.backward(T.tsum(T.tanh(transformer_block_self(x, params, cfg))))
+        T.backward(T.tsum(T.tanh(transformer_block_self(x, params, 2))))
         for name, p in params.items():
             assert p.grad is not None and np.any(p.grad != 0), f"dead parameter {name}"
 
 
 def test_composite_block_gradient_many_seeds():
-    cfg = AttentionConfig(4, 2)
     for seed in range(10):
         rng = RNG(seed)
-        params = block_params(rng, cfg)
+        params = block_params(rng, 4)
         x = rt(rng, 3, 4)
-        err = grad_check(lambda t: T.tsum(transformer_block_self(t, params, cfg)), x)
+        err = grad_check(lambda t: T.tsum(transformer_block_self(t, params, 2)), x)
         assert err <= 1e-5, f"seed {seed}: {err}"

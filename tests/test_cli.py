@@ -186,6 +186,22 @@ BAD_INPUTS = {
     "no-scales": ("config", lambda t: t.replace("scales = 4\n", "scales =\n"), "scales"),
     "negative-layers": ("config", lambda t: t.replace("layers = 1\n", "layers = -1\n"),
                         "layers"),
+    # The one scale's token is J*C*4^2 = 32 wide and its fuse block C*4^2 = 16.
+    "indivisible-heads": ("config", lambda t: t.replace("heads = 2\n", "heads = 3\n", 1),
+                          "heads = 3"),
+    "indivisible-fuse-heads": ("config",
+                               lambda t: t.replace("fuse_heads = 2\n", "fuse_heads = 3\n"),
+                               "fuse_heads"),
+    "indivisible-map": ("config", lambda t: t.replace("scales = 4\n", "scales = 3\n"),
+                        "block size 3"),
+    "zero-threshold": ("config", lambda t: t.replace("threshold = 0.05\n", "threshold = 0\n"),
+                       "threshold"),
+    "zero-max-people": ("config", lambda t: t + "max_people = 0\n", "max_people"),
+    "zero-head-sigma": ("config", lambda t: t + "head_sigma = 0\n", "head_sigma"),
+    # SceneSpec has no target_sigma: the 2D offset targets need no sigma.
+    "target-sigma": ("config",
+                     lambda t: t.replace("[scene]\n", "[scene]\ntarget_sigma = 2.0\n"),
+                     "target_sigma"),
 }
 
 

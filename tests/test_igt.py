@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ivt import tensor as T
-from ivt.blocks import AttentionConfig, block_params, zero_block_outputs
+from ivt.blocks import block_params, zero_block_outputs
 from ivt.gradcheck import grad_check
 from ivt.igt import (GridGeometry, extract_blocks, gather_indices, offset_head_params,
                      predict_offsets, retile, tokenize)
@@ -99,7 +99,7 @@ def test_offset_head_gradient():
 
 def test_offset_head_channel_mismatch_raises():
     rng = RNG(6)
-    p = offset_head_params(rng, 2, 2)
+    p = offset_head_params(rng, 2, 2, hidden=4)
     with pytest.raises(ConfigError):
         predict_offsets(rt(rng, 1, 3, 4, 4), p)
 
@@ -188,7 +188,7 @@ def test_gather_indices_match_scalar_reference(data, frames, joints, k, n_h, n_w
 def test_gather_gradient_supported_only_on_source_blocks():
     joints = 2
     cfg = VideoConfig(joints=joints, channels=1, scales=(2,), layers=0, fuse_heads=1)
-    params = {"fuse2": zero_block_outputs(block_params(RNG(11), AttentionConfig(4, 1)))}
+    params = {"fuse2": zero_block_outputs(block_params(RNG(11), 4))}
     feat = Tensor(RNG(11).uniform(-1, 1, size=(2, 1, 8, 8)), requires_grad=True)
     offsets = np.zeros((2, 2 * joints, 8, 8))
     offsets[:, 0::2] = 2.0  # gather the block one to the right
@@ -204,30 +204,27 @@ def test_gather_gradient_supported_only_on_source_blocks():
 
 def test_zeroed_fusion_is_identity():
     rng = RNG(12)
-    cfg = AttentionConfig(4, heads=2)
-    params = zero_block_outputs(block_params(rng, cfg))
+    params = zero_block_outputs(block_params(rng, 4))
     gathered = rt(rng, 12)
-    np.testing.assert_array_equal(tokenize(gathered, params, cfg).data, gathered.data)
+    np.testing.assert_array_equal(tokenize(gathered, params, 2).data, gathered.data)
 
 
 def test_tokenize_preserves_length():
     rng = RNG(13)
-    cfg = AttentionConfig(4, heads=2)
-    params = block_params(rng, cfg)
-    assert tokenize(rt(rng, 12), params, cfg).shape == (12,)
-    assert tokenize(rt(rng, 2, 3, 12), params, cfg).shape == (2, 3, 12)
+    params = block_params(rng, 4)
+    assert tokenize(rt(rng, 12), params, 2).shape == (12,)
+    assert tokenize(rt(rng, 2, 3, 12), params, 2).shape == (2, 3, 12)
 
 
 def test_tokenize_matches_reshape_block_composition():
     from ivt.blocks import transformer_block_self
 
     rng = RNG(14)
-    cfg = AttentionConfig(4, heads=2)
-    params = block_params(rng, cfg)
+    params = block_params(rng, 4)
     gathered = rt(rng, 12)
-    got = tokenize(gathered, params, cfg).data
+    got = tokenize(gathered, params, 2).data
     rows = T.reshape(gathered, (3, 4))
-    want = transformer_block_self(rows, params, cfg).data.reshape(-1)
+    want = transformer_block_self(rows, params, 2).data.reshape(-1)
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
@@ -237,7 +234,7 @@ def test_tokenize_matches_reshape_block_composition():
 def one_scale_clip(rng, joints, channels, k, fuse_heads=2):
     cfg = VideoConfig(joints=joints, channels=channels, scales=(k,), layers=0,
                       fuse_heads=fuse_heads)
-    params = {f"fuse{k}": block_params(rng, AttentionConfig(channels * k * k, fuse_heads))}
+    params = {f"fuse{k}": block_params(rng, channels * k * k)}
     return cfg, params
 
 
@@ -251,7 +248,7 @@ def test_igt_frame_single_block_grid():
     blocks = extract_blocks(f, 4).data
     for t in range(2):
         gathered = Tensor(np.tile(blocks[t, 0], joints))
-        want = tokenize(gathered, params["fuse4"], AttentionConfig(16, 2)).data
+        want = tokenize(gathered, params["fuse4"], 2).data
         np.testing.assert_allclose(out.data[t, 0], want, atol=1e-12)
 
 
@@ -278,8 +275,7 @@ def test_igt_frame_hand_built_offsets_match_manual_trace():
     assert idx[0, 0].tolist() == [1, 2] and idx[1, 0].tolist() == [2, 0]
     for t in range(2):
         for i in range(4):
-            manual = tokenize(Tensor(gathered_block(blocks, idx, t, i)), params["fuse2"],
-                              AttentionConfig(4, 2)).data
+            manual = tokenize(Tensor(gathered_block(blocks, idx, t, i)), params["fuse2"], 2).data
             np.testing.assert_allclose(out[t, i], manual, atol=1e-12)
 
 

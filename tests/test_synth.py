@@ -66,8 +66,7 @@ def test_targets_equal_encoder_output_bitwise():
     spec = small_spec(persons=2, amplitude=1.0, seed=9)
     _, truth = generate(spec)
     for t in range(spec.frames):
-        _, _, o2 = encode_targets(truth.poses[t], spec.height, spec.width,
-                                  spec.target_sigma)
+        _, _, o2 = encode_targets(truth.poses[t], spec.height, spec.width)
         np.testing.assert_array_equal(truth.offsets2d[t], o2)
 
 

@@ -178,6 +178,17 @@ def test_training_log_records_returned_grad_norm(monkeypatch):
     assert logged(0.0) == [0, 0]  # a zero bound disables clipping
 
 
+def test_checkpoint_must_match_the_model_exactly(tmp_path):
+    scene = tiny_scene()
+    path = tmp_path / "model.ivtc"
+    save_params(path, build_model(scene, tiny_config(layers=3)).named_params())
+    with pytest.raises(ContractError, match="unexpected parameter video.layer1."):
+        load_model(scene, tiny_config(layers=1), path)
+    save_params(path, build_model(scene, tiny_config(layers=1)).named_params())
+    with pytest.raises(ContractError, match="missing parameter video.layer1."):
+        load_model(scene, tiny_config(layers=3), path)
+
+
 def test_checkpoint_round_trip_preserves_evaluation(tmp_path):
     scene, cfg = tiny_scene(), tiny_config(steps=2)
     path = tmp_path / "model.ivtc"

@@ -6,12 +6,12 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ivt import tensor as T
-from ivt.blocks import (AttentionConfig, attention, block_params, linear,
-                        transformer_block_self, zero_block_outputs)
+from ivt.blocks import (attention, block_params, linear, transformer_block_self,
+                        zero_block_outputs)
 from ivt.gradcheck import grad_check
 from ivt.igt import extract_blocks, gather_indices, tokenize
-from ivt.tensor import ContractError, NumericError, ShapeError, Tensor, macs
-from ivt.video import (GridGeometry, ScaleSet, VideoConfig, align_tokens,
+from ivt.tensor import ConfigError, ContractError, NumericError, ShapeError, Tensor, macs
+from ivt.video import (GridGeometry, VideoConfig, align_tokens,
                        alignment_maps, block_mean_flow, cisa, cisa_params, ita,
                        ivt_forward, ivt_layer, mita, split_to_finest, video_params)
 
@@ -23,8 +23,9 @@ def rt(rng, *shape):
 
 
 def one_scale(joints, channels, geom):
-    """Scale set and grid of one block size, with token width J*C*K*K."""
-    return ScaleSet.build((geom.block_size,), joints, channels), [geom]
+    """VideoConfig and grid of one block size, with token width J*C*K*K."""
+    cfg = VideoConfig(joints=joints, channels=channels, scales=(geom.block_size,), heads=2)
+    return cfg, [geom]
 
 
 def one_scale_layer(rng, joints, channels, geom):
@@ -49,31 +50,30 @@ def zero_layer(params, k):
 
 def test_isa_single_token_deterministic():
     rng = RNG(0)
-    sset, grids = one_scale(1, 1, GridGeometry(2, 1, 1))  # 1 token of width 4
-    params = cisa_params(rng, sset, grids, heads=2)
+    cfg, grids = one_scale(1, 1, GridGeometry(2, 1, 1))  # 1 token of width 4
+    params = cisa_params(rng, cfg, grids)
     x = rt(rng, 2, 1, 4)
-    np.testing.assert_array_equal(cisa([x], sset, params, 2)[0].data,
-                                  cisa([x], sset, params, 2)[0].data)
+    np.testing.assert_array_equal(cisa([x], params, cfg)[0].data,
+                                  cisa([x], params, cfg)[0].data)
 
 
 def test_isa_zeroed_is_identity():
     rng = RNG(1)
-    sset, grids = one_scale(1, 1, GridGeometry(2, 1, 3))  # 3 tokens of width 4
-    params = cisa_params(rng, sset, grids, heads=2)
+    cfg, grids = one_scale(1, 1, GridGeometry(2, 1, 3))  # 3 tokens of width 4
+    params = cisa_params(rng, cfg, grids)
     zero_block_outputs(params["block"])
     x = rt(rng, 2, 3, 4)
-    np.testing.assert_array_equal(cisa([x], sset, params, 2)[0].data, x.data)
+    np.testing.assert_array_equal(cisa([x], params, cfg)[0].data, x.data)
 
 
 def test_isa_matches_positional_plus_block_composition():
     rng = RNG(2)
-    sset, grids = one_scale(2, 1, GridGeometry(2, 2, 2))  # 4 tokens of width 8
-    cfg = AttentionConfig(8, 2)
-    params = cisa_params(rng, sset, grids, heads=2)
+    cfg, grids = one_scale(2, 1, GridGeometry(2, 2, 2))  # 4 tokens of width 8
+    params = cisa_params(rng, cfg, grids)
     params["pos2"] = rt(rng, 4, 8)
     x = rt(rng, 1, 4, 8)
-    got = cisa([x], sset, params, 2)[0].data
-    want = transformer_block_self(T.add_bcast(x, params["pos2"]), params["block"], cfg).data
+    got = cisa([x], params, cfg)[0].data
+    want = transformer_block_self(T.add_bcast(x, params["pos2"]), params["block"], 2).data
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
@@ -225,60 +225,61 @@ def test_block_mean_flow_averages_pixels():
 
 def test_ita_single_frame_attends_to_itself():
     rng = RNG(5)
-    cfg = AttentionConfig(4, 2)
-    params = block_params(rng, cfg)
+    params = block_params(rng, 4)
     x = rt(rng, 1, 3, 4)
-    got = ita(x, params, cfg).data
+    got = ita(x, params, 2).data
     slots = T.transpose(x, (1, 0, 2))
-    want = T.transpose(transformer_block_self(slots, params, cfg), (1, 0, 2)).data
+    want = T.transpose(transformer_block_self(slots, params, 2), (1, 0, 2)).data
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 def test_ita_identical_frames_give_identical_outputs():
     rng = RNG(6)
-    cfg = AttentionConfig(4, 2)
-    params = block_params(rng, cfg)
+    params = block_params(rng, 4)
     frame = rng.uniform(-1, 1, size=(3, 4))
     x = Tensor(np.stack([frame] * 4))
-    out = ita(x, params, cfg).data
+    out = ita(x, params, 2).data
     for t in range(1, 4):
         np.testing.assert_array_equal(out[t], out[0])
 
 
 def test_ita_matches_per_slot_oracle():
     rng = RNG(7)
-    cfg = AttentionConfig(4, 2)
-    params = block_params(rng, cfg)
+    params = block_params(rng, 4)
     x = rt(rng, 3, 2, 4)
-    got = ita(x, params, cfg).data
+    got = ita(x, params, 2).data
     for i in range(2):
         slot = Tensor(x.data[:, i, :][None])  # (1, T, D)
-        want = transformer_block_self(slot, params, cfg).data[0]
+        want = transformer_block_self(slot, params, 2).data[0]
         np.testing.assert_allclose(got[:, i, :], want, atol=1e-12)
 
 
 def test_ita_zero_flow_equivalence():
     rng = RNG(8)
-    cfg = AttentionConfig(4, 2)
-    params = block_params(rng, cfg)
+    params = block_params(rng, 4)
     geom = GridGeometry(2, 2, 2)
     x = rt(rng, 3, 4, 4)
     flows = [np.zeros((2, 4, 4)) for _ in range(2)]
-    a = ita(align_tokens(x, alignment_maps(flows, geom, 3)), params, cfg).data
-    b = ita(x, params, cfg).data
+    a = ita(align_tokens(x, alignment_maps(flows, geom, 3)), params, 2).data
+    b = ita(x, params, 2).data
     np.testing.assert_array_equal(a, b)
+
+
+def test_ita_token_width_must_match_the_weights():
+    params = block_params(RNG(9), 4)
+    with pytest.raises(ShapeError):
+        ita(rt(RNG(9), 2, 3, 8), params, 2)
 
 
 def test_ita_mac_count_grows_linearly_in_frames():
     rng = RNG(10)
-    cfg = AttentionConfig(16, 2)
-    params = block_params(rng, cfg)
+    params = block_params(rng, 16)
 
     def count(frames):
         macs.reset()
         x = rt(rng, frames, 4, 16)
         with macs.counting():
-            ita(x, params, cfg)
+            ita(x, params, 2)
         return macs.by_scope["ita"]
 
     ratio = count(8) / count(4)
@@ -324,54 +325,51 @@ def test_layer_gradient():
 
 def make_scales(joints=2, channels=1, scales=(2, 4), h=8, w=8, seed=20):
     rng = RNG(seed)
-    sset = ScaleSet.build(scales, joints, channels)
-    grids = [GridGeometry(s, h // s, w // s) for s in sset.scales]
-    return rng, sset, grids
+    cfg = VideoConfig(joints=joints, channels=channels, scales=scales, heads=2)
+    return rng, cfg, cfg.grids(h, w)
 
 
 def test_cisa_single_scale_is_pos_plus_block():
-    rng, sset, grids = make_scales(scales=(2,))
-    params = cisa_params(rng, sset, grids, heads=2)
+    rng, cfg, grids = make_scales(scales=(2,))
+    params = cisa_params(rng, cfg, grids)
     assert set(params) == {"block", "pos2"}  # one scale has nothing to project
-    params["pos2"] = rt(rng, grids[0].n, sset.token_dims[0])
-    x = rt(rng, 2, grids[0].n, sset.token_dims[0])
-    got = cisa([x], sset, params, heads=2)[0].data
-    cfg = AttentionConfig(sset.d_common, 2)
-    want = transformer_block_self(T.add_bcast(x, params["pos2"]), params["block"], cfg).data
+    params["pos2"] = rt(rng, grids[0].n, cfg.token_dims[0])
+    x = rt(rng, 2, grids[0].n, cfg.token_dims[0])
+    got = cisa([x], params, cfg)[0].data
+    want = transformer_block_self(T.add_bcast(x, params["pos2"]), params["block"], 2).data
     np.testing.assert_array_equal(got, want)
 
 
 def test_cisa_projects_every_scale_of_several():
     # The middle of three scales has d_s == d_common and still projects.
-    rng, sset, grids = make_scales(scales=(2, 4, 8), h=16, w=16)
-    assert sset.token_dims[1] == sset.d_common
-    params = cisa_params(rng, sset, grids, heads=2)
-    for s in sset.scales:
+    rng, cfg, grids = make_scales(scales=(2, 4, 8), h=16, w=16)
+    assert cfg.token_dims[1] == cfg.d_common
+    params = cisa_params(rng, cfg, grids)
+    for s in cfg.scales:
         assert {f"proj{s}_w", f"proj{s}_b", f"back{s}_w", f"back{s}_b"} <= set(params)
 
 
 def test_cisa_preserves_token_counts():
-    rng, sset, grids = make_scales()
-    params = cisa_params(rng, sset, grids, heads=2)
-    xs = [rt(rng, 3, g.n, d) for g, d in zip(grids, sset.token_dims)]
-    outs = cisa(xs, sset, params, heads=2)
+    rng, cfg, grids = make_scales()
+    params = cisa_params(rng, cfg, grids)
+    xs = [rt(rng, 3, g.n, d) for g, d in zip(grids, cfg.token_dims)]
+    outs = cisa(xs, params, cfg)
     for x, out in zip(xs, outs):
         assert out.shape == x.shape
 
 
 def test_cisa_matches_union_attention_oracle():
-    rng, sset, grids = make_scales()
-    params = cisa_params(rng, sset, grids, heads=2)
-    xs = [rt(rng, 1, g.n, d) for g, d in zip(grids, sset.token_dims)]
-    outs = cisa(xs, sset, params, heads=2)
-    cfg = AttentionConfig(sset.d_common, 2)
+    rng, cfg, grids = make_scales()
+    params = cisa_params(rng, cfg, grids)
+    xs = [rt(rng, 1, g.n, d) for g, d in zip(grids, cfg.token_dims)]
+    outs = cisa(xs, params, cfg)
     proj = [linear(T.add_bcast(x, params[f"pos{s}"]),
                    params[f"proj{s}_w"], params[f"proj{s}_b"])
-            for x, s in zip(xs, sset.scales)]
+            for x, s in zip(xs, cfg.scales)]
     union = T.concat(proj, axis=1)
-    fused = transformer_block_self(union, params["block"], cfg)
+    fused = transformer_block_self(union, params["block"], 2)
     start = 0
-    for out, g, s in zip(outs, grids, sset.scales):
+    for out, g, s in zip(outs, grids, cfg.scales):
         part = T.narrow(fused, 1, start, g.n)
         want = linear(part, params[f"back{s}_w"], params[f"back{s}_b"]).data
         np.testing.assert_allclose(out.data, want, atol=1e-12)
@@ -379,21 +377,20 @@ def test_cisa_matches_union_attention_oracle():
 
 
 def test_split_to_finest_is_lossless_rearrangement():
-    rng, sset, grids = make_scales()
-    coarse = rt(rng, 2, grids[1].n, sset.token_dims[1])
+    rng, cfg, grids = make_scales()
+    coarse = rt(rng, 2, grids[1].n, cfg.token_dims[1])
     fine = split_to_finest(coarse, grids[1], grids[0], 2, 1)
-    assert fine.shape == (2, grids[0].n, sset.token_dims[0])
+    assert fine.shape == (2, grids[0].n, cfg.token_dims[0])
     assert np.array_equal(np.sort(fine.data.reshape(-1)),
                           np.sort(coarse.data.reshape(-1)))
 
 
 def test_mita_single_scale_equals_ita():
-    rng, sset, grids = make_scales(scales=(2,))
-    cfg = AttentionConfig(sset.token_dims[0], 2)
-    params = {"ita2": block_params(rng, cfg)}
-    x = rt(rng, 2, grids[0].n, sset.token_dims[0])
-    merged, outs = mita([x], params, sset, grids, 2, 2, 1)
-    want = ita(x, params["ita2"], cfg).data
+    rng, cfg, grids = make_scales(scales=(2,))
+    params = {"ita2": block_params(rng, cfg.token_dims[0])}
+    x = rt(rng, 2, grids[0].n, cfg.token_dims[0])
+    merged, outs = mita([x], params, cfg, grids)
+    want = ita(x, params["ita2"], 2).data
     np.testing.assert_array_equal(merged.data, want)
     np.testing.assert_array_equal(outs[0].data, want)
 
@@ -401,22 +398,20 @@ def test_mita_single_scale_equals_ita():
 def test_mita_zero_coarse_tokens_add_nothing():
     # Freshly initialized blocks have zero biases, so a zero token map
     # passes through temporal attention as exactly zero.
-    rng, sset, grids = make_scales()
-    params = {f"ita{s}": block_params(rng, AttentionConfig(d, 2))
-              for s, d in zip(sset.scales, sset.token_dims)}
-    fine = rt(rng, 2, grids[0].n, sset.token_dims[0])
-    zero_coarse = Tensor(np.zeros((2, grids[1].n, sset.token_dims[1])))
-    merged, _ = mita([fine, zero_coarse], params, sset, grids, 2, 2, 1)
-    want = ita(fine, params["ita2"], AttentionConfig(sset.token_dims[0], 2)).data
+    rng, cfg, grids = make_scales()
+    params = {f"ita{s}": block_params(rng, d) for s, d in zip(cfg.scales, cfg.token_dims)}
+    fine = rt(rng, 2, grids[0].n, cfg.token_dims[0])
+    zero_coarse = Tensor(np.zeros((2, grids[1].n, cfg.token_dims[1])))
+    merged, _ = mita([fine, zero_coarse], params, cfg, grids)
+    want = ita(fine, params["ita2"], 2).data
     np.testing.assert_allclose(merged.data, want, atol=1e-15)
 
 
 def test_mita_merge_is_sum_of_redistributed_outputs():
-    rng, sset, grids = make_scales()
-    params = {f"ita{s}": block_params(rng, AttentionConfig(d, 2))
-              for s, d in zip(sset.scales, sset.token_dims)}
-    xs = [rt(rng, 2, g.n, d) for g, d in zip(grids, sset.token_dims)]
-    merged, outs = mita(xs, params, sset, grids, 2, 2, 1)
+    rng, cfg, grids = make_scales()
+    params = {f"ita{s}": block_params(rng, d) for s, d in zip(cfg.scales, cfg.token_dims)}
+    xs = [rt(rng, 2, g.n, d) for g, d in zip(grids, cfg.token_dims)]
+    merged, outs = mita(xs, params, cfg, grids)
     want = outs[0].data + split_to_finest(outs[1], grids[1], grids[0], 2, 1).data
     np.testing.assert_array_equal(merged.data, want)
 
@@ -456,19 +451,16 @@ def test_forward_output_on_finest_grid_all_frames():
 def test_forward_single_scale_single_layer_matches_composition():
     rng, cfg, params, features, offsets, flows = clip_fixture()
     out = ivt_forward(features, offsets, flows, cfg, params).data
-    sset = cfg.scale_set()
-    acfg = AttentionConfig(sset.token_dims[0], cfg.heads)
-    fuse_cfg = AttentionConfig(cfg.channels * 16, cfg.fuse_heads)
     blocks = extract_blocks(features, 4).data
     idx = gather_indices(offsets, GridGeometry(4, 2, 2), cfg.joints)  # (T, N, J)
-    maps = [tokenize(Tensor(blocks[t][idx[t]].reshape(4, -1)), params["fuse4"], fuse_cfg)
+    maps = [tokenize(Tensor(blocks[t][idx[t]].reshape(4, -1)), params["fuse4"], cfg.fuse_heads)
             for t in range(2)]  # one frame at a time
     tokens = T.concat([T.reshape(m, (1,) + m.shape) for m in maps], axis=0)
     lp = params["layer0"]
     spatial = transformer_block_self(T.add_bcast(tokens, lp["cisa"]["pos4"]),
-                                     lp["cisa"]["block"], acfg)
+                                     lp["cisa"]["block"], cfg.heads)
     aligned = align_tokens(spatial, alignment_maps(flows, GridGeometry(4, 2, 2), 2))
-    want = (ita(aligned, lp["mita"]["ita4"], acfg) + tokens).data
+    want = (ita(aligned, lp["mita"]["ita4"], cfg.heads) + tokens).data
     np.testing.assert_allclose(out, want, atol=1e-12)
 
 
@@ -483,12 +475,10 @@ def test_forward_multiscale_layer_stack_matches_ivt_layer():
     grids = cfg2.grids(8, 8)
     streams = tokenize_clip(features, offsets, cfg2, params)
     for layer in range(2):
-        sset = cfg2.scale_set()
-        spatial = cisa(streams, sset, params[f"layer{layer}"]["cisa"], 2)
+        spatial = cisa(streams, params[f"layer{layer}"]["cisa"], cfg2)
         aligned = [align_tokens(x, alignment_maps(flows, g, 2))
                    for x, g in zip(spatial, grids)]
-        merged, outs = mita(aligned, params[f"layer{layer}"]["mita"], sset, grids, 2,
-                            cfg2.joints, cfg2.channels)
+        merged, outs = mita(aligned, params[f"layer{layer}"]["mita"], cfg2, grids)
         streams = [merged + streams[0]] + outs[1:]
     np.testing.assert_array_equal(out, streams[0].data)
 
@@ -508,3 +498,33 @@ def test_forward_multiscale_gradient():
         return T.tsum(ivt_forward(clip, offsets, flows, cfg, params))
 
     assert grad_check(f, Tensor(features.data[:1])) <= 1e-5
+
+
+# -- the config check ------------------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(joints=st.integers(1, 3), channels=st.integers(1, 3),
+       scales=st.sets(st.sampled_from((1, 2, 4)), min_size=1).map(tuple),
+       layers=st.integers(0, 1), heads=st.integers(0, 6), fuse_heads=st.integers(0, 6))
+def test_config_rejects_exactly_what_the_model_fails_on(joints, channels, scales, layers,
+                                                        heads, fuse_heads):
+    shape = dict(joints=joints, channels=channels, scales=scales, layers=layers)
+    try:
+        VideoConfig(**shape, heads=heads, fuse_heads=fuse_heads)
+        rejected = False
+    except ConfigError:
+        rejected = True
+    # The same architecture built unchecked: a valid config given the drawn heads.
+    cfg = VideoConfig(**shape, heads=1, fuse_heads=1)
+    object.__setattr__(cfg, "heads", heads)
+    object.__setattr__(cfg, "fuse_heads", fuse_heads)
+    rng = RNG(0)
+    try:
+        params = video_params(rng, cfg, 8, 8)
+        ivt_forward(rt(rng, 2, channels, 8, 8), np.zeros((2, 2 * joints, 8, 8)),
+                    [np.zeros((2, 8, 8))], cfg, params)
+        failed = False
+    except ConfigError:
+        failed = True
+    assert rejected == failed
