@@ -51,7 +51,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"linear: input dim {x.shape[-1]} != weight dim {d_in}")
     lead = x.shape[:-1]
     flat = T.reshape(x, (-1, d_in)) if x.ndim != 2 else x
-    out = T.add_last(T.matmul(flat, w), b)
+    out = T.add_bcast(T.matmul(flat, w), b)
     return T.reshape(out, lead + (d_out,)) if x.ndim != 2 else out
 
 
@@ -105,7 +105,7 @@ def ffn(x: Tensor, params: dict[str, Tensor]) -> Tensor:
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Zero-mean / unit-variance per token row, then gain and bias."""
-    return T.add_last(T.mul_last(T.layernorm(x), gain), bias)
+    return T.add_bcast(T.mul_last(T.layernorm(x), gain), bias)
 
 
 def transformer_block_self(x: Tensor, params: dict[str, Tensor], heads: int) -> Tensor:

@@ -24,10 +24,11 @@ import numpy as np
 
 from .gradcheck import GRAD_UNITS
 from .codec import poses_from_lines, poses_to_lines
-from .synth import SceneSpec, generate, gt_feature_provider
-from .tensor import ConfigError, ContractError, NumericError, macs
+from .blocks import block_params
+from .synth import SceneSpec, generate
+from .tensor import ConfigError, ContractError, NumericError, Tensor, macs
 from .train import TrainConfig, check_frames, evaluate, load_model, train, video_config
-from .video import VideoConfig, ivt_forward, video_params
+from .video import VideoConfig, ita
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -249,21 +250,22 @@ def cmd_eval(args) -> int:
 
 
 def temporal_macs(frames: int, scales: tuple[int, ...], seed: int) -> tuple[int, float]:
-    """Multiply-accumulate count of the temporal stage for one forward pass."""
-    scene = SceneSpec(seed=seed, persons=1, joints=2, frames=frames, height=16,
-                      width=16, channels=1, amplitude=1.0, blob_sigma=0.8,
-                      body_radius=2.0)
-    cfg = VideoConfig(joints=scene.joints, channels=scene.channels,
-                      scales=scales, layers=1, heads=2)
-    features_np, truth = generate(scene)
+    """Multiply-accumulate count and wall time of one layer's temporal stage.
+
+    Runs ITA once per scale on random (T, N_s, D_s) tokens, with N_s and D_s
+    those of two joints and one channel on a 16x16 map.
+    """
+    cfg = VideoConfig(joints=2, channels=1, scales=scales, layers=1, heads=2, fuse_heads=1)
     rng = np.random.default_rng(seed)
-    params = video_params(rng, cfg, scene.height, scene.width)
-    features = gt_feature_provider(features_np)
     macs.reset()
-    start = time.perf_counter()
-    with macs.counting():
-        ivt_forward(features, truth.offsets2d, truth.flows, cfg, params)
-    wall = time.perf_counter() - start
+    wall = 0.0
+    for geom, d_s in zip(cfg.grids(16, 16), cfg.token_dims):
+        params = block_params(rng, d_s)
+        tokens = Tensor(rng.uniform(-1, 1, size=(frames, geom.n, d_s)))
+        start = time.perf_counter()
+        with macs.counting():
+            ita(tokens, params, cfg.heads)
+        wall += time.perf_counter() - start
     return macs.by_scope.get("ita", 0), wall
 
 
@@ -273,15 +275,9 @@ def cmd_bench(args) -> int:
     rows = []
     print(f"{'frames':>6s} {'temporal_macs':>14s} {'wall_s':>8s}")
     for t in frames:
-        counts = []
-        walls = []
-        for _ in range(args.repeats):
-            c, wsec = temporal_macs(t, scales, args.seed)
-            counts.append(c)
-            walls.append(wsec)
-        rows.append({"frames": t, "temporal_macs": counts[0],
-                     "wall_s": min(walls)})
-        print(f"{t:6d} {counts[0]:14d} {min(walls):8.3f}")
+        count, wall = temporal_macs(t, scales, args.seed)
+        rows.append({"frames": t, "temporal_macs": count, "wall_s": wall})
+        print(f"{t:6d} {count:14d} {wall:8.3f}")
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -290,8 +286,7 @@ def cmd_bench(args) -> int:
             writer = _csv.DictWriter(fh, fieldnames=["frames", "temporal_macs", "wall_s"])
             writer.writeheader()
             writer.writerows(rows)
-        write_manifest(out_dir, "bench",
-                       {"frames": frames, "scales": list(scales), "repeats": args.repeats},
+        write_manifest(out_dir, "bench", {"frames": frames, "scales": list(scales)},
                        args.seed, ["bench.csv"], [])
     return EXIT_OK
 
@@ -340,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bench", help="temporal-stage cost sweep over frame counts")
     b.add_argument("--frames", default=None, help="comma list, default 1,3,5,7,9")
     b.add_argument("--scales", default=None, help="comma list of block sizes")
-    b.add_argument("--repeats", type=int, default=1)
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--out", default=None)
 

@@ -12,9 +12,9 @@ again; a second ``backward`` through it raises ``ContractError``. Data
 buffers are row-major contiguous float64 and are treated as immutable after
 construction; only the ``grad`` buffer is mutated.
 
-Broadcasting is deliberately limited to scalar-vs-tensor plus the
-last-axis helpers (``add_last`` / ``mul_last``) that linear layers and
-layer norm need.
+Elementwise ops (``add``, ``sub``, ``mul``) take operands of equal shape.
+The only broadcasts are ``add_bcast`` (bias and positional embedding) and
+``mul_last`` (layer-norm gain).
 """
 
 from __future__ import annotations
@@ -165,23 +165,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(self, other)
-
     def __sub__(self, other):
         return sub(self, other)
 
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
     def __mul__(self, other):
         return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return neg(self)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -191,20 +179,9 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _is_scalar(t: Tensor) -> bool:
-    return t.size == 1
-
-
 def _binary_shapes(a: Tensor, b: Tensor, op: str) -> None:
-    if a.shape != b.shape and not _is_scalar(a) and not _is_scalar(b):
-        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} are incompatible")
-
-
-def _reduce_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a gradient down to the shape of a scalar operand."""
-    if grad.shape == shape:
-        return grad
-    return np.sum(grad).reshape(shape)
+    if a.shape != b.shape:
+        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ")
 
 
 # -- elementwise ops ---------------------------------------------------------
@@ -216,7 +193,7 @@ def add(a, b) -> Tensor:
     data = a.data + b.data
 
     def bw(g):
-        return _reduce_to(g, a.shape), _reduce_to(g, b.shape)
+        return g, g
 
     return Tensor._result(data, (a, b), bw, "add")
 
@@ -227,7 +204,7 @@ def sub(a, b) -> Tensor:
     data = a.data - b.data
 
     def bw(g):
-        return _reduce_to(g, a.shape), _reduce_to(-g, b.shape)
+        return g, -g
 
     return Tensor._result(data, (a, b), bw, "sub")
 
@@ -238,28 +215,14 @@ def mul(a, b) -> Tensor:
     data = a.data * b.data
 
     def bw(g):
-        return _reduce_to(g * b.data, a.shape), _reduce_to(g * a.data, b.shape)
+        return g * b.data, g * a.data
 
     return Tensor._result(data, (a, b), bw, "mul")
-
-
-def neg(a: Tensor) -> Tensor:
-    return Tensor._result(-a.data, (a,), lambda g: (-g,), "neg")
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
     return Tensor._result(a.data * c, (a,), lambda g: (g * c,), "scale")
-
-
-def exp(a: Tensor) -> Tensor:
-    data = np.exp(a.data)
-    return Tensor._result(data, (a,), lambda g: (g * data,), "exp")
-
-
-def sqrt(a: Tensor) -> Tensor:
-    data = np.sqrt(a.data)
-    return Tensor._result(data, (a,), lambda g: (g * 0.5 / data,), "sqrt")
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -330,18 +293,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return g @ bt, at @ g
 
     return Tensor._result(data, (a, b), bw, "matmul")
-
-
-def add_last(x: Tensor, b: Tensor) -> Tensor:
-    """Add a vector over the last axis (bias add)."""
-    if b.ndim != 1 or b.shape[0] != x.shape[-1]:
-        raise ShapeError(f"add_last: bias {b.shape} does not match last dim of {x.shape}")
-    data = x.data + b.data
-
-    def bw(g):
-        return g, g.reshape(-1, x.shape[-1]).sum(axis=0)
-
-    return Tensor._result(data, (x, b), bw, "add_last")
 
 
 def add_bcast(x: Tensor, p: Tensor) -> Tensor:
@@ -454,32 +405,23 @@ def take_rows(a: Tensor, indices) -> Tensor:
     return Tensor._result(data, (a,), bw, "take_rows")
 
 
-def reduce(a: Tensor, axis: Optional[int] = None, op: str = "sum", keepdims: bool = False) -> Tensor:
-    """Sum or mean over one axis, or over all of them (``axis=None``)."""
-    if op not in ("sum", "mean"):
-        raise ConfigError(f"reduce: unknown op {op!r}")
-    if axis is not None and not -a.ndim <= int(axis) < a.ndim:
-        raise BoundsError(f"reduce: axis {axis} out of range for rank {a.ndim}")
-    whole = axis is None
-    n = a.size if whole else a.shape[axis]
-    data = a.data.sum(axis=axis, keepdims=keepdims and not whole)
-    if op == "mean":
-        data = data / n
+def tsum(a: Tensor) -> Tensor:
+    """Sum of every element, as a 0-d tensor."""
 
     def bw(g):
-        gg = g if keepdims or whole else np.expand_dims(g, axis)
-        gg = np.broadcast_to(gg, a.shape).astype(np.float64)  # a copy
-        return (gg / n if op == "mean" else gg,)
+        return (np.broadcast_to(g, a.shape).astype(np.float64),)  # a copy
 
-    return Tensor._result(np.asarray(data), (a,), bw, op)
+    return Tensor._result(np.asarray(a.data.sum()), (a,), bw, "sum")
 
 
-def tsum(a: Tensor, axis: Optional[int] = None, keepdims: bool = False) -> Tensor:
-    return reduce(a, axis, "sum", keepdims)
+def tmean(a: Tensor) -> Tensor:
+    """Mean of every element, as a 0-d tensor."""
+    n = a.size
 
+    def bw(g):
+        return (np.broadcast_to(g, a.shape).astype(np.float64) / n,)
 
-def tmean(a: Tensor, axis: Optional[int] = None, keepdims: bool = False) -> Tensor:
-    return reduce(a, axis, "mean", keepdims)
+    return Tensor._result(np.asarray(a.data.sum() / n), (a,), bw, "mean")
 
 
 # -- fused row-wise ops -------------------------------------------------------

@@ -54,6 +54,7 @@ class TrainConfig:
             raise ConfigError(f"invalid train config: scales = {self.scales}; "
                               f"need one or more distinct block sizes >= 1")
         for key, ok, need in (("layers", self.layers >= 0, ">= 0"),
+                              ("alpha", self.alpha >= 0, ">= 0"),
                               ("head_sigma", self.head_sigma > 0, "> 0"),
                               ("threshold", self.threshold > 0, "> 0"),
                               ("max_people", self.max_people >= 1, ">= 1")):

@@ -24,8 +24,8 @@ import numpy as np
 
 from . import tensor as T
 from .blocks import block_params, init_linear, linear, transformer_block_self
-from .igt import (GridGeometry, extract_blocks, gather_indices, take_frame_rows,
-                  tokenize)
+from .igt import (GridGeometry, extract_blocks, gather_indices, retile,
+                  take_frame_rows, tokenize)
 from .tensor import ConfigError, ContractError, NumericError, ShapeError, Tensor, macs
 
 
@@ -218,18 +218,11 @@ def split_to_finest(tokens: Tensor, geom: GridGeometry, fine: GridGeometry,
                     joints: int, channels: int) -> Tensor:
     """Redistribute a coarse token map onto the finest grid, losslessly.
 
-    A coarse token is the concatenation of J gathered (C, K, K) blocks;
-    each (C, K, K) block re-tiles into r*r fine (C, K_f, K_f) cells with
-    r = K / K_f, so one coarse token yields r*r fine tokens exactly.
+    A coarse token is the concatenation of J gathered (C, K, K) blocks, so
+    the token map re-tiles into a (T, J*C, H, W) map, which the fine blocks
+    tile again: any two block sizes that tile the map do, nested or not.
     """
-    k, kf = geom.block_size, fine.block_size
-    if k % kf != 0:
-        raise ConfigError(f"split_to_finest: {k} not divisible by finest block {kf}")
-    r = k // kf
-    frames = tokens.shape[0]
-    x = T.reshape(tokens, (frames, geom.n_h, geom.n_w, joints, channels, r, kf, r, kf))
-    x = T.transpose(x, (0, 1, 5, 2, 7, 3, 4, 6, 8))
-    return T.reshape(x, (frames, fine.n, joints * channels * kf * kf))
+    return extract_blocks(retile(tokens, geom, joints * channels), fine.block_size)
 
 
 def mita(per_scale: list[Tensor], params: dict[str, dict[str, Tensor]],

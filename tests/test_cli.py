@@ -142,6 +142,10 @@ def test_bench_emits_frame_sweep(tmp_path, capsys):
     assert int(rows[1][1]) > int(rows[0][1])  # more frames, more work
 
 
+def test_bench_takes_odd_block_sizes():
+    assert main(["bench", "--scales", "1,2", "--frames", "1,2"]) == 0
+
+
 def test_config_unknown_key_exit_two(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[train]\nnonsense = 1\n")
@@ -198,6 +202,7 @@ BAD_INPUTS = {
                        "threshold"),
     "zero-max-people": ("config", lambda t: t + "max_people = 0\n", "max_people"),
     "zero-head-sigma": ("config", lambda t: t + "head_sigma = 0\n", "head_sigma"),
+    "negative-alpha": ("config", lambda t: t + "alpha = -1\n", "alpha"),
     # SceneSpec has no target_sigma: the 2D offset targets need no sigma.
     "target-sigma": ("config",
                      lambda t: t.replace("[scene]\n", "[scene]\ntarget_sigma = 2.0\n"),

@@ -38,6 +38,15 @@ def test_add_shape_mismatch_raises():
         _ = rt(RNG(0), 2, 3) + rt(RNG(0), 3, 2)
 
 
+@pytest.mark.parametrize("op", [T.add, T.sub, T.mul], ids=["add", "sub", "mul"])
+def test_elementwise_ops_do_not_broadcast_a_scalar(op):
+    x, c = rt(RNG(0), 2, 3), Tensor(np.array(2.0))
+    with pytest.raises(ShapeError):
+        op(x, c)
+    with pytest.raises(ShapeError):
+        op(c, x)
+
+
 def test_matmul_inner_dim_mismatch_raises():
     with pytest.raises(ShapeError):
         _ = rt(RNG(0), 2, 3) @ rt(RNG(0), 4, 2)
@@ -177,11 +186,9 @@ def test_reshape_infers_one_dimension():
 
 
 UNARY_OPS = [
-    ("exp", T.exp, (-1.0, 1.0)),
     ("tanh", T.tanh, (-2.0, 2.0)),
     ("sigmoid", T.sigmoid, (-3.0, 3.0)),
     ("gelu", T.gelu, (-2.0, 2.0)),
-    ("sqrt", T.sqrt, (0.5, 3.0)),
     ("absolute", T.absolute, (0.1, 2.0)),
     ("softmax", T.softmax, (-2.0, 2.0)),
     ("layernorm", T.layernorm, (-2.0, 2.0)),
@@ -228,7 +235,7 @@ def test_reduction_and_broadcast_gradients():
     x = rt(rng, 4, 5)
     p = rt(rng, 5)
     assert grad_check(lambda t: T.tmean(t * t), x) <= 1e-6
-    assert grad_check(lambda t: T.tsum(T.tanh(T.add_last(x, t))), p) <= 1e-6
+    assert grad_check(lambda t: T.tsum(T.tanh(T.add_bcast(x, t))), p) <= 1e-6
     assert grad_check(lambda t: T.tsum(T.tanh(T.mul_last(x, t))), p) <= 1e-6
 
 
@@ -468,7 +475,7 @@ def test_debug_checks_flag_detects_nan():
     try:
         bad = Tensor(np.array([1.0, np.nan]))
         with pytest.raises(NumericError):
-            T.exp(bad)
+            T.sigmoid(bad)
     finally:
         T.set_debug_checks(prev)
 

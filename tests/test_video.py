@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ivt import tensor as T
@@ -385,6 +385,16 @@ def test_split_to_finest_is_lossless_rearrangement():
                           np.sort(coarse.data.reshape(-1)))
 
 
+@pytest.mark.parametrize("coarse_k,fine_k", [(4, 2), (3, 2), (6, 4)])
+def test_split_to_finest_equals_fine_tiling_of_the_map(coarse_k, fine_k):
+    # Nested or not, the coarse tokens of a map split into the map's fine tokens.
+    joints, channels = 2, 3
+    fmap = rt(RNG(3), 2, joints * channels, 12, 12)
+    coarse, fine = (GridGeometry(k, 12 // k, 12 // k) for k in (coarse_k, fine_k))
+    got = split_to_finest(extract_blocks(fmap, coarse_k), coarse, fine, joints, channels)
+    np.testing.assert_array_equal(got.data, extract_blocks(fmap, fine_k).data)
+
+
 def test_mita_single_scale_equals_ita():
     rng, cfg, grids = make_scales(scales=(2,))
     params = {"ita2": block_params(rng, cfg.token_dims[0])}
@@ -505,8 +515,9 @@ def test_forward_multiscale_gradient():
 
 @settings(max_examples=40, deadline=None)
 @given(joints=st.integers(1, 3), channels=st.integers(1, 3),
-       scales=st.sets(st.sampled_from((1, 2, 4)), min_size=1).map(tuple),
+       scales=st.sets(st.sampled_from((1, 2, 3, 4, 6)), min_size=1).map(tuple),
        layers=st.integers(0, 1), heads=st.integers(0, 6), fuse_heads=st.integers(0, 6))
+@example(joints=1, channels=1, scales=(2, 3), layers=1, heads=1, fuse_heads=1)
 def test_config_rejects_exactly_what_the_model_fails_on(joints, channels, scales, layers,
                                                         heads, fuse_heads):
     shape = dict(joints=joints, channels=channels, scales=scales, layers=layers)
@@ -521,9 +532,9 @@ def test_config_rejects_exactly_what_the_model_fails_on(joints, channels, scales
     object.__setattr__(cfg, "fuse_heads", fuse_heads)
     rng = RNG(0)
     try:
-        params = video_params(rng, cfg, 8, 8)
-        ivt_forward(rt(rng, 2, channels, 8, 8), np.zeros((2, 2 * joints, 8, 8)),
-                    [np.zeros((2, 8, 8))], cfg, params)
+        params = video_params(rng, cfg, 12, 12)
+        ivt_forward(rt(rng, 2, channels, 12, 12), np.zeros((2, 2 * joints, 12, 12)),
+                    [np.zeros((2, 12, 12))], cfg, params)
         failed = False
     except ConfigError:
         failed = True
