@@ -13,6 +13,7 @@ import argparse
 import configparser
 import hashlib
 import json
+import math
 import os
 import platform
 import sys
@@ -249,17 +250,34 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+# Bounds on `ivt bench`: a block of size s has tokens of width 2·s², so one
+# block's parameters take 96·(2·s²)² bytes (25 MB at s = 16, 6.4 GB at 64).
+BENCH_MAX_BLOCK = 16
+BENCH_MAX_SIDE = 64
+
+
 def temporal_macs(frames: int, scales: tuple[int, ...], seed: int) -> tuple[int, float]:
     """Multiply-accumulate count and wall time of one layer's temporal stage.
 
     Runs ITA once per scale on random (T, N_s, D_s) tokens, with N_s and D_s
-    those of two joints and one channel on a 16x16 map.
+    those of two joints and one channel on a square map whose side is the
+    smallest multiple of lcm(scales) that is at least 16: 16x16 whenever
+    the scales divide 16, and 18x18 for (2, 3). Block sizes above
+    ``BENCH_MAX_BLOCK`` and maps wider than ``BENCH_MAX_SIDE`` raise
+    ``ConfigError`` before anything is allocated.
     """
     cfg = VideoConfig(joints=2, channels=1, scales=scales, layers=1, heads=2, fuse_heads=1)
+    if cfg.scales[-1] > BENCH_MAX_BLOCK:
+        raise ConfigError(f"bench: block size {cfg.scales[-1]} is above {BENCH_MAX_BLOCK}")
+    tile = math.lcm(*cfg.scales)
+    side = -(-16 // tile) * tile
+    if side > BENCH_MAX_SIDE:
+        raise ConfigError(f"bench: scales {cfg.scales} need a {side}x{side} map, "
+                          f"above {BENCH_MAX_SIDE}x{BENCH_MAX_SIDE}")
     rng = np.random.default_rng(seed)
     macs.reset()
     wall = 0.0
-    for geom, d_s in zip(cfg.grids(16, 16), cfg.token_dims):
+    for geom, d_s in zip(cfg.grids(side, side), cfg.token_dims):
         params = block_params(rng, d_s)
         tokens = Tensor(rng.uniform(-1, 1, size=(frames, geom.n, d_s)))
         start = time.perf_counter()

@@ -303,7 +303,7 @@ def add_bcast(x: Tensor, p: Tensor) -> Tensor:
     lead = tuple(range(x.ndim - p.ndim))
 
     def bw(g):
-        return g, g.sum(axis=lead) if lead else g.copy()
+        return g, (g.sum(axis=lead) if lead else g)
 
     return Tensor._result(data, (x, p), bw, "add_bcast")
 
@@ -442,8 +442,8 @@ def softmax(a: Tensor) -> Tensor:
 
 
 # Bytes of one block of attention scores, sized to a core's 2 MiB L2 cache: half
-# of it, since a backward block holds the rebuilt P, dS and a temporary of the
-# same size (2 MiB blocks ran the CISA backward about 40% slower on such a Xeon).
+# of it, since a backward block holds the rebuilt P and dS (2 MiB blocks ran the
+# CISA backward about 40% slower on such a Xeon).
 SDPA_BLOCK_BYTES = 1 << 20
 
 
@@ -462,37 +462,52 @@ def _sdpa_blocks(batch: int, nq: int, nk: int) -> list[tuple[int, int, int, int]
     return [(b, b + 1, r, min(r + rows, nq)) for b in range(batch) for r in range(0, nq, rows)]
 
 
-def _sdpa_scores(q3: np.ndarray, kt: np.ndarray, c: float, block, scratch: np.ndarray) -> np.ndarray:
-    """c · q kᵀ of one block, formed in the front of ``scratch``.
-
-    Forward and backward both form a block's scores here, so the P that
-    backward rebuilds is the forward's P bit for bit.
-    """
+def _sdpa_block(a3: np.ndarray, bt: np.ndarray, block, scratch: np.ndarray) -> np.ndarray:
+    """a bᵀ over one score block, formed in the front of ``scratch``."""
     b0, b1, r0, r1 = block
-    shape = (b1 - b0, r1 - r0, kt.shape[-1])
+    shape = (b1 - b0, r1 - r0, bt.shape[-1])
     s = scratch[:shape[0] * shape[1] * shape[2]].reshape(shape)
-    np.matmul(q3[b0:b1, r0:r1], kt[b0:b1], out=s)
-    s *= c
+    np.matmul(a3[b0:b1, r0:r1], bt[b0:b1], out=s)
     return s
+
+
+def _with_column(a: np.ndarray, col) -> np.ndarray:
+    """a with one more column on its last axis, holding ``col``."""
+    out = np.empty(a.shape[:-1] + (a.shape[-1] + 1,))
+    out[..., :-1] = a
+    out[..., -1:] = col
+    return out
 
 
 def sdpa(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """Scaled dot-product attention softmax(q kᵀ / √d) v over the last two axes.
 
     2-D, or stacked with identical leading batch dims. One fused op with a
-    hand-written backward that keeps no attention weights: forward keeps
-    only each query row's score max m and exp-sum l, and backward rebuilds
-    each block of P from q, k, m and l (the FlashAttention backward, Dao
-    et al., arXiv:2205.14135). Both passes walk the scores in blocks of at
-    most ``SDPA_BLOCK_BYTES`` (see ``_sdpa_blocks``) in one block-sized
-    scratch buffer, so every pass over a block runs in cache. Forward:
-    scores, scale, max-shift, exp and normalise in place, the finiteness
-    and row-sum checks, then the block's rows of P v. Backward: the same
-    scores, scale, shift by m, exp and divide by l, then the block's dS,
-    its rows of dq, and dk and dv assigned (whole rows) or accumulated
-    (row ranges) (Rabe & Staats, arXiv:2112.05682). A tensor within the
-    budget is one block, computed by exactly the ops of the unblocked
-    form. MACs are charged as the two forward matmuls q kᵀ and P v.
+    hand-written backward that keeps no attention weights, at the cost of
+    FlashAttention-2 (Dao, arXiv:2307.08691): forward keeps one logsumexp
+    per query row, and backward rebuilds each block of P from q, k and it.
+    Both passes walk the scores in blocks of at most ``SDPA_BLOCK_BYTES``
+    (see ``_sdpa_blocks``) in block-sized scratch buffers, so every pass
+    over a block runs in cache. 1/√d is folded into q.
+
+    Forward, per block: the scores s, max-shift and exp in place (P̃), the
+    row sums l, the block's rows of P̃ v divided by l, and the logsumexp
+    lse = m + log l. Backward forms D = rowsum(dO ∘ O) once per call from
+    the output. One extra column on each operand puts the shift and the
+    subtraction into the block matmuls, [q/√d, −lse] [k, 1]ᵀ = s − lse and
+    [dO, −D] [v, 1]ᵀ = dP − D, so each backward block makes two elementwise
+    passes: P = exp(s − lse) and dS = P ∘ (dP − D). Then come the block's
+    rows of dq, and dk and dv assigned (whole rows) or accumulated (row
+    ranges) (Rabe & Staats, arXiv:2112.05682); dq is scaled by 1/√d once,
+    after the loop. The output and the gradients match the unfused
+    matmul/scale/softmax/matmul chain to 1e-12, not bitwise, also for a
+    call that is one block.
+
+    Under debug checks every row sum l must be finite and at least 1 (its
+    max term is exp(0)). A non-finite entry of P̃ makes its l non-finite;
+    then the block is scanned for the first such entry, and the error names
+    its global score index. MACs are charged as the two forward matmuls
+    q kᵀ and P v.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if (q.ndim < 2 or not q.ndim == k.ndim == v.ndim
@@ -504,54 +519,60 @@ def sdpa(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     batch = int(np.prod(lead, dtype=np.int64))
     (nq, d), nk, dv = q.shape[-2:], k.shape[-2], v.shape[-1]
     q3, k3, v3 = (a.data.reshape((batch,) + a.shape[-2:]) for a in (q, k, v))
-    kt, vt = np.swapaxes(k3, -1, -2), np.swapaxes(v3, -1, -2)
     c = float(1.0 / np.sqrt(d))
     blocks = _sdpa_blocks(batch, nq, nk)
     scratch_len = max((b1 - b0) * (r1 - r0) for b0, b1, r0, r1 in blocks) * nk
     scratch = np.empty(scratch_len)
-    m, l = np.empty((batch, nq, 1)), np.empty((batch, nq, 1))
+    qc, kt = q3 * c, np.swapaxes(k3, -1, -2)
+    lse = np.empty((batch, nq, 1))
     data = np.empty((batch, nq, dv))
     for block in blocks:
         b0, b1, r0, r1 = block
-        pb = _sdpa_scores(q3, kt, c, block, scratch)
+        pb = _sdpa_block(qc, kt, block, scratch)
         mb = pb.max(axis=-1, keepdims=True)
         pb -= mb
         np.exp(pb, out=pb)
         lb = pb.sum(axis=-1, keepdims=True)
-        pb /= lb
-        m[b0:b1, r0:r1], l[b0:b1, r0:r1] = mb, lb
         if _debug_checks:
-            if not np.all(np.isfinite(pb)):
+            if not np.all(np.isfinite(lb)):
                 b, r, j = np.argwhere(~np.isfinite(pb))[0]
                 at = np.unravel_index(b0 + b, lead) + (r0 + r, j)
                 raise NumericError(f"sdpa: non-finite output at index {tuple(map(int, at))}")
-            assert np.all(np.abs(pb.sum(axis=-1) - 1.0) <= 1e-12), "softmax rows must sum to 1"
-        np.matmul(pb, v3[b0:b1], out=data[b0:b1, r0:r1])
+            assert np.all(lb >= 1.0), "softmax row sums must be at least 1"
+        ob = data[b0:b1, r0:r1]
+        np.matmul(pb, v3[b0:b1], out=ob)
+        ob /= lb
+        np.log(lb, out=lb)
+        lb += mb
+        lse[b0:b1, r0:r1] = lb
     macs.add(batch * nq * nk * (d + dv))
 
     def bw(g):
         g3 = g.reshape(batch, nq, dv)
-        dq, dk, dvv = np.empty_like(q3), np.empty_like(k3), np.empty_like(v3)
-        scratch = np.empty(scratch_len)
+        qa = _with_column(q3 * c, -lse)
+        qc = qa[..., :d]
+        ga = _with_column(g3, -(g3 * data).sum(axis=-1, keepdims=True))  # [dO, −D]
+        kat = np.swapaxes(_with_column(k3, 1.0), -1, -2)
+        vat = np.swapaxes(_with_column(v3, 1.0), -1, -2)
+        dq, dk, dvv = np.empty(q.shape), np.empty(k.shape), np.empty(v.shape)
+        dq3, dk3, dv3 = (a.reshape((batch,) + a.shape[-2:]) for a in (dq, dk, dvv))
+        scratch, ds_scratch = np.empty(scratch_len), np.empty(scratch_len)
         for block in blocks:
             b0, b1, r0, r1 = block
-            pb = _sdpa_scores(q3, kt, c, block, scratch)
-            pb -= m[b0:b1, r0:r1]
-            np.exp(pb, out=pb)
-            pb /= l[b0:b1, r0:r1]  # P, bit for bit as in forward
-            ds = g3[b0:b1, r0:r1] @ vt[b0:b1]  # dP
-            ds -= (ds * pb).sum(axis=-1, keepdims=True)
-            ds *= pb
-            ds *= c  # c·dS
-            np.matmul(ds, k3[b0:b1], out=dq[b0:b1, r0:r1])
+            pb = _sdpa_block(qa, kat, block, scratch)  # s − lse
+            np.exp(pb, out=pb)  # P
+            ds = _sdpa_block(ga, vat, block, ds_scratch)  # dP − D
+            ds *= pb  # dS, the gradient of the scaled scores
+            np.matmul(ds, k3[b0:b1], out=dq3[b0:b1, r0:r1])
             dst, pbt = np.swapaxes(ds, -1, -2), np.swapaxes(pb, -1, -2)
             if r0 == 0:
-                np.matmul(dst, q3[b0:b1, r0:r1], out=dk[b0:b1])
-                np.matmul(pbt, g3[b0:b1, r0:r1], out=dvv[b0:b1])
+                np.matmul(dst, qc[b0:b1, r0:r1], out=dk3[b0:b1])
+                np.matmul(pbt, g3[b0:b1, r0:r1], out=dv3[b0:b1])
             else:
-                dk[b0:b1] += dst @ q3[b0:b1, r0:r1]
-                dvv[b0:b1] += pbt @ g3[b0:b1, r0:r1]
-        return dq.reshape(q.shape), dk.reshape(k.shape), dvv.reshape(v.shape)
+                dk3[b0:b1] += dst @ qc[b0:b1, r0:r1]
+                dv3[b0:b1] += pbt @ g3[b0:b1, r0:r1]
+        dq *= c
+        return dq, dk, dvv
 
     return Tensor._result(data.reshape(lead + (nq, dv)), (q, k, v), bw, "sdpa")
 
@@ -628,6 +649,15 @@ def _consumed(g):
 
 
 def _accumulate(parents: tuple[Tensor, ...], grads) -> None:
+    """Add the gradients one closure returned into its parents' ``.grad``.
+
+    Closures never write into their incoming ``g``; each returns ``g``
+    itself, a view of it, or an array it made in the call. A parent's
+    first gradient is kept as it comes unless it is a view, or an array
+    that another parent already took in this call (``add`` returns its
+    ``g`` twice): those are copied. So every ``.grad`` owns its buffer.
+    """
+    taken: list[np.ndarray] = []
     for parent, g in zip(parents, grads):
         if g is None or not parent.requires_grad:
             continue
@@ -635,7 +665,10 @@ def _accumulate(parents: tuple[Tensor, ...], grads) -> None:
             raise ShapeError(
                 f"backward: gradient shape {g.shape} does not match tensor {parent.shape}")
         if parent.grad is None:
-            parent.grad = np.array(g, dtype=np.float64)
+            if g.base is not None or any(g is t for t in taken):
+                g = np.array(g, dtype=np.float64)
+            taken.append(g)
+            parent.grad = g
         else:
             parent.grad = parent.grad + g
 

@@ -146,6 +146,22 @@ def test_bench_takes_odd_block_sizes():
     assert main(["bench", "--scales", "1,2", "--frames", "1,2"]) == 0
 
 
+def test_bench_takes_scales_that_do_not_divide_16(capsys):
+    """(2, 3) tile an 18x18 map, the smallest multiple of lcm 6 that is at least 16."""
+    assert main(["bench", "--scales", "2,3", "--frames", "1"]) == 0
+    frames, count, _ = capsys.readouterr().out.strip().splitlines()[-1].split()
+    assert frames == "1" and int(count) > 0
+
+
+@pytest.mark.parametrize("scales, message", [
+    ("32", "block size 32 is above 16"),
+    ("5,13", "need a 65x65 map"),
+])
+def test_bench_rejects_scales_too_big_to_allocate(scales, message, capsys):
+    assert main(["bench", "--scales", scales, "--frames", "1"]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_config_unknown_key_exit_two(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[train]\nnonsense = 1\n")

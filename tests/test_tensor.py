@@ -6,6 +6,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ivt import tensor as T
 from ivt.gradcheck import grad_check
@@ -293,7 +294,11 @@ def assert_sdpa_matches_unfused_chain(shapes):
     """Output and all three grads of sdpa agree with the unfused chain to 1e-12."""
     rng = RNG(13)
     arrays = [rng.uniform(-2, 2, size=s) for s in shapes]
-    g = rng.standard_normal(shapes[0][:-1] + (shapes[2][-1],))
+    assert_sdpa_matches_chain_on(arrays, rng.standard_normal(shapes[0][:-1] + (shapes[2][-1],)))
+
+
+def assert_sdpa_matches_chain_on(arrays, g):
+    """sdpa and the unfused chain on q, k, v = arrays, with output gradient g."""
     results = []
     for op in (T.sdpa, unfused_attention):
         q, k, v = (Tensor(a.copy(), requires_grad=True) for a in arrays)
@@ -406,6 +411,60 @@ def test_blocked_sdpa_nan_names_the_global_score_index(monkeypatch):
         T.set_debug_checks(prev)
 
 
+def test_blocked_sdpa_inf_names_the_global_score_index(monkeypatch):
+    """A +inf in q makes its row's positive scores +inf; the shift by the row
+    max turns them into NaN, and the first of them is the index named."""
+    monkeypatch.setattr(T, "SDPA_BLOCK_BYTES", ROWS_OF_THREE)
+    rng = RNG(21)
+    q = rng.uniform(-1, 1, size=(2, 2, 7, 4))
+    q[1, 0, 5, 1] = np.inf  # third batch element, second row block
+    k = rng.uniform(0.1, 1, size=(2, 2, 6, 4))
+    k[1, 0, :2, 1] *= -1.0  # keys 0 and 1 score -inf, key 2 is the first +inf
+    prev = T.debug_checks_enabled()
+    T.set_debug_checks(True)
+    try:
+        # inf − inf is numpy's invalid-value warning, which this suite makes an error
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(NumericError, match=r"sdpa: .* index \(1, 0, 5, 2\)"):
+            T.sdpa(Tensor(q), Tensor(k), rt(rng, 2, 2, 6, 3))
+    finally:
+        T.set_debug_checks(prev)
+
+
+@st.composite
+def sdpa_cases(draw):
+    """Random shapes, a block budget of each kind, and a peak score near 50 at most."""
+    lead = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    nq, nk = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    d, dv = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    batch = int(np.prod(lead, dtype=np.int64))
+    kind = draw(st.sampled_from(["one", "grouped", "rows"]))
+    if kind == "one":
+        budget = T.SDPA_BLOCK_BYTES
+    elif kind == "grouped":  # groups of whole batch elements
+        budget = draw(st.integers(1, batch)) * nq * nk * 8
+    else:  # ranges of query rows
+        budget = draw(st.integers(1, nq)) * nk * 8
+    peak = draw(st.floats(0.0, 50.0))
+    return lead, (nq, nk, d, dv), budget, peak, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(deadline=None, max_examples=150)
+@given(case=sdpa_cases())
+def test_sdpa_property_matches_unfused_chain(case):
+    """Output and all three grads agree with the unfused chain to 1e-12, for
+    any shape and block kind, up to scores of |s| ≈ 50 where rows are near
+    one-hot: entries of q and k lie in ±sqrt(peak/√d), so |q·k|/√d ≤ peak."""
+    lead, (nq, nk, d, dv), budget, peak, seed = case
+    rng = RNG(seed)
+    a = np.sqrt(peak / np.sqrt(d))
+    arrays = [rng.uniform(-a, a, size=lead + (nq, d)), rng.uniform(-a, a, size=lead + (nk, d)),
+              rng.uniform(-1, 1, size=lead + (nk, dv))]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(T, "SDPA_BLOCK_BYTES", budget)
+        assert_sdpa_matches_chain_on(arrays, rng.standard_normal(lead + (nq, dv)))
+
+
 def test_blocked_sdpa_macs_are_the_two_matmuls(monkeypatch):
     monkeypatch.setattr(T, "SDPA_BLOCK_BYTES", ROWS_OF_THREE)
     rng = RNG(18)
@@ -421,6 +480,27 @@ def test_grad_accumulates_over_reuse():
     y = x * x + x  # dy/dx = 2x + 1 = 5
     T.backward(T.tsum(y))
     np.testing.assert_allclose(x.grad, [5.0])
+
+
+def test_leaves_summed_by_add_get_distinct_grad_buffers():
+    """add returns its incoming gradient to both parents; each leaf still owns
+    its .grad, so scaling one in place (as gradient clipping may) leaves the
+    other alone."""
+    rng = RNG(22)
+    a, b = (Tensor(rng.uniform(-1, 1, size=(3, 4)), requires_grad=True) for _ in range(2))
+    T.backward(T.tsum(T.tanh(a + b)))
+    assert not np.shares_memory(a.grad, b.grad)
+    np.testing.assert_array_equal(a.grad, b.grad)
+    a.grad *= 2.0
+    np.testing.assert_array_equal(a.grad, 2.0 * b.grad)
+
+
+def test_a_leaf_grad_that_arrives_as_a_view_is_copied():
+    rng = RNG(23)
+    x = Tensor(rng.uniform(-1, 1, size=(3, 4)), requires_grad=True)
+    w = rt(rng, 4, 3)
+    T.backward(T.tsum(T.tanh(T.reshape(x, (4, 3)) * w)))  # reshape returns a view of its g
+    assert x.grad.base is None and x.grad.flags["OWNDATA"]
 
 
 def test_backward_requires_scalar():

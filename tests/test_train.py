@@ -1,9 +1,16 @@
 """Training loop: optimizer, schedule, determinism, checkpoints, evaluation."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from ivt import tensor as T
+from ivt.cli import BLAS_THREAD_VARS
 from ivt.checkpoint import load_params, save_params
 from ivt.codec import Pose3D
 from ivt.metrics import match_and_evaluate
@@ -135,6 +142,36 @@ def test_loss_history_deterministic_bitwise():
     a = train(scene, cfg).loss_history
     b = train(scene, cfg).loss_history
     assert a == b
+
+
+# Two steps on the 3-scale clip of perfbench's multiscale-train workload, whose
+# attention matmuls are large enough for the BLAS to split them over threads.
+MULTISCALE_HISTORY = """
+import json
+from ivt.synth import SceneSpec
+from ivt.train import TrainConfig, train
+scene = SceneSpec(seed=42, persons=2, joints=2, frames=5, height=64, width=64, channels=1,
+                  amplitude=1.0, blob_sigma=1.5, body_radius=5.0)
+cfg = TrainConfig(seed=42, steps=2, lr=5e-4, milestones=(0.6, 0.8), layers=3, alpha=10.0,
+                  scales=(2, 4, 8), heads=2, fuse_heads=2, head_hidden=8,
+                  teacher_forcing=True, threshold=0.3)
+print(json.dumps([float.hex(x) for x in train(scene, cfg).loss_history]))
+"""
+
+
+def test_loss_history_does_not_depend_on_blas_threads():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    histories = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        env.update({v: threads for v in BLAS_THREAD_VARS})
+        proc = subprocess.run([sys.executable, "-c", MULTISCALE_HISTORY], env=env,
+                              capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        histories.append(json.loads(proc.stdout))
+    assert len(histories[0]) == 2
+    assert histories[0] == histories[1]
 
 
 def test_scene_and_config_frames_must_agree():
