@@ -1,14 +1,15 @@
 """Walk through the attention primitives on tiny hand-sized inputs.
 
-Shows the scaled dot-product core, the multi-head split, and the two
-sanity properties the test suite leans on: rows of the attention weights
-sum to one, and a single key/value pair makes attention a copy.
+Shows the scaled dot-product core (``T.sdpa`` with one head), multi-head
+self-attention, and the two sanity properties the test suite leans on:
+rows of the attention weights sum to one, and a single key/value pair
+makes attention a copy.
 """
 
 import numpy as np
 
 from ivt import tensor as T
-from ivt.blocks import attention, block_params, multi_head_self_attention
+from ivt.blocks import block_params, multi_head_self_attention
 from ivt.tensor import Tensor
 
 rng = np.random.default_rng(0)
@@ -18,14 +19,14 @@ q = Tensor(rng.uniform(-1, 1, size=(1, 4)))
 k = Tensor(rng.uniform(-1, 1, size=(3, 4)))
 v = Tensor(np.eye(3, 4))
 
-out = attention(q, k, v)
+out = T.sdpa(q, k, v, 1)
 print("attention output:", np.round(out.data, 4))
 print("rows of V are one-hot, so the output row is exactly the")
 print("softmax weight vector over the three keys; it sums to",
       float(out.data.sum()))
 
 # With a single key there is nothing to weigh: the value is copied.
-single = attention(q, Tensor(k.data[:1]), Tensor(v.data[:1]))
+single = T.sdpa(q, Tensor(k.data[:1]), Tensor(v.data[:1]), 1)
 print("\nsingle key copies the value:", np.array_equal(single.data, v.data[:1]))
 
 # Multi-head self-attention mixes a whole token sequence.

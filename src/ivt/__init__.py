@@ -9,9 +9,8 @@ synthetic scene generator, and a toy training loop.
 from .tensor import (BoundsError, ConfigError, ContractError, MacCounter,
                      NumericError, ShapeError, Tensor, macs, set_debug_checks)
 from .gradcheck import grad_check
-from .blocks import (attention, block_params, ffn, layer_norm,
-                     multi_head_self_attention, transformer_block_self,
-                     zero_block_outputs)
+from .blocks import (block_params, ffn, multi_head_self_attention,
+                     transformer_block_self, zero_block_outputs)
 from .igt import (GridGeometry, extract_blocks, gather_indices, offset_head_params,
                   predict_offsets, retile, take_frame_rows, tokenize)
 from .video import (VideoConfig, align_tokens, alignment_maps, block_mean_flow, cisa,

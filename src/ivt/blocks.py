@@ -1,8 +1,10 @@
-"""Transformer primitives: attention, MHSA, FFN, layer norm, one block.
+"""Transformer primitives: linear, MHSA, FFN, one block.
 
 All functions are pure maps over immutable parameter tensors. Blocks use
 the pre-norm residual layout Y = X + MHSA(LN(X)); out = Y + FFN(LN(Y)),
 so zero-initialized output projections make a block the identity map.
+Layer norm with its gain and bias is ``T.layernorm``, and attention with
+its head split is ``T.sdpa``.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .tensor import ConfigError, ContractError, ShapeError, Tensor
+from .tensor import ShapeError, Tensor
 
 
 def init_linear(rng: np.random.Generator, d_in: int, d_out: int) -> tuple[Tensor, Tensor]:
@@ -55,46 +57,13 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return T.reshape(out, lead + (d_out,)) if x.ndim != 2 else out
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """softmax(Q K^T / sqrt(d)) V over the last two axes; batched if 3-D."""
-    if q.shape[-1] == 0:
-        raise ContractError("attention: feature dim is zero")
-    if k.shape[-2] < 1:
-        raise ContractError("attention: need at least one key")
-    return T.sdpa(q, k, v)
-
-
-def _split_heads(x: Tensor, heads: int) -> Tensor:
-    """(B, n, d) -> (B*h, n, d/h)."""
-    b, n, d = x.shape
-    x = T.reshape(x, (b, n, heads, d // heads))
-    x = T.transpose(x, (0, 2, 1, 3))
-    return T.reshape(x, (b * heads, n, d // heads))
-
-
-def _merge_heads(x: Tensor, heads: int) -> Tensor:
-    """(B*h, n, d/h) -> (B, n, d)."""
-    bh, n, d_head = x.shape
-    x = T.reshape(x, (bh // heads, heads, n, d_head))
-    x = T.transpose(x, (0, 2, 1, 3))
-    return T.reshape(x, (bh // heads, n, heads * d_head))
-
-
 def multi_head_self_attention(x: Tensor, params: dict[str, Tensor], heads: int) -> Tensor:
-    """Project X to Q/K/V, attend per feature-axis head, concat, project out.
+    """Project X to Q/K/V, attend per feature-axis head, project out.
 
     The width d is the projections' width; ``heads`` must divide it.
     """
-    d = params["wq"].shape[1]
-    if heads < 1 or d % heads != 0:
-        raise ConfigError(f"multi_head_self_attention: width {d} not divisible by "
-                          f"heads {heads}")
-    n = x.shape[-2]
-    q, k, v = (T.reshape(linear(x, params[f"w{c}"], params[f"b{c}"]), (-1, n, d))
-               for c in "qkv")
-    out = attention(_split_heads(q, heads), _split_heads(k, heads), _split_heads(v, heads))
-    out = linear(_merge_heads(out, heads), params["wo"], params["bo"])
-    return T.reshape(out, x.shape)
+    q, k, v = (linear(x, params[f"w{c}"], params[f"b{c}"]) for c in "qkv")
+    return linear(T.sdpa(q, k, v, heads), params["wo"], params["bo"])
 
 
 def ffn(x: Tensor, params: dict[str, Tensor]) -> Tensor:
@@ -103,13 +72,8 @@ def ffn(x: Tensor, params: dict[str, Tensor]) -> Tensor:
     return linear(h, params["ffn_w2"], params["ffn_b2"])
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Zero-mean / unit-variance per token row, then gain and bias."""
-    return T.add_bcast(T.mul_last(T.layernorm(x), gain), bias)
-
-
 def transformer_block_self(x: Tensor, params: dict[str, Tensor], heads: int) -> Tensor:
     y = x + multi_head_self_attention(
-        layer_norm(x, params["ln1_g"], params["ln1_b"]), params, heads)
-    return y + ffn(layer_norm(y, params["ln2_g"], params["ln2_b"]), params)
+        T.layernorm(x, params["ln1_g"], params["ln1_b"]), params, heads)
+    return y + ffn(T.layernorm(y, params["ln2_g"], params["ln2_b"]), params)
 

@@ -223,8 +223,6 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     scene, cfg = run_settings(args)
-    if args.threshold is not None:
-        cfg = replace(cfg, threshold=args.threshold)
     if args.oracle:
         # Splice ground truth in place of predictions: checks the
         # matching/metric/report path end to end (all errors must be zero).
@@ -347,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--config", default=None)
     e.add_argument("--scene", default=None)
     e.add_argument("--seed", type=int, default=None, help="train seed (replaces [train] seed)")
-    e.add_argument("--threshold", type=float, default=None)
     e.add_argument("--out", required=True)
 
     b = sub.add_parser("bench", help="temporal-stage cost sweep over frame counts")

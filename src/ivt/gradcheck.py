@@ -12,7 +12,7 @@ from typing import Callable
 import numpy as np
 
 from . import tensor as T
-from .blocks import block_params, ffn, layer_norm, multi_head_self_attention
+from .blocks import block_params, ffn, multi_head_self_attention
 from .igt import GridGeometry, tokenize
 from .losses import LossWeights, total_loss
 from .synth import SceneSpec, generate
@@ -68,7 +68,7 @@ def _unit_ffn(rng: np.random.Generator, eps: float) -> float:
     x = Tensor(rng.uniform(-1, 1, size=(3, 8)))
 
     def f(t):
-        return T.tsum(ffn(layer_norm(t, params["ln2_g"], params["ln2_b"]), params))
+        return T.tsum(ffn(T.layernorm(t, params["ln2_g"], params["ln2_b"]), params))
 
     return grad_check(f, x, eps)
 

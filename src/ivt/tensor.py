@@ -13,8 +13,9 @@ buffers are row-major contiguous float64 and are treated as immutable after
 construction; only the ``grad`` buffer is mutated.
 
 Elementwise ops (``add``, ``sub``, ``mul``) take operands of equal shape.
-The only broadcasts are ``add_bcast`` (bias and positional embedding) and
-``mul_last`` (layer-norm gain).
+The only broadcast op is ``add_bcast`` (bias and positional embedding);
+``layernorm`` applies its own gain and bias, and ``sdpa`` splits and merges
+its own attention heads.
 """
 
 from __future__ import annotations
@@ -308,18 +309,6 @@ def add_bcast(x: Tensor, p: Tensor) -> Tensor:
     return Tensor._result(data, (x, p), bw, "add_bcast")
 
 
-def mul_last(x: Tensor, g_vec: Tensor) -> Tensor:
-    """Multiply by a vector broadcast over the last axis (layer-norm gain)."""
-    if g_vec.ndim != 1 or g_vec.shape[0] != x.shape[-1]:
-        raise ShapeError(f"mul_last: gain {g_vec.shape} does not match last dim of {x.shape}")
-    data = x.data * g_vec.data
-
-    def bw(g):
-        return g * g_vec.data, (g * x.data).reshape(-1, x.shape[-1]).sum(axis=0)
-
-    return Tensor._result(data, (x, g_vec), bw, "mul_last")
-
-
 # -- structural ops ----------------------------------------------------------
 
 
@@ -479,35 +468,57 @@ def _with_column(a: np.ndarray, col) -> np.ndarray:
     return out
 
 
-def sdpa(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """Scaled dot-product attention softmax(q kᵀ / √d) v over the last two axes.
+def _heads_to_batch(a: np.ndarray, elements: int, heads: int) -> np.ndarray:
+    """(..., n, heads·e) -> (elements·heads, n, e), head h of element b at b·heads + h."""
+    n, w = a.shape[-2:]
+    split = a.reshape(elements, n, heads, w // heads).transpose(0, 2, 1, 3)
+    return np.ascontiguousarray(split).reshape(elements * heads, n, w // heads)
 
-    2-D, or stacked with identical leading batch dims. One fused op with a
-    hand-written backward that keeps no attention weights, at the cost of
-    FlashAttention-2 (Dao, arXiv:2307.08691): forward keeps one logsumexp
-    per query row, and backward rebuilds each block of P from q, k and it.
-    Both passes walk the scores in blocks of at most ``SDPA_BLOCK_BYTES``
-    (see ``_sdpa_blocks``) in block-sized scratch buffers, so every pass
-    over a block runs in cache. 1/√d is folded into q.
+
+def _heads_to_width(a: np.ndarray, heads: int, shape) -> np.ndarray:
+    """The inverse of ``_heads_to_batch``, as a new array of ``shape`` = (..., n, heads·e)."""
+    bh, n, e = a.shape
+    out = np.empty(shape)
+    split = a.reshape(bh // heads, heads, n, e).transpose(0, 2, 1, 3)
+    out.reshape(bh // heads, n, heads, e)[...] = split
+    return out
+
+
+def sdpa(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Multi-head attention softmax(q kᵀ / √e) v over the last two axes.
+
+    2-D, or stacked with identical leading batch dims. The last axis holds
+    ``heads`` heads side by side; each attends on its own columns, e wide
+    in q and k, and the output puts the heads side by side again. Inside,
+    every head is one element of a (batch·heads, n, e) stack, copied in
+    and out. One fused op with a hand-written backward that keeps no
+    attention weights, at the cost of FlashAttention-2 (Dao,
+    arXiv:2307.08691): forward keeps one logsumexp per query row, and
+    backward rebuilds each block of P from q, k and it. Both passes walk
+    the scores in blocks of at most ``SDPA_BLOCK_BYTES`` (see
+    ``_sdpa_blocks``) in block-sized scratch buffers, so every pass over a
+    block runs in cache. 1/√e is folded into q.
 
     Forward, per block: the scores s, max-shift and exp in place (P̃), the
     row sums l, the block's rows of P̃ v divided by l, and the logsumexp
     lse = m + log l. Backward forms D = rowsum(dO ∘ O) once per call from
     the output. One extra column on each operand puts the shift and the
-    subtraction into the block matmuls, [q/√d, −lse] [k, 1]ᵀ = s − lse and
+    subtraction into the block matmuls, [q/√e, −lse] [k, 1]ᵀ = s − lse and
     [dO, −D] [v, 1]ᵀ = dP − D, so each backward block makes two elementwise
     passes: P = exp(s − lse) and dS = P ∘ (dP − D). Then come the block's
     rows of dq, and dk and dv assigned (whole rows) or accumulated (row
-    ranges) (Rabe & Staats, arXiv:2112.05682); dq is scaled by 1/√d once,
+    ranges) (Rabe & Staats, arXiv:2112.05682); dq is scaled by 1/√e once,
     after the loop. The output and the gradients match the unfused
-    matmul/scale/softmax/matmul chain to 1e-12, not bitwise, also for a
-    call that is one block.
+    matmul/scale/softmax/matmul chain per head to 1e-12, not bitwise, also
+    for a call that is one block.
 
     Under debug checks every row sum l must be finite and at least 1 (its
     max term is exp(0)). A non-finite entry of P̃ makes its l non-finite;
     then the block is scanned for the first such entry, and the error names
-    its global score index. MACs are charged as the two forward matmuls
-    q kᵀ and P v.
+    its score index in the caller's terms (leading indices, query row, key
+    column) and its head. MACs are charged as the two forward matmuls q kᵀ
+    and P v. A ``heads`` below 1 or not dividing the widths of q and v is a
+    ``ConfigError``; a zero width or no keys is a ``ContractError``.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if (q.ndim < 2 or not q.ndim == k.ndim == v.ndim
@@ -515,10 +526,18 @@ def sdpa(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
         raise ShapeError(f"sdpa: shapes {q.shape}, {k.shape}, {v.shape} are incompatible")
     if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
         raise ShapeError(f"sdpa: inner dims of {q.shape}, {k.shape}, {v.shape} disagree")
+    if q.shape[-1] == 0:
+        raise ContractError("sdpa: feature dim is zero")
+    if k.shape[-2] < 1:
+        raise ContractError("sdpa: need at least one key")
+    if heads < 1 or q.shape[-1] % heads or v.shape[-1] % heads:
+        raise ConfigError(f"sdpa: heads {heads} must be at least 1 and divide the "
+                          f"widths {q.shape[-1]} and {v.shape[-1]}")
     lead = q.shape[:-2]
-    batch = int(np.prod(lead, dtype=np.int64))
-    (nq, d), nk, dv = q.shape[-2:], k.shape[-2], v.shape[-1]
-    q3, k3, v3 = (a.data.reshape((batch,) + a.shape[-2:]) for a in (q, k, v))
+    elements = int(np.prod(lead, dtype=np.int64))
+    batch, nq, nk = elements * heads, q.shape[-2], k.shape[-2]
+    d, dv = q.shape[-1] // heads, v.shape[-1] // heads
+    q3, k3, v3 = (_heads_to_batch(a.data, elements, heads) for a in (q, k, v))
     c = float(1.0 / np.sqrt(d))
     blocks = _sdpa_blocks(batch, nq, nk)
     scratch_len = max((b1 - b0) * (r1 - r0) for b0, b1, r0, r1 in blocks) * nk
@@ -530,14 +549,17 @@ def sdpa(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
         b0, b1, r0, r1 = block
         pb = _sdpa_block(qc, kt, block, scratch)
         mb = pb.max(axis=-1, keepdims=True)
-        pb -= mb
+        with np.errstate(invalid="ignore"):  # inf − inf is NaN, which the check names
+            pb -= mb
         np.exp(pb, out=pb)
         lb = pb.sum(axis=-1, keepdims=True)
         if _debug_checks:
             if not np.all(np.isfinite(lb)):
                 b, r, j = np.argwhere(~np.isfinite(pb))[0]
-                at = np.unravel_index(b0 + b, lead) + (r0 + r, j)
-                raise NumericError(f"sdpa: non-finite output at index {tuple(map(int, at))}")
+                element, head = divmod(int(b0 + b), heads)
+                at = np.unravel_index(element, lead) + (r0 + r, j)
+                raise NumericError(f"sdpa: non-finite output at index "
+                                   f"{tuple(map(int, at))}, head {head}")
             assert np.all(lb >= 1.0), "softmax row sums must be at least 1"
         ob = data[b0:b1, r0:r1]
         np.matmul(pb, v3[b0:b1], out=ob)
@@ -548,14 +570,13 @@ def sdpa(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     macs.add(batch * nq * nk * (d + dv))
 
     def bw(g):
-        g3 = g.reshape(batch, nq, dv)
+        g3 = _heads_to_batch(g, elements, heads)
         qa = _with_column(q3 * c, -lse)
         qc = qa[..., :d]
         ga = _with_column(g3, -(g3 * data).sum(axis=-1, keepdims=True))  # [dO, −D]
         kat = np.swapaxes(_with_column(k3, 1.0), -1, -2)
         vat = np.swapaxes(_with_column(v3, 1.0), -1, -2)
-        dq, dk, dvv = np.empty(q.shape), np.empty(k.shape), np.empty(v.shape)
-        dq3, dk3, dv3 = (a.reshape((batch,) + a.shape[-2:]) for a in (dq, dk, dvv))
+        dq3, dk3, dv3 = np.empty(q3.shape), np.empty(k3.shape), np.empty(v3.shape)
         scratch, ds_scratch = np.empty(scratch_len), np.empty(scratch_len)
         for block in blocks:
             b0, b1, r0, r1 = block
@@ -571,29 +592,39 @@ def sdpa(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
             else:
                 dk3[b0:b1] += dst @ qc[b0:b1, r0:r1]
                 dv3[b0:b1] += pbt @ g3[b0:b1, r0:r1]
-        dq *= c
-        return dq, dk, dvv
+        dq3 *= c
+        return tuple(_heads_to_width(a, heads, t.shape)
+                     for a, t in ((dq3, q), (dk3, k), (dv3, v)))
 
-    return Tensor._result(data.reshape(lead + (nq, dv)), (q, k, v), bw, "sdpa")
+    out = _heads_to_width(data, heads, lead + (nq, v.shape[-1]))
+    return Tensor._result(out, (q, k, v), bw, "sdpa")
 
 
 LN_EPS = 1e-6  # added to the variance in layernorm
 
 
-def layernorm(a: Tensor) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance (no gain/bias)."""
+def layernorm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance, then scale it by
+    ``gain`` and shift it by ``bias``, both of the last axis's shape."""
+    d = a.shape[-1]
+    if gain.shape != (d,) or bias.shape != (d,):
+        raise ShapeError(f"layernorm: gain {gain.shape} and bias {bias.shape} must be "
+                         f"({d},)")
     x = a.data
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
+    lead = tuple(range(a.ndim - 1))
 
     def bw(g):
-        gh = g * inv
-        return (gh - gh.mean(axis=-1, keepdims=True) - xhat * (gh * xhat).mean(axis=-1, keepdims=True),)
+        gh = g * gain.data
+        gh *= inv
+        dx = gh - gh.mean(axis=-1, keepdims=True) - xhat * (gh * xhat).mean(axis=-1, keepdims=True)
+        return dx, (g * xhat).reshape(-1, d).sum(axis=0), g.sum(axis=lead)
 
-    return Tensor._result(xhat, (a,), bw, "layernorm")
+    return Tensor._result(xhat * gain.data + bias.data, (a, gain, bias), bw, "layernorm")
 
 
 # -- convolution --------------------------------------------------------------

@@ -19,8 +19,7 @@ import numpy as np
 import pytest
 
 from ivt import tensor as T
-from ivt.blocks import (attention, block_params,
-                        multi_head_self_attention, zero_block_outputs)
+from ivt.blocks import block_params, multi_head_self_attention, zero_block_outputs
 from ivt.codec import Pose3D, decode_poses, encode_targets, keypoint_nms
 from ivt.gradcheck import GRAD_UNITS
 from ivt.metrics import mpjpe, pa_mpjpe
@@ -142,7 +141,7 @@ def test_criterion_2_attention_algebra():
         # A single key returns its value row exactly.
         q, k, v = (Tensor(rng.uniform(-1, 1, size=sh))
                    for sh in ((3, 4), (1, 4), (1, 4)))
-        out = attention(q, k, v).data
+        out = T.sdpa(q, k, v, 1).data
         ok &= bool(all(np.array_equal(out[i], v.data[0]) for i in range(3)))
         cases += 1
         # Permutation equivariance of self-attention (no positional term).
@@ -161,7 +160,7 @@ def test_criterion_2_attention_algebra():
         qp = linear(y, p1["wq"], p1["bq"])
         kp = linear(y, p1["wk"], p1["bk"])
         vp = linear(y, p1["wv"], p1["bv"])
-        want = linear(attention(qp, kp, vp), p1["wo"], p1["bo"]).data
+        want = linear(T.sdpa(qp, kp, vp, 1), p1["wo"], p1["bo"]).data
         ok &= bool(np.max(np.abs(got - want)) <= 1e-12)
         cases += 1
     verdict(2, "attention algebra", ok and cases >= 200, f"{cases} cases checked")

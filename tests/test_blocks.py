@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from ivt import tensor as T
-from ivt.blocks import (attention, block_params, ffn, layer_norm, linear,
-                        multi_head_self_attention, transformer_block_self,
-                        zero_block_outputs)
+from ivt.blocks import (block_params, ffn, linear, multi_head_self_attention,
+                        transformer_block_self, zero_block_outputs)
 from ivt.gradcheck import grad_check
 from ivt.tensor import ConfigError, ShapeError, Tensor
 from ivt.video import VideoConfig
@@ -39,7 +38,7 @@ def attention_oracle(q, k, v):
 def test_single_key_returns_value_row():
     rng = RNG(0)
     q, k, v = rt(rng, 3, 4), rt(rng, 1, 4), rt(rng, 1, 5)
-    out = attention(q, k, v).data
+    out = T.sdpa(q, k, v, 1).data
     for i in range(3):
         np.testing.assert_array_equal(out[i], v.data[0])
 
@@ -48,14 +47,14 @@ def test_uniform_logits_give_column_mean_of_values():
     rng = RNG(1)
     q = Tensor(np.zeros((2, 4)))  # zero queries -> all logits equal
     k, v = rt(rng, 5, 4), rt(rng, 5, 3)
-    out = attention(q, k, v).data
+    out = T.sdpa(q, k, v, 1).data
     np.testing.assert_allclose(out, np.tile(v.data.mean(axis=0), (2, 1)), atol=1e-12)
 
 
 def test_attention_matches_scalar_oracle():
     rng = RNG(2)
     q, k, v = (rng.uniform(-1, 1, size=(3, 4)) for _ in range(3))
-    got = attention(Tensor(q), Tensor(k), Tensor(v)).data
+    got = T.sdpa(Tensor(q), Tensor(k), Tensor(v), 1).data
     np.testing.assert_allclose(got, attention_oracle(q, k, v), atol=1e-12)
 
 
@@ -66,22 +65,22 @@ def test_attention_logit_shift_invariance():
     q = rng.uniform(-1, 1, size=(3, 4))
     k = rng.uniform(-1, 1, size=(5, 4))
     v = rng.uniform(-1, 1, size=(5, 2))
-    base = attention(Tensor(q), Tensor(k), Tensor(v)).data
+    base = T.sdpa(Tensor(q), Tensor(k), Tensor(v), 1).data
     # Same logits + c: augment with one extra dim carrying the constant.
     c = 7.3
     scale = np.sqrt(5) / np.sqrt(4)  # keep q·k/√d identical after augmenting d
     qa = np.column_stack([q * scale, np.full(3, c * np.sqrt(5))])
     ka = np.column_stack([k, np.ones(5)])
-    shifted = attention(Tensor(qa), Tensor(ka), Tensor(v)).data
+    shifted = T.sdpa(Tensor(qa), Tensor(ka), Tensor(v), 1).data
     np.testing.assert_allclose(shifted, base, atol=1e-9)
 
 
 def test_attention_batched_matches_per_slice():
     rng = RNG(4)
     q, k, v = rt(rng, 3, 2, 4), rt(rng, 3, 5, 4), rt(rng, 3, 5, 4)
-    out = attention(q, k, v).data
+    out = T.sdpa(q, k, v, 1).data
     for b in range(3):
-        want = attention(Tensor(q.data[b]), Tensor(k.data[b]), Tensor(v.data[b])).data
+        want = T.sdpa(Tensor(q.data[b]), Tensor(k.data[b]), Tensor(v.data[b]), 1).data
         np.testing.assert_allclose(out[b], want, atol=1e-12)
 
 
@@ -91,7 +90,7 @@ def test_attention_macs_are_the_two_matmuls():
     q, k, v = rt(rng, batch, nq, d), rt(rng, batch, nk, d), rt(rng, batch, nk, dv)
     T.macs.reset()
     with T.macs.counting(), T.macs.scope("attn"):
-        attention(q, k, v)
+        T.sdpa(q, k, v, 1)
     # Q Kᵀ, then softmax weights times V, per batch slice.
     assert T.macs.total == T.macs.by_scope["attn"] == batch * (nq * d * nk + nq * nk * dv)
 
@@ -125,7 +124,7 @@ def test_single_head_equals_projected_attention():
     qp = linear(x, params["wq"], params["bq"])
     kp = linear(x, params["wk"], params["bk"])
     vp = linear(x, params["wv"], params["bv"])
-    want = linear(attention(qp, kp, vp), params["wo"], params["bo"]).data
+    want = linear(T.sdpa(qp, kp, vp, 1), params["wo"], params["bo"]).data
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
@@ -196,7 +195,7 @@ def test_layer_norm_constant_row_returns_bias():
     rng = RNG(11)
     g, b = rt(rng, 6), rt(rng, 6)
     x = Tensor(np.full((3, 6), 2.5))
-    out = layer_norm(x, g, b).data
+    out = T.layernorm(x, g, b).data
     np.testing.assert_allclose(out, np.tile(b.data, (3, 1)), atol=1e-9)
 
 
@@ -248,6 +247,26 @@ def test_no_dead_parameters():
         T.backward(T.tsum(T.tanh(transformer_block_self(x, params, 2))))
         for name, p in params.items():
             assert p.grad is not None and np.any(p.grad != 0), f"dead parameter {name}"
+
+
+def test_block_builds_thirty_tape_nodes_and_no_transpose():
+    """Layer norm with its gain and bias, and attention with its head split,
+    are one node each: 2 + 12 (q, k, v projections) + 1 + 4 (output
+    projection) + 9 (FFN) + 2 (residual adds)."""
+    rng = RNG(17)
+    params = block_params(rng, 8)
+    x = Tensor(rng.uniform(-1, 1, size=(3, 5, 8)), requires_grad=True)
+    ops, seen, stack = [], set(), [transformer_block_self(x, params, 2)]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or node._backward_fn is None:
+            continue
+        seen.add(id(node))
+        ops.append(node._backward_fn.__qualname__.split(".")[0])
+        stack.extend(node._parents)
+    assert len(ops) == 30
+    assert ops.count("layernorm") == 2 and ops.count("sdpa") == 1
+    assert "transpose" not in ops
 
 
 def test_composite_block_gradient_many_seeds():

@@ -121,6 +121,14 @@ def test_eval_without_checkpoint_or_oracle_exit_two(tmp_path, tiny_config):
     assert main(["eval", "--config", tiny_config, "--out", str(tmp_path / "x")]) == 2
 
 
+def test_eval_threshold_comes_only_from_the_config(tmp_path, tiny_config, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--oracle", "--config", tiny_config, "--threshold", "0.5",
+              "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert "--threshold" in capsys.readouterr().err
+
+
 def test_scene_export_and_train_from_manifest(tmp_path, tiny_config):
     scene_path = tmp_path / "scene.txt"
     assert main(["scene", "--config", tiny_config, "--out", str(scene_path)]) == 0

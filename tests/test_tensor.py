@@ -10,14 +10,29 @@ from hypothesis import given, settings, strategies as st
 
 from ivt import tensor as T
 from ivt.gradcheck import grad_check
-from ivt.tensor import (BoundsError, ConfigError, NumericError, ShapeError,
-                        Tensor, macs)
+from ivt.tensor import (BoundsError, ConfigError, ContractError, NumericError,
+                        ShapeError, Tensor, macs)
 
 RNG = np.random.default_rng
 
 
 def rt(rng, *shape, lo=-1.0, hi=1.0):
     return Tensor(rng.uniform(lo, hi, size=shape))
+
+
+def plain_layernorm(x):
+    """layernorm with unit gain and zero bias: the normalization alone."""
+    d = x.shape[-1]
+    return T.layernorm(x, Tensor(np.ones(d)), Tensor(np.zeros(d)))
+
+
+@pytest.fixture
+def debug_checks():
+    """Debug checks on for one test, then back to what they were."""
+    prev = T.debug_checks_enabled()
+    T.set_debug_checks(True)
+    yield
+    T.set_debug_checks(prev)
 
 
 # -- construction and basics ---------------------------------------------------------
@@ -96,7 +111,7 @@ def test_softmax_shift_invariance():
 
 def test_layernorm_zero_mean_unit_var():
     rng = RNG(5)
-    y = T.layernorm(rt(rng, 4, 16, lo=-5, hi=5)).data
+    y = plain_layernorm(rt(rng, 4, 16, lo=-5, hi=5)).data
     np.testing.assert_allclose(y.mean(axis=-1), 0, atol=1e-12)
     np.testing.assert_allclose(y.var(axis=-1), 1, atol=1e-5)
 
@@ -192,7 +207,7 @@ UNARY_OPS = [
     ("gelu", T.gelu, (-2.0, 2.0)),
     ("absolute", T.absolute, (0.1, 2.0)),
     ("softmax", T.softmax, (-2.0, 2.0)),
-    ("layernorm", T.layernorm, (-2.0, 2.0)),
+    ("layernorm", plain_layernorm, (-2.0, 2.0)),
 ]
 
 
@@ -237,7 +252,10 @@ def test_reduction_and_broadcast_gradients():
     p = rt(rng, 5)
     assert grad_check(lambda t: T.tmean(t * t), x) <= 1e-6
     assert grad_check(lambda t: T.tsum(T.tanh(T.add_bcast(x, t))), p) <= 1e-6
-    assert grad_check(lambda t: T.tsum(T.tanh(T.mul_last(x, t))), p) <= 1e-6
+    x3, gain, bias = rt(rng, 2, 4, 5), rt(rng, 5), rt(rng, 5)
+    assert grad_check(lambda t: T.tsum(T.tanh(T.layernorm(t, gain, bias))), x3) <= 1e-6
+    assert grad_check(lambda t: T.tsum(T.tanh(T.layernorm(x3, t, bias))), gain) <= 1e-6
+    assert grad_check(lambda t: T.tsum(T.tanh(T.layernorm(x3, gain, t))), bias) <= 1e-6
 
 
 def test_add_bcast_gradient_and_shape():
@@ -271,6 +289,14 @@ def unfused_attention(q, k, v):
     return T.softmax(T.scale(q @ kt, 1.0 / np.sqrt(q.shape[-1]))) @ v
 
 
+def unfused_heads(q, k, v, heads):
+    """unfused_attention on each head's columns, the outputs side by side."""
+    e, ev = q.shape[-1] // heads, v.shape[-1] // heads
+    return T.concat([unfused_attention(T.narrow(q, -1, h * e, e), T.narrow(k, -1, h * e, e),
+                                       T.narrow(v, -1, h * ev, ev))
+                     for h in range(heads)], axis=-1)
+
+
 SDPA_SHAPES = [((3, 4), (5, 4), (5, 2)), ((2, 3, 4), (2, 5, 4), (2, 5, 2))]
 
 
@@ -279,9 +305,9 @@ def test_sdpa_gradients_all_arguments(shapes):
     rng = RNG(12)
     q, k, v = (rt(rng, *s, lo=-2.0, hi=2.0) for s in shapes)
     w = rt(rng, *shapes[0][:-1], shapes[2][-1])  # weights the output entries unequally
-    assert grad_check(lambda t: T.tsum(T.sdpa(t, k, v) * w), q) <= 1e-6
-    assert grad_check(lambda t: T.tsum(T.sdpa(q, t, v) * w), k) <= 1e-6
-    assert grad_check(lambda t: T.tsum(T.sdpa(q, k, t) * w), v) <= 1e-6
+    assert grad_check(lambda t: T.tsum(T.sdpa(t, k, v, 1) * w), q) <= 1e-6
+    assert grad_check(lambda t: T.tsum(T.sdpa(q, t, v, 1) * w), k) <= 1e-6
+    assert grad_check(lambda t: T.tsum(T.sdpa(q, k, t, 1) * w), v) <= 1e-6
 
 
 @pytest.mark.parametrize("shapes", SDPA_SHAPES + [((4, 64, 16), (4, 96, 16), (4, 96, 8))],
@@ -294,15 +320,16 @@ def assert_sdpa_matches_unfused_chain(shapes):
     """Output and all three grads of sdpa agree with the unfused chain to 1e-12."""
     rng = RNG(13)
     arrays = [rng.uniform(-2, 2, size=s) for s in shapes]
-    assert_sdpa_matches_chain_on(arrays, rng.standard_normal(shapes[0][:-1] + (shapes[2][-1],)))
+    assert_sdpa_matches_chain_on(arrays, rng.standard_normal(shapes[0][:-1] + (shapes[2][-1],)), 1)
 
 
-def assert_sdpa_matches_chain_on(arrays, g):
-    """sdpa and the unfused chain on q, k, v = arrays, with output gradient g."""
+def assert_sdpa_matches_chain_on(arrays, g, heads):
+    """sdpa and the unfused chain per head on q, k, v = arrays, with output
+    gradient g."""
     results = []
-    for op in (T.sdpa, unfused_attention):
+    for op in (T.sdpa, unfused_heads):
         q, k, v = (Tensor(a.copy(), requires_grad=True) for a in arrays)
-        out = op(q, k, v)
+        out = op(q, k, v, heads)
         T.backward(T.tsum(out * Tensor(g)))
         results.append((out.data, q.grad, k.grad, v.grad))
     for fused, chain in zip(*results):
@@ -312,24 +339,44 @@ def assert_sdpa_matches_chain_on(arrays, g):
 def test_sdpa_rejects_mismatched_shapes():
     rng = RNG(14)
     with pytest.raises(ShapeError):
-        T.sdpa(rt(rng, 3, 4), rt(rng, 5, 3), rt(rng, 5, 2))
+        T.sdpa(rt(rng, 3, 4), rt(rng, 5, 3), rt(rng, 5, 2), 1)
     with pytest.raises(ShapeError):
-        T.sdpa(rt(rng, 3, 4), rt(rng, 5, 4), rt(rng, 6, 2))
+        T.sdpa(rt(rng, 3, 4), rt(rng, 5, 4), rt(rng, 6, 2), 1)
     with pytest.raises(ShapeError):
-        T.sdpa(rt(rng, 2, 3, 4), rt(rng, 3, 5, 4), rt(rng, 3, 5, 2))
+        T.sdpa(rt(rng, 2, 3, 4), rt(rng, 3, 5, 4), rt(rng, 3, 5, 2), 1)
 
 
-def test_sdpa_nan_input_raises_under_debug_checks():
+def test_sdpa_heads_must_divide_both_widths():
+    rng = RNG(24)
+    q, k, v = rt(rng, 3, 4), rt(rng, 5, 4), rt(rng, 5, 6)
+    for heads in (0, -1, 3, 4):  # 3 does not divide q's width 4, nor 4 v's width 6
+        with pytest.raises(ConfigError, match="heads"):
+            T.sdpa(q, k, v, heads)
+    assert T.sdpa(q, k, v, 2).shape == (3, 6)
+
+
+def test_sdpa_rejects_zero_width_and_zero_keys():
+    rng = RNG(25)
+    with pytest.raises(ContractError, match="feature dim is zero"):
+        T.sdpa(Tensor(np.zeros((3, 0))), Tensor(np.zeros((5, 0))), rt(rng, 5, 2), 1)
+    with pytest.raises(ContractError, match="at least one key"):
+        T.sdpa(rt(rng, 2, 3, 4), Tensor(np.zeros((2, 0, 4))), Tensor(np.zeros((2, 0, 2))), 2)
+
+
+def test_sdpa_nan_input_raises_under_debug_checks(debug_checks):
     rng = RNG(15)
     q = rng.uniform(-1, 1, size=(3, 4))
     q[1, 2] = np.nan
-    prev = T.debug_checks_enabled()
-    T.set_debug_checks(True)
-    try:
-        with pytest.raises(NumericError, match="sdpa"):
-            T.sdpa(Tensor(q), rt(rng, 5, 4), rt(rng, 5, 2))
-    finally:
-        T.set_debug_checks(prev)
+    with pytest.raises(NumericError, match="sdpa"):
+        T.sdpa(Tensor(q), rt(rng, 5, 4), rt(rng, 5, 2), 1)
+
+
+def test_sdpa_nan_names_the_head(debug_checks):
+    rng = RNG(26)
+    q = rng.uniform(-1, 1, size=(2, 7, 8))
+    q[1, 5, 6] = np.nan  # column 6 of width 8 is in head 1 of 2
+    with pytest.raises(NumericError, match=r"sdpa: .* index \(1, 5, 0\), head 1$"):
+        T.sdpa(Tensor(q), rt(rng, 2, 6, 8), rt(rng, 2, 6, 4), 2)
 
 
 # Block budgets that force several blocks on small shapes: three 48-byte rows
@@ -363,9 +410,9 @@ def test_blocked_sdpa_gradients(monkeypatch):
     rng = RNG(16)
     q, k, v = rt(rng, 2, 7, 4), rt(rng, 2, 6, 4), rt(rng, 2, 6, 3)
     w = rt(rng, 2, 7, 3)
-    assert grad_check(lambda t: T.tsum(T.sdpa(t, k, v) * w), q) <= 1e-6
-    assert grad_check(lambda t: T.tsum(T.sdpa(q, t, v) * w), k) <= 1e-6
-    assert grad_check(lambda t: T.tsum(T.sdpa(q, k, t) * w), v) <= 1e-6
+    assert grad_check(lambda t: T.tsum(T.sdpa(t, k, v, 1) * w), q) <= 1e-6
+    assert grad_check(lambda t: T.tsum(T.sdpa(q, t, v, 1) * w), k) <= 1e-6
+    assert grad_check(lambda t: T.tsum(T.sdpa(q, k, t, 1) * w), v) <= 1e-6
 
 
 def test_sdpa_over_the_block_budget_matches_unfused_chain():
@@ -388,7 +435,7 @@ def test_sdpa_forward_keeps_row_statistics_not_weights(monkeypatch):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        out = T.sdpa(q, k, v)
+        out = T.sdpa(q, k, v, 1)
         kept = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
     finally:
         tracemalloc.stop()
@@ -397,21 +444,16 @@ def test_sdpa_forward_keeps_row_statistics_not_weights(monkeypatch):
     assert all(np.all(np.isfinite(t.grad)) for t in (q, k, v))
 
 
-def test_blocked_sdpa_nan_names_the_global_score_index(monkeypatch):
+def test_blocked_sdpa_nan_names_the_global_score_index(monkeypatch, debug_checks):
     monkeypatch.setattr(T, "SDPA_BLOCK_BYTES", ROWS_OF_THREE)
     rng = RNG(17)
     q = rng.uniform(-1, 1, size=(2, 2, 7, 4))
     q[1, 0, 5, 1] = np.nan  # third batch element, second row block
-    prev = T.debug_checks_enabled()
-    T.set_debug_checks(True)
-    try:
-        with pytest.raises(NumericError, match=r"sdpa: .* index \(1, 0, 5, 0\)"):
-            T.sdpa(Tensor(q), rt(rng, 2, 2, 6, 4), rt(rng, 2, 2, 6, 3))
-    finally:
-        T.set_debug_checks(prev)
+    with pytest.raises(NumericError, match=r"sdpa: .* index \(1, 0, 5, 0\)"):
+        T.sdpa(Tensor(q), rt(rng, 2, 2, 6, 4), rt(rng, 2, 2, 6, 3), 1)
 
 
-def test_blocked_sdpa_inf_names_the_global_score_index(monkeypatch):
+def test_blocked_sdpa_inf_names_the_global_score_index(monkeypatch, debug_checks):
     """A +inf in q makes its row's positive scores +inf; the shift by the row
     max turns them into NaN, and the first of them is the index named."""
     monkeypatch.setattr(T, "SDPA_BLOCK_BYTES", ROWS_OF_THREE)
@@ -420,24 +462,18 @@ def test_blocked_sdpa_inf_names_the_global_score_index(monkeypatch):
     q[1, 0, 5, 1] = np.inf  # third batch element, second row block
     k = rng.uniform(0.1, 1, size=(2, 2, 6, 4))
     k[1, 0, :2, 1] *= -1.0  # keys 0 and 1 score -inf, key 2 is the first +inf
-    prev = T.debug_checks_enabled()
-    T.set_debug_checks(True)
-    try:
-        # inf − inf is numpy's invalid-value warning, which this suite makes an error
-        with np.errstate(invalid="ignore"), \
-                pytest.raises(NumericError, match=r"sdpa: .* index \(1, 0, 5, 2\)"):
-            T.sdpa(Tensor(q), Tensor(k), rt(rng, 2, 2, 6, 3))
-    finally:
-        T.set_debug_checks(prev)
+    with pytest.raises(NumericError, match=r"sdpa: .* index \(1, 0, 5, 2\)"):
+        T.sdpa(Tensor(q), Tensor(k), rt(rng, 2, 2, 6, 3), 1)
 
 
 @st.composite
 def sdpa_cases(draw):
-    """Random shapes, a block budget of each kind, and a peak score near 50 at most."""
+    """Random shapes and head counts, a block budget of each kind, and a peak
+    score near 50 at most. d and dv are the widths of one head."""
     lead = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
     nq, nk = draw(st.integers(1, 9)), draw(st.integers(1, 9))
-    d, dv = draw(st.integers(1, 6)), draw(st.integers(1, 5))
-    batch = int(np.prod(lead, dtype=np.int64))
+    d, dv, heads = draw(st.integers(1, 6)), draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    batch = int(np.prod(lead, dtype=np.int64)) * heads  # one element per head
     kind = draw(st.sampled_from(["one", "grouped", "rows"]))
     if kind == "one":
         budget = T.SDPA_BLOCK_BYTES
@@ -446,23 +482,25 @@ def sdpa_cases(draw):
     else:  # ranges of query rows
         budget = draw(st.integers(1, nq)) * nk * 8
     peak = draw(st.floats(0.0, 50.0))
-    return lead, (nq, nk, d, dv), budget, peak, draw(st.integers(0, 2**32 - 1))
+    return lead, (nq, nk, d, dv), heads, budget, peak, draw(st.integers(0, 2**32 - 1))
 
 
 @settings(deadline=None, max_examples=150)
 @given(case=sdpa_cases())
 def test_sdpa_property_matches_unfused_chain(case):
-    """Output and all three grads agree with the unfused chain to 1e-12, for
-    any shape and block kind, up to scores of |s| ≈ 50 where rows are near
-    one-hot: entries of q and k lie in ±sqrt(peak/√d), so |q·k|/√d ≤ peak."""
-    lead, (nq, nk, d, dv), budget, peak, seed = case
+    """Output and all three grads agree with the unfused chain per head to
+    1e-12, for any shape, head count and block kind, up to scores of |s| ≈ 50
+    where rows are near one-hot: entries of q and k lie in ±sqrt(peak/√d),
+    so |q·k|/√d ≤ peak."""
+    lead, (nq, nk, d, dv), heads, budget, peak, seed = case
     rng = RNG(seed)
     a = np.sqrt(peak / np.sqrt(d))
+    d, dv = heads * d, heads * dv
     arrays = [rng.uniform(-a, a, size=lead + (nq, d)), rng.uniform(-a, a, size=lead + (nk, d)),
               rng.uniform(-1, 1, size=lead + (nk, dv))]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(T, "SDPA_BLOCK_BYTES", budget)
-        assert_sdpa_matches_chain_on(arrays, rng.standard_normal(lead + (nq, dv)))
+        assert_sdpa_matches_chain_on(arrays, rng.standard_normal(lead + (nq, dv)), heads)
 
 
 def test_blocked_sdpa_macs_are_the_two_matmuls(monkeypatch):
@@ -471,7 +509,7 @@ def test_blocked_sdpa_macs_are_the_two_matmuls(monkeypatch):
     q, k, v = rt(rng, 2, 7, 4), rt(rng, 2, 6, 4), rt(rng, 2, 6, 3)
     macs.reset()
     with macs.counting():
-        T.sdpa(q, k, v)
+        T.sdpa(q, k, v, 1)
     assert macs.total == 2 * 7 * 6 * (4 + 3)
 
 
@@ -512,7 +550,7 @@ def test_backward_deterministic():
     def run():
         rng = RNG(99)
         x = Tensor(rng.uniform(-1, 1, size=(6, 6)), requires_grad=True)
-        y = T.tsum(T.softmax(T.layernorm(x @ x)) * x)
+        y = T.tsum(T.softmax(plain_layernorm(x @ x)) * x)
         T.backward(y)
         return x.grad.copy()
 
@@ -524,7 +562,7 @@ def test_backward_consumes_graph_and_keeps_leaf_grads():
     x = Tensor(rng.uniform(-1, 1, size=(4, 3)), requires_grad=True)
     w = Tensor(rng.uniform(-1, 1, size=(3, 3)), requires_grad=True)
     h = T.tanh(x @ w)
-    y = T.sdpa(h, h, h)
+    y = T.sdpa(h, h, h, 1)
     loss = T.tsum(y * y)
     inner = [h, y, loss]
     T.backward(loss)
@@ -540,7 +578,7 @@ def test_backward_frees_intermediates():
     x = Tensor(rng.uniform(-1, 1, size=(5, 4)), requires_grad=True)
     h = T.tanh(x @ x.data.T.copy())
     ref = weakref.ref(h)
-    loss = T.tsum(T.sdpa(h, h, h))
+    loss = T.tsum(T.sdpa(h, h, h, 1))
     del h
     gc.collect()
     assert ref() is not None  # the tape keeps it alive until backward
@@ -549,15 +587,10 @@ def test_backward_frees_intermediates():
     assert x.grad is not None
 
 
-def test_debug_checks_flag_detects_nan():
-    prev = T.debug_checks_enabled()
-    T.set_debug_checks(True)
-    try:
-        bad = Tensor(np.array([1.0, np.nan]))
-        with pytest.raises(NumericError):
-            T.sigmoid(bad)
-    finally:
-        T.set_debug_checks(prev)
+def test_debug_checks_flag_detects_nan(debug_checks):
+    bad = Tensor(np.array([1.0, np.nan]))
+    with pytest.raises(NumericError):
+        T.sigmoid(bad)
 
 
 # -- gradcheck utility ----------------------------------------------------------------

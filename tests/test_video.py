@@ -6,8 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ivt import tensor as T
-from ivt.blocks import (attention, block_params, linear, transformer_block_self,
-                        zero_block_outputs)
+from ivt.blocks import block_params, linear, transformer_block_self, zero_block_outputs
 from ivt.gradcheck import grad_check
 from ivt.igt import extract_blocks, gather_indices, tokenize
 from ivt.tensor import ConfigError, ContractError, NumericError, ShapeError, Tensor, macs
