@@ -1,10 +1,10 @@
-"""Transformer primitives: linear, MHSA, FFN, one block.
+"""Transformer primitives: parameter init, MHSA, FFN, one block.
 
 All functions are pure maps over immutable parameter tensors. Blocks use
 the pre-norm residual layout Y = X + MHSA(LN(X)); out = Y + FFN(LN(Y)),
 so zero-initialized output projections make a block the identity map.
-Layer norm with its gain and bias is ``T.layernorm``, and attention with
-its head split is ``T.sdpa``.
+Each affine layer is one ``T.linear``, layer norm with its gain and bias
+is ``T.layernorm``, and attention with its head split is ``T.sdpa``.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .tensor import ShapeError, Tensor
+from .tensor import Tensor
 
 
 def init_linear(rng: np.random.Generator, d_in: int, d_out: int) -> tuple[Tensor, Tensor]:
@@ -46,30 +46,19 @@ def zero_block_outputs(p: dict[str, Tensor]) -> dict[str, Tensor]:
     return p
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine map over the last axis for any leading shape."""
-    d_in, d_out = w.shape
-    if x.shape[-1] != d_in:
-        raise ShapeError(f"linear: input dim {x.shape[-1]} != weight dim {d_in}")
-    lead = x.shape[:-1]
-    flat = T.reshape(x, (-1, d_in)) if x.ndim != 2 else x
-    out = T.add_bcast(T.matmul(flat, w), b)
-    return T.reshape(out, lead + (d_out,)) if x.ndim != 2 else out
-
-
 def multi_head_self_attention(x: Tensor, params: dict[str, Tensor], heads: int) -> Tensor:
     """Project X to Q/K/V, attend per feature-axis head, project out.
 
     The width d is the projections' width; ``heads`` must divide it.
     """
-    q, k, v = (linear(x, params[f"w{c}"], params[f"b{c}"]) for c in "qkv")
-    return linear(T.sdpa(q, k, v, heads), params["wo"], params["bo"])
+    q, k, v = (T.linear(x, params[f"w{c}"], params[f"b{c}"]) for c in "qkv")
+    return T.linear(T.sdpa(q, k, v, heads), params["wo"], params["bo"])
 
 
 def ffn(x: Tensor, params: dict[str, Tensor]) -> Tensor:
     """Two linear layers with a smooth nonlinearity between."""
-    h = T.gelu(linear(x, params["ffn_w1"], params["ffn_b1"]))
-    return linear(h, params["ffn_w2"], params["ffn_b2"])
+    h = T.gelu(T.linear(x, params["ffn_w1"], params["ffn_b1"]))
+    return T.linear(h, params["ffn_w2"], params["ffn_b2"])
 
 
 def transformer_block_self(x: Tensor, params: dict[str, Tensor], heads: int) -> Tensor:

@@ -10,6 +10,7 @@ motion network.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +35,30 @@ class SceneSpec:
     body_radius: float = 5.0    # max joint offset from the root, cells
 
     def __post_init__(self):
-        if self.persons < 0 or self.joints < 1 or self.frames < 1:
-            raise ContractError(f"invalid scene spec: {self}")
+        for key, ok, need in (
+                ("seed", self.seed >= 0, ">= 0"),
+                ("persons", self.persons >= 0, ">= 0"),
+                ("joints", self.joints >= 1, ">= 1"),
+                ("frames", self.frames >= 1, ">= 1"),
+                ("height", self.height >= 1, ">= 1"),
+                ("width", self.width >= 1, ">= 1"),
+                ("channels", self.channels >= 1, ">= 1"),
+                ("amplitude", 0 <= self.amplitude < math.inf, "finite and >= 0"),
+                ("depth_min", math.isfinite(self.depth_min), "finite"),
+                ("depth_max", math.isfinite(self.depth_max), "finite"),
+                ("blob_sigma", 0 < self.blob_sigma < math.inf, "finite and > 0"),
+                # Joints lie between 1 cell and body_radius from the root.
+                ("body_radius", 1 <= self.body_radius < math.inf, "finite and >= 1")):
+            if not ok:
+                raise ContractError(f"invalid scene spec: {key} = {getattr(self, key)}; "
+                                    f"need {need}")
+        margin = _blob_radius(self) + self.body_radius + 1
+        lo = margin + self.amplitude
+        if self.persons and (lo > self.width - 1 - margin - self.amplitude
+                             or lo > self.height - 1 - margin - self.amplitude):
+            raise ContractError(f"invalid scene spec: a figure of body_radius = "
+                                f"{self.body_radius} moving by amplitude = {self.amplitude} "
+                                f"would exit the {self.height}x{self.width} grid")
 
 
 @dataclass
@@ -55,9 +78,6 @@ def _trajectories(spec: SceneSpec, rng: np.random.Generator) -> tuple[np.ndarray
     margin = r + spec.body_radius + 1
     lo_x, hi_x = margin + spec.amplitude, spec.width - 1 - margin - spec.amplitude
     lo_y, hi_y = margin + spec.amplitude, spec.height - 1 - margin - spec.amplitude
-    if spec.persons and (lo_x > hi_x or lo_y > hi_y):
-        raise ContractError(
-            f"scene spec: trajectory would exit the {spec.height}x{spec.width} grid")
     roots = np.zeros((spec.persons, spec.frames, 2), dtype=np.int64)
     offs = np.zeros((spec.persons, spec.joints, 3))
     for p in range(spec.persons):

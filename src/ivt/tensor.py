@@ -13,9 +13,9 @@ buffers are row-major contiguous float64 and are treated as immutable after
 construction; only the ``grad`` buffer is mutated.
 
 Elementwise ops (``add``, ``sub``, ``mul``) take operands of equal shape.
-The only broadcast op is ``add_bcast`` (bias and positional embedding);
-``layernorm`` applies its own gain and bias, and ``sdpa`` splits and merges
-its own attention heads.
+The only broadcast op is ``add_bcast`` (positional embedding); ``linear``
+adds its own bias, ``layernorm`` applies its own gain and bias, and
+``sdpa`` splits and merges its own attention heads.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ macs = MacCounter()
 def _check_finite(arr: np.ndarray, op: str) -> None:
     if _debug_checks and not np.all(np.isfinite(arr)):
         bad = np.argwhere(~np.isfinite(arr))
-        raise NumericError(f"{op}: non-finite output at index {tuple(bad[0])}")
+        raise NumericError(f"{op}: non-finite output at index {tuple(map(int, bad[0]))}")
 
 
 class Tensor:
@@ -294,6 +294,31 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return g @ bt, at @ g
 
     return Tensor._result(data, (a, b), bw, "matmul")
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map x w + b over the last axis, for any leading shape.
+
+    x: (..., d_in); w: (d_in, d_out); b: (d_out,). One node: the forward is
+    one matmul over the flattened rows with the bias added in place, and
+    the backward returns what a reshape/matmul/add_bcast/reshape chain
+    would, bitwise.
+    """
+    d_in, d_out = w.shape
+    if x.shape[-1] != d_in:
+        raise ShapeError(f"linear: input dim {x.shape[-1]} != weight dim {d_in}")
+    if b.shape != (d_out,):
+        raise ShapeError(f"linear: bias {b.shape} must be ({d_out},)")
+    x2 = x.data.reshape(-1, d_in)
+    data = x2 @ w.data
+    data += b.data
+    macs.add(x2.shape[0] * d_in * d_out)
+
+    def bw(g):
+        g2 = g.reshape(-1, d_out)
+        return (g2 @ w.data.T).reshape(x.shape), x2.T @ g2, g2.sum(axis=0)
+
+    return Tensor._result(data.reshape(x.shape[:-1] + (d_out,)), (x, w, b), bw, "linear")
 
 
 def add_bcast(x: Tensor, p: Tensor) -> Tensor:
@@ -684,9 +709,12 @@ def _accumulate(parents: tuple[Tensor, ...], grads) -> None:
 
     Closures never write into their incoming ``g``; each returns ``g``
     itself, a view of it, or an array it made in the call. A parent's
-    first gradient is kept as it comes unless it is a view, or an array
-    that another parent already took in this call (``add`` returns its
-    ``g`` twice): those are copied. So every ``.grad`` owns its buffer.
+    first gradient is kept as it comes, with two exceptions, which are
+    copied: an array that another parent already took in this call
+    (``add`` returns its ``g`` twice), and a view that arrives at a leaf.
+    An interior node only reads its gradient and drops it when its
+    closure has run, so it may hold a view; a leaf keeps its ``.grad``,
+    so every leaf's ``.grad`` owns its buffer.
     """
     taken: list[np.ndarray] = []
     for parent, g in zip(parents, grads):
@@ -696,7 +724,8 @@ def _accumulate(parents: tuple[Tensor, ...], grads) -> None:
             raise ShapeError(
                 f"backward: gradient shape {g.shape} does not match tensor {parent.shape}")
         if parent.grad is None:
-            if g.base is not None or any(g is t for t in taken):
+            if ((g.base is not None and parent._backward_fn is None)
+                    or any(g is t for t in taken)):
                 g = np.array(g, dtype=np.float64)
             taken.append(g)
             parent.grad = g

@@ -11,6 +11,7 @@ targets built once per run drives adaptive-moment updates.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,16 +49,22 @@ class TrainConfig:
     max_people: int = 8
 
     def __post_init__(self):
-        if self.steps < 1 or self.lr <= 0:
+        if self.steps < 1 or not 0 < self.lr < math.inf:
             raise ContractError(f"invalid train config: steps={self.steps}, lr={self.lr}")
         if not self.scales or min(self.scales) < 1 or len(set(self.scales)) != len(self.scales):
             raise ConfigError(f"invalid train config: scales = {self.scales}; "
                               f"need one or more distinct block sizes >= 1")
-        for key, ok, need in (("layers", self.layers >= 0, ">= 0"),
-                              ("alpha", self.alpha >= 0, ">= 0"),
-                              ("head_sigma", self.head_sigma > 0, "> 0"),
-                              ("threshold", self.threshold > 0, "> 0"),
-                              ("max_people", self.max_people >= 1, ">= 1")):
+        for key, ok, need in (
+                ("seed", self.seed >= 0, ">= 0"),
+                ("milestones", all(0 <= m <= 1 for m in self.milestones),
+                 "fractions in [0, 1]"),
+                ("clip_norm", 0 <= self.clip_norm < math.inf, "finite and >= 0"),
+                ("layers", self.layers >= 0, ">= 0"),
+                ("alpha", 0 <= self.alpha < math.inf, "finite and >= 0"),
+                ("head_hidden", self.head_hidden >= 1, ">= 1"),
+                ("head_sigma", 0 < self.head_sigma < math.inf, "finite and > 0"),
+                ("threshold", 0 < self.threshold < math.inf, "finite and > 0"),
+                ("max_people", self.max_people >= 1, ">= 1")):
             if not ok:
                 raise ConfigError(f"invalid train config: {key} = {getattr(self, key)}; "
                                   f"need {need}")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .blocks import block_params, init_linear, linear, transformer_block_self
+from .blocks import block_params, init_linear, transformer_block_self
 from .igt import (GridGeometry, extract_blocks, gather_indices, retile,
                   take_frame_rows, tokenize)
 from .tensor import ConfigError, ContractError, NumericError, ShapeError, Tensor, macs
@@ -198,7 +198,7 @@ def cisa(per_scale: list[Tensor], params: dict, cfg: VideoConfig) -> list[Tensor
                 raise ShapeError(f"cisa: scale {s} token dim {tokens.shape[-1]} != {d_s}")
             x = T.add_bcast(tokens, params[f"pos{s}"])
             if cfg.projected:
-                x = linear(x, params[f"proj{s}_w"], params[f"proj{s}_b"])
+                x = T.linear(x, params[f"proj{s}_w"], params[f"proj{s}_b"])
             projected.append(x)
             counts.append(tokens.shape[1])
         union = T.concat(projected, axis=1)  # (T, sum N_s, D_common)
@@ -208,7 +208,7 @@ def cisa(per_scale: list[Tensor], params: dict, cfg: VideoConfig) -> list[Tensor
         for count, s in zip(counts, cfg.scales):
             part = T.narrow(fused, 1, start, count)
             if cfg.projected:
-                part = linear(part, params[f"back{s}_w"], params[f"back{s}_b"])
+                part = T.linear(part, params[f"back{s}_w"], params[f"back{s}_b"])
             outs.append(part)
             start += count
         return outs

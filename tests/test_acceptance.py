@@ -105,6 +105,14 @@ def run_convergence(tmp_dir: Path, tag: str):
 
 
 @pytest.fixture(scope="module")
+def gradient_run():
+    """Criterion 1's gradient suite and its wall time, which criterion 8 reruns."""
+    start = time.perf_counter()
+    errors = run_gradient_suite()
+    return errors, time.perf_counter() - start
+
+
+@pytest.fixture(scope="module")
 def convergence_runs(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("acceptance")
     start = time.perf_counter()
@@ -117,10 +125,8 @@ def convergence_runs(tmp_path_factory):
 # -- criteria ------------------------------------------------------------------------
 
 
-def test_criterion_1_gradient_suite():
-    start = time.perf_counter()
-    errors = run_gradient_suite()
-    wall = time.perf_counter() - start
+def test_criterion_1_gradient_suite(gradient_run):
+    errors, wall = gradient_run
     worst = max(errors.values())
     ok = worst <= GRAD_TOL and wall < 300
     detail = (f"{GRAD_SEEDS} instances x {len(errors)} units, "
@@ -153,14 +159,13 @@ def test_criterion_2_attention_algebra():
         ok &= bool(np.max(np.abs(moved - base[perm])) <= 1e-12)
         cases += 1
         # Single-head degeneracy: MHA equals attention in projections.
-        from ivt.blocks import linear
         p1 = block_params(rng, 6)
         y = Tensor(rng.uniform(-1, 1, size=(4, 6)))
         got = multi_head_self_attention(y, p1, 1).data
-        qp = linear(y, p1["wq"], p1["bq"])
-        kp = linear(y, p1["wk"], p1["bk"])
-        vp = linear(y, p1["wv"], p1["bv"])
-        want = linear(T.sdpa(qp, kp, vp, 1), p1["wo"], p1["bo"]).data
+        qp = T.linear(y, p1["wq"], p1["bq"])
+        kp = T.linear(y, p1["wk"], p1["bk"])
+        vp = T.linear(y, p1["wv"], p1["bv"])
+        want = T.linear(T.sdpa(qp, kp, vp, 1), p1["wo"], p1["bo"]).data
         ok &= bool(np.max(np.abs(got - want)) <= 1e-12)
         cases += 1
     verdict(2, "attention algebra", ok and cases >= 200, f"{cases} cases checked")
@@ -274,8 +279,8 @@ def test_criterion_7_convergence_fixture(convergence_runs):
             f"(threshold {recorded['mpjpe_threshold']}), {wall:.0f}s")
 
 
-def test_criterion_8_determinism(convergence_runs):
-    errs_a = run_gradient_suite()
+def test_criterion_8_determinism(gradient_run, convergence_runs):
+    errs_a, _ = gradient_run
     errs_b = run_gradient_suite()
     grad_same = errs_a == errs_b
 

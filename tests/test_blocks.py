@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ivt import tensor as T
-from ivt.blocks import (block_params, ffn, linear, multi_head_self_attention,
+from ivt.blocks import (block_params, ffn, multi_head_self_attention,
                         transformer_block_self, zero_block_outputs)
 from ivt.gradcheck import grad_check
 from ivt.tensor import ConfigError, ShapeError, Tensor
@@ -121,10 +121,10 @@ def test_single_head_equals_projected_attention():
     params = block_params(rng, 6)
     x = rt(rng, 4, 6)
     got = multi_head_self_attention(x, params, 1).data
-    qp = linear(x, params["wq"], params["bq"])
-    kp = linear(x, params["wk"], params["bk"])
-    vp = linear(x, params["wv"], params["bv"])
-    want = linear(T.sdpa(qp, kp, vp, 1), params["wo"], params["bo"]).data
+    qp = T.linear(x, params["wq"], params["bq"])
+    kp = T.linear(x, params["wk"], params["bk"])
+    vp = T.linear(x, params["wv"], params["bv"])
+    want = T.linear(T.sdpa(qp, kp, vp, 1), params["wo"], params["bo"]).data
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
@@ -249,10 +249,10 @@ def test_no_dead_parameters():
             assert p.grad is not None and np.any(p.grad != 0), f"dead parameter {name}"
 
 
-def test_block_builds_thirty_tape_nodes_and_no_transpose():
-    """Layer norm with its gain and bias, and attention with its head split,
-    are one node each: 2 + 12 (q, k, v projections) + 1 + 4 (output
-    projection) + 9 (FFN) + 2 (residual adds)."""
+def test_block_builds_twelve_tape_nodes_and_no_transpose():
+    """Each affine layer, layer norm with its gain and bias, and attention with
+    its head split are one node each: 2 (layer norms) + 4 (q, k, v and output
+    projections) + 1 (attention) + 3 (FFN) + 2 (residual adds)."""
     rng = RNG(17)
     params = block_params(rng, 8)
     x = Tensor(rng.uniform(-1, 1, size=(3, 5, 8)), requires_grad=True)
@@ -264,7 +264,8 @@ def test_block_builds_thirty_tape_nodes_and_no_transpose():
         seen.add(id(node))
         ops.append(node._backward_fn.__qualname__.split(".")[0])
         stack.extend(node._parents)
-    assert len(ops) == 30
+    assert len(ops) == 12
+    assert ops.count("linear") == 6
     assert ops.count("layernorm") == 2 and ops.count("sdpa") == 1
     assert "transpose" not in ops
 

@@ -227,6 +227,34 @@ BAD_INPUTS = {
     "zero-max-people": ("config", lambda t: t + "max_people = 0\n", "max_people"),
     "zero-head-sigma": ("config", lambda t: t + "head_sigma = 0\n", "head_sigma"),
     "negative-alpha": ("config", lambda t: t + "alpha = -1\n", "alpha"),
+    # Values the scene generator or the model cannot run with, rejected before
+    # anything is written.
+    "zero-channels": ("config", lambda t: t.replace("channels = 1\n", "channels = 0\n"),
+                      "channels"),
+    "zero-head-hidden": ("config",
+                         lambda t: t.replace("head_hidden = 4\n", "head_hidden = 0\n"),
+                         "head_hidden"),
+    "nan-lr": ("config", lambda t: t + "lr = nan\n", "lr"),
+    "nan-clip-norm": ("config", lambda t: t + "clip_norm = nan\n", "clip_norm"),
+    "nan-milestones": ("config", lambda t: t + "milestones = 0.5 nan\n", "milestones"),
+    "infinite-head-sigma": ("config", lambda t: t + "head_sigma = inf\n", "head_sigma"),
+    "zero-blob-sigma": ("config", lambda t: t.replace("blob_sigma = 0.8\n", "blob_sigma = 0\n"),
+                        "blob_sigma"),
+    "negative-train-seed": ("config", lambda t: t.replace("seed = 3\n", "seed = -1\n"),
+                            "seed = -1"),
+    "negative-scene-seed": ("config", lambda t: t.replace("seed = 7\n", "seed = -1\n"),
+                            "seed = -1"),
+    "negative-body-radius": ("config",
+                             lambda t: t.replace("body_radius = 1.5\n", "body_radius = -1\n"),
+                             "body_radius"),
+    "nan-amplitude": ("config", lambda t: t.replace("amplitude = 0.0\n", "amplitude = nan\n"),
+                      "amplitude"),
+    "amplitude-exits-grid": ("config",
+                             lambda t: t.replace("amplitude = 0.0\n", "amplitude = 9.0\n"),
+                             "amplitude"),
+    "nan-depth-max": ("config", lambda t: t.replace("[train]\n", "depth_max = nan\n\n[train]\n"),
+                      "depth_max"),
+    "zero-height": ("config", lambda t: t.replace("height = 16\n", "height = 0\n"), "height"),
     # SceneSpec has no target_sigma: the 2D offset targets need no sigma.
     "target-sigma": ("config",
                      lambda t: t.replace("[scene]\n", "[scene]\ntarget_sigma = 2.0\n"),

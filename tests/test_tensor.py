@@ -280,6 +280,61 @@ def test_concat_narrow_take_gradients():
     assert grad_check(lambda t: T.tsum(T.tanh(T.take_rows(t, idx))), a) <= 1e-6
 
 
+# -- fused affine layer ------------------------------------------------------------------
+
+
+def chained_linear(x, w, b):
+    """The op chain linear replaces: reshape, matmul, add_bcast, reshape."""
+    flat = T.reshape(x, (-1, w.shape[0]))
+    return T.reshape(T.add_bcast(flat @ w, b), x.shape[:-1] + (w.shape[1],))
+
+
+LINEAR_SHAPES = [(4,), (3, 4), (2, 3, 4), (2, 1, 3, 4)]
+
+
+@pytest.mark.parametrize("shape", LINEAR_SHAPES, ids=["1d", "2d", "3d", "4d"])
+def test_linear_gradients_all_arguments(shape):
+    rng = RNG(16)
+    x, w, b = rt(rng, *shape), rt(rng, 4, 5), rt(rng, 5)
+    cot = rt(rng, *shape[:-1], 5)
+    assert grad_check(lambda t: T.tsum(T.linear(t, w, b) * cot), x) <= 1e-6
+    assert grad_check(lambda t: T.tsum(T.linear(x, t, b) * cot), w) <= 1e-6
+    assert grad_check(lambda t: T.tsum(T.linear(x, w, t) * cot), b) <= 1e-6
+
+
+@pytest.mark.parametrize("shape", LINEAR_SHAPES, ids=["1d", "2d", "3d", "4d"])
+def test_linear_matches_chain_bitwise(shape):
+    rng = RNG(17)
+    arrays = [rng.uniform(-1, 1, size=s) for s in (shape, (4, 5), (5,))]
+    g = rng.standard_normal(shape[:-1] + (5,))
+    results = []
+    for op in (T.linear, chained_linear):
+        x, w, b = (Tensor(a.copy(), requires_grad=True) for a in arrays)
+        out = op(x, w, b)
+        T.backward(T.tsum(out * Tensor(g)))
+        results.append((out.data, x.grad, w.grad, b.grad))
+    for fused, chain in zip(*results):
+        np.testing.assert_array_equal(fused, chain)
+
+
+def test_linear_rejects_mismatched_widths():
+    rng = RNG(18)
+    x, w = rt(rng, 3, 4), rt(rng, 4, 5)
+    with pytest.raises(ShapeError, match="^linear: input dim"):
+        T.linear(rt(rng, 3, 6), w, rt(rng, 5))
+    for bad in ((4,), (1, 5), ()):
+        with pytest.raises(ShapeError, match="^linear: bias"):
+            T.linear(x, w, Tensor(np.zeros(bad)))
+
+
+def test_linear_macs_are_one_matmul_over_the_rows():
+    rng = RNG(19)
+    macs.reset()
+    with macs.counting():
+        T.linear(rt(rng, 2, 3, 4), rt(rng, 4, 5), rt(rng, 5))
+    assert macs.total == 2 * 3 * 4 * 5
+
+
 # -- fused attention -------------------------------------------------------------------
 
 
@@ -533,6 +588,17 @@ def test_leaves_summed_by_add_get_distinct_grad_buffers():
     np.testing.assert_array_equal(a.grad, 2.0 * b.grad)
 
 
+def test_leaves_behind_nested_adds_get_distinct_grad_buffers():
+    """The inner sum is an interior node; the outer add's gradient reaches it
+    and leaf a both, and the inner add hands it on to b and c, so no two of
+    the three leaves may keep that one buffer."""
+    rng = RNG(24)
+    a, b, c = (Tensor(rng.uniform(-1, 1, size=(3, 4)), requires_grad=True) for _ in range(3))
+    T.backward(T.tsum(T.tanh(a + (b + c))))
+    for u, v in ((a, b), (a, c), (b, c)):
+        assert not np.shares_memory(u.grad, v.grad)
+
+
 def test_a_leaf_grad_that_arrives_as_a_view_is_copied():
     rng = RNG(23)
     x = Tensor(rng.uniform(-1, 1, size=(3, 4)), requires_grad=True)
@@ -589,7 +655,7 @@ def test_backward_frees_intermediates():
 
 def test_debug_checks_flag_detects_nan(debug_checks):
     bad = Tensor(np.array([1.0, np.nan]))
-    with pytest.raises(NumericError):
+    with pytest.raises(NumericError, match=r"index \(1,\)"):
         T.sigmoid(bad)
 
 

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ivt import tensor as T
-from ivt.blocks import block_params, linear, transformer_block_self, zero_block_outputs
+from ivt.blocks import block_params, transformer_block_self, zero_block_outputs
 from ivt.gradcheck import grad_check
 from ivt.igt import extract_blocks, gather_indices, tokenize
 from ivt.tensor import ConfigError, ContractError, NumericError, ShapeError, Tensor, macs
@@ -362,15 +362,15 @@ def test_cisa_matches_union_attention_oracle():
     params = cisa_params(rng, cfg, grids)
     xs = [rt(rng, 1, g.n, d) for g, d in zip(grids, cfg.token_dims)]
     outs = cisa(xs, params, cfg)
-    proj = [linear(T.add_bcast(x, params[f"pos{s}"]),
-                   params[f"proj{s}_w"], params[f"proj{s}_b"])
+    proj = [T.linear(T.add_bcast(x, params[f"pos{s}"]),
+                     params[f"proj{s}_w"], params[f"proj{s}_b"])
             for x, s in zip(xs, cfg.scales)]
     union = T.concat(proj, axis=1)
     fused = transformer_block_self(union, params["block"], 2)
     start = 0
     for out, g, s in zip(outs, grids, cfg.scales):
         part = T.narrow(fused, 1, start, g.n)
-        want = linear(part, params[f"back{s}_w"], params[f"back{s}_b"]).data
+        want = T.linear(part, params[f"back{s}_w"], params[f"back{s}_b"]).data
         np.testing.assert_allclose(out.data, want, atol=1e-12)
         start += g.n
 
