@@ -33,7 +33,7 @@ print("heatmap peaks at the root pixels:",
 peaks = keypoint_nms(heatmap)
 print("NMS idempotent:", np.array_equal(keypoint_nms(peaks), peaks))
 
-decoded = decode_poses(heatmap, offsets3d, threshold=0.9)
+decoded = decode_poses(heatmap, offsets3d, threshold=0.9, max_people=10)
 decoded.sort(key=lambda p: tuple(p.root[:2]))
 people.sort(key=lambda p: tuple(p.root[:2]))
 errors = [mpjpe(d, g) for d, g in zip(decoded, people)]
@@ -43,5 +43,5 @@ print("round-trip MPJPE per person:", [f"{e:.2e}" for e in errors])
 heatmap2 = heatmap * 1.0
 heatmap2[6, 6] *= 0.95
 order = [tuple(np.rint(p.root[:2]).astype(int)) for p in
-         decode_poses(heatmap2, offsets3d, threshold=0.5)]
+         decode_poses(heatmap2, offsets3d, threshold=0.5, max_people=10)]
 print("decode order after lowering (6,6):", order)

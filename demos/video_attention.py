@@ -20,7 +20,7 @@ rng = np.random.default_rng(3)
 frames, d_model = 2, 8
 geom = GridGeometry(block_size=2, n_h=1, n_w=4)  # 2x8 pixels, 4 blocks in a row
 # One block size; token width = joints * channels * 2 * 2 = d_model.
-cfg = VideoConfig(joints=2, channels=1, scales=(2,), layers=1, heads=2)
+cfg = VideoConfig(joints=2, channels=1, scales=(2,), layers=1, heads=2, fuse_heads=2)
 params = video_params(rng, cfg, 2, 8)["layer0"]
 tokens = Tensor(rng.uniform(-1, 1, size=(frames, geom.n, d_model)))
 

@@ -19,13 +19,13 @@ from .video import (VideoConfig, align_tokens, alignment_maps, block_mean_flow, 
 from .codec import (ROOT_JOINT, Pose3D, center_mask, decode_poses,
                     encode_targets, keypoint_nms, poses_from_lines,
                     poses_to_lines)
-from .losses import LossWeights, masked_l1, total_loss
+from .losses import masked_l1, total_loss
 from .metrics import (EvalReport, FrameEval, depth_error, greedy_match,
                       match_and_evaluate, mpjpe, pa_mpjpe, procrustes_align)
 from .synth import SceneSpec, SceneTruth, generate, gt_feature_provider
 from .checkpoint import load_params, save_params
 from .train import (Adam, IVTModel, ModelOutput, TrainConfig, TrainResult,
                     build_model, check_frames, clip_loss, clip_targets, decode_output,
-                    evaluate, load_model, lr_at, train, video_config)
+                    evaluate, load_model, lr_at, prediction_head, train, video_config)
 
 __version__ = "0.1.0"

@@ -23,6 +23,14 @@ def init_linear(rng: np.random.Generator, d_in: int, d_out: int) -> tuple[Tensor
     return w, b
 
 
+def init_conv(rng: np.random.Generator, c_in: int, c_out: int) -> tuple[Tensor, Tensor]:
+    """Seeded uniform 3x3 weight in [-1/sqrt(9 c_in), +1/sqrt(9 c_in)], zero bias."""
+    bound = 1.0 / np.sqrt(c_in * 9)
+    w = Tensor(rng.uniform(-bound, bound, size=(c_out, c_in, 3, 3)), requires_grad=True)
+    b = Tensor(np.zeros(c_out), requires_grad=True)
+    return w, b
+
+
 def block_params(rng: np.random.Generator, d: int) -> dict[str, Tensor]:
     """Parameters for one width-d transformer block (attention projections, 4x FFN, LN)."""
     p: dict[str, Tensor] = {}

@@ -8,6 +8,7 @@ Round-trips are bit-exact.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -34,25 +35,32 @@ def save_params(path, params: dict[str, Tensor]) -> None:
 
 
 def load_params(path) -> dict[str, Tensor]:
-    raw = Path(path).read_bytes()
-    if raw[:4] != MAGIC:
-        raise ValueError(f"{path}: bad magic {raw[:4]!r}, expected {MAGIC!r}")
-    (version,) = struct.unpack_from("<H", raw, 4)
+    """Named tensors in file order; a file cut between records gives the leading
+    ones. A damaged file raises ``ValueError`` naming the path and byte offset."""
+    raw = memoryview(Path(path).read_bytes())
+    pos = 0
+
+    def take(n: int) -> memoryview:
+        nonlocal pos
+        if n > len(raw) - pos:
+            raise ValueError(f"{path}: byte {pos}: need {n} bytes, {len(raw) - pos} left")
+        pos += n
+        return raw[pos - n:pos]
+
+    if bytes(take(4)) != MAGIC:
+        raise ValueError(f"{path}: bad magic {bytes(raw[:4])!r}, expected {MAGIC!r}")
+    (version,) = struct.unpack("<H", take(2))
     if version != VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    pos = 6
     params: dict[str, Tensor] = {}
     while pos < len(raw):
-        (nlen,) = struct.unpack_from("<I", raw, pos)
-        pos += 4
-        name = raw[pos:pos + nlen].decode("utf-8")
-        pos += nlen
-        (rank,) = struct.unpack_from("<I", raw, pos)
-        pos += 4
-        dims = struct.unpack_from(f"<{rank}Q", raw, pos) if rank else ()
-        pos += 8 * rank
-        count = int(np.prod(dims, dtype=np.int64)) if rank else 1
-        data = np.frombuffer(raw, dtype="<f8", count=count, offset=pos).reshape(dims)
-        pos += 8 * count
+        (nlen,) = struct.unpack("<I", take(4))
+        try:
+            name = str(take(nlen), "utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: byte {pos - nlen}: name is not UTF-8") from None
+        (rank,) = struct.unpack("<I", take(4))
+        dims = struct.unpack(f"<{rank}Q", take(8 * rank))
+        data = np.frombuffer(take(8 * math.prod(dims)), dtype="<f8").reshape(dims)
         params[name] = Tensor(data.copy(), requires_grad=True)
     return params

@@ -287,6 +287,8 @@ def temporal_macs(frames: int, scales: tuple[int, ...], seed: int) -> tuple[int,
 
 def cmd_bench(args) -> int:
     frames = [int(v) for v in args.frames.split(",")] if args.frames else [1, 3, 5, 7, 9]
+    if min(frames) < 1:
+        raise ConfigError(f"bench: --frames {args.frames}; need frame counts >= 1")
     scales = tuple(int(v) for v in args.scales.split(",")) if args.scales else (4,)
     rows = []
     print(f"{'frames':>6s} {'temporal_macs':>14s} {'wall_s':>8s}")

@@ -89,9 +89,9 @@ def keypoint_nms(hm: np.ndarray) -> np.ndarray:
     return np.where(hm >= local_max, hm, 0.0)
 
 
-def decode_poses(hm: np.ndarray, off3d: np.ndarray, threshold: float = 0.5,
-                 max_people: int = 10) -> list[Pose3D]:
-    """Poses at surviving peaks: joint j = (px, py, 0) + its offset triple."""
+def decode_poses(hm: np.ndarray, off3d: np.ndarray, threshold: float,
+                 max_people: int) -> list[Pose3D]:
+    """Poses at the ``max_people`` top peaks >= ``threshold``: joint j = (px, py, 0) + offsets."""
     if threshold <= 0:
         raise ContractError(f"decode_poses: threshold must be positive, got {threshold}")
     if max_people < 1:

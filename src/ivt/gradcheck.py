@@ -12,12 +12,12 @@ from typing import Callable
 import numpy as np
 
 from . import tensor as T
-from .blocks import block_params, ffn, multi_head_self_attention
+from .blocks import block_params, ffn, init_conv, multi_head_self_attention
 from .igt import GridGeometry, tokenize
-from .losses import LossWeights, total_loss
+from .losses import total_loss
 from .synth import SceneSpec, generate
 from .tensor import ContractError, NumericError, Tensor, backward
-from .train import TrainConfig, build_model, clip_loss, clip_targets
+from .train import TrainConfig, build_model, clip_loss, clip_targets, prediction_head
 from .video import VideoConfig, alignment_maps, cisa, cisa_params, ita, ivt_layer
 
 
@@ -80,8 +80,8 @@ def _unit_igt(rng: np.random.Generator, eps: float) -> float:
 
 
 def _unit_isa(rng: np.random.Generator, eps: float) -> float:
-    """One-scale CISA: positional embedding plus one self-attention block."""
-    cfg = VideoConfig(joints=2, channels=1, scales=(2,), heads=2)  # 4 tokens of width 8
+    """One-scale CISA on 4 tokens of width 8: positional embedding plus one attention block."""
+    cfg = VideoConfig(joints=2, channels=1, scales=(2,), layers=3, heads=2, fuse_heads=2)
     params = cisa_params(rng, cfg, [GridGeometry(2, 2, 2)])
     tokens = Tensor(rng.uniform(-1, 1, size=(2, 4, 8)))
     return grad_check(lambda t: T.tsum(cisa([t], params, cfg)[0]), tokens, eps)
@@ -95,9 +95,8 @@ def _unit_ita(rng: np.random.Generator, eps: float) -> float:
 
 def _unit_cisa_mita(rng: np.random.Generator, eps: float) -> float:
     """One cross-scale layer on a 2-scale, 2-frame toy clip."""
-    joints, channels = 2, 1
     h = w = 8
-    cfg = VideoConfig(joints=joints, channels=channels, scales=(2, 4), layers=1, heads=2)
+    cfg = VideoConfig(joints=2, channels=1, scales=(2, 4), layers=1, heads=2, fuse_heads=2)
     grids = cfg.grids(h, w)
     cp = cisa_params(rng, cfg, grids)
     mp = {f"ita{s}": block_params(rng, d) for s, d in zip(cfg.scales, cfg.token_dims)}
@@ -113,18 +112,16 @@ def _unit_cisa_mita(rng: np.random.Generator, eps: float) -> float:
 
 
 def _unit_heads(rng: np.random.Generator, eps: float) -> float:
-    """The prediction head on a 2-frame batch, wrt the maps and the shared weight."""
-    joints = 2
-    d = 8
-    bound = 1.0 / np.sqrt(d * 9)
-    w = Tensor(rng.uniform(-bound, bound, size=(1 + 3 * joints, d, 3, 3)))
+    """The model's prediction head on a 2-frame 4x4 grid, wrt the tokens and the weight."""
+    joints, d = 2, 8
+    grid = GridGeometry(1, 4, 4)
+    w, _ = init_conv(rng, d, 1 + 3 * joints)
     b = Tensor(rng.uniform(-0.1, 0.1, size=(1 + 3 * joints,)))
-    x = Tensor(rng.uniform(-1, 1, size=(2, d, 4, 4)))
+    x = Tensor(rng.uniform(-1, 1, size=(2, grid.n, d)))
 
     def head(x, w):
-        out = T.conv2d(x, w, b)
-        hm = T.sigmoid(T.narrow(out, 1, 0, 1))
-        return T.tsum(hm) + T.tsum(T.narrow(out, 1, 1, 3 * joints))
+        heatmap, offset3d = prediction_head(x, grid, {"w": w, "b": b})
+        return T.tsum(heatmap) + T.tsum(offset3d)
 
     return max(grad_check(lambda t: head(t, w), x, eps),
                grad_check(lambda t: head(x, t), w, eps))
@@ -149,8 +146,7 @@ def _unit_loss(rng: np.random.Generator, eps: float) -> float:
         hm = T.reshape(T.narrow(t, 1, 0, 1), (frames, h, w))
         o3 = T.narrow(t, 1, 1, 3 * joints)
         o2 = T.narrow(t, 1, 1 + 3 * joints, 2 * joints)
-        return total_loss((hm, o3, o2), (tgt_hm, tgt_o3, tgt_o2),
-                          LossWeights(10.0), mask)[0]
+        return total_loss((hm, o3, o2), (tgt_hm, tgt_o3, tgt_o2), (mask, mask), 10.0)[0]
 
     return grad_check(f, x, eps)
 

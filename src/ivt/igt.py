@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .blocks import transformer_block_self
+from .blocks import init_conv, transformer_block_self
 from .tensor import ConfigError, NumericError, Tensor
 
 
@@ -34,6 +34,20 @@ class GridGeometry:
     @property
     def n(self) -> int:
         return self.n_h * self.n_w
+
+    def centers(self) -> tuple[np.ndarray, np.ndarray]:
+        """Integer (x, y) pixel of each block's center, each of shape (N,)."""
+        rows, cols = np.divmod(np.arange(self.n), self.n_w)
+        k = self.block_size
+        return cols * k + k // 2, rows * k + k // 2
+
+    def block_at(self, px: np.ndarray, py: np.ndarray) -> np.ndarray:
+        """Row-major index of the block holding each pixel (px, py), rounded and clamped."""
+        k = self.block_size
+        # Clamp before the integer cast, which would wrap values beyond int64.
+        bx = np.clip(np.rint(px), 0, self.n_w * k - 1).astype(np.int64) // k
+        by = np.clip(np.rint(py), 0, self.n_h * k - 1).astype(np.int64) // k
+        return by * self.n_w + bx
 
 
 def extract_blocks(feat: Tensor, block_size: int) -> Tensor:
@@ -59,15 +73,9 @@ def retile(tokens: Tensor, geom: GridGeometry, channels: int) -> Tensor:
 def offset_head_params(rng: np.random.Generator, channels: int, joints: int,
                        hidden: int) -> dict[str, Tensor]:
     """Two stacked 3x3 conv layers; nonlinearity between, linear final."""
-    def conv_init(cin, cout):
-        bound = 1.0 / np.sqrt(cin * 9)
-        w = Tensor(rng.uniform(-bound, bound, size=(cout, cin, 3, 3)), requires_grad=True)
-        b = Tensor(np.zeros(cout), requires_grad=True)
-        return w, b
-
     p: dict[str, Tensor] = {}
-    p["conv1_w"], p["conv1_b"] = conv_init(channels, hidden)
-    p["conv2_w"], p["conv2_b"] = conv_init(hidden, 2 * joints)
+    p["conv1_w"], p["conv1_b"] = init_conv(rng, channels, hidden)
+    p["conv2_w"], p["conv2_b"] = init_conv(rng, hidden, 2 * joints)
     return p
 
 
@@ -93,17 +101,10 @@ def gather_indices(offsets: np.ndarray, geom: GridGeometry, joints: int) -> np.n
                           f"(T, {2 * joints}, H, W)")
     if not np.all(np.isfinite(offsets)):
         raise NumericError("gather_indices: offset map contains non-finite values")
-    k = geom.block_size
-    h, w = geom.n_h * k, geom.n_w * k
-    rows, cols = np.divmod(np.arange(geom.n), geom.n_w)
-    py = rows * k + k // 2
-    px = cols * k + k // 2
+    px, py = geom.centers()
     dx = offsets[:, 0::2, py, px].transpose(0, 2, 1)  # (T, N, J)
     dy = offsets[:, 1::2, py, px].transpose(0, 2, 1)
-    # Clamp before the integer cast, which would wrap offsets beyond int64.
-    tx = np.clip(np.rint(px[:, None] + dx), 0, w - 1).astype(np.int64)
-    ty = np.clip(np.rint(py[:, None] + dy), 0, h - 1).astype(np.int64)
-    return (ty // k) * geom.n_w + (tx // k)
+    return geom.block_at(px[:, None] + dx, py[:, None] + dy)
 
 
 def take_frame_rows(tokens: Tensor, rows: np.ndarray) -> Tensor:

@@ -9,21 +9,10 @@ by the zero padding outside centers, hence the masking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as T
 from .tensor import ContractError, ShapeError, Tensor
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    alpha: float = 10.0
-
-    def __post_init__(self):
-        if self.alpha < 0:
-            raise ContractError(f"alpha must be nonnegative, got {self.alpha}")
 
 
 def masked_l1(pred: Tensor, target: np.ndarray, mask: np.ndarray) -> Tensor:
@@ -46,26 +35,27 @@ def masked_l1(pred: Tensor, target: np.ndarray, mask: np.ndarray) -> Tensor:
 
 def total_loss(pred: tuple[Tensor, Tensor, Tensor],
                target: tuple[np.ndarray, np.ndarray, np.ndarray],
-               weights: LossWeights,
-               mask: np.ndarray | tuple[np.ndarray, np.ndarray]
-               ) -> tuple[Tensor, dict[str, float]]:
+               masks: tuple[np.ndarray, np.ndarray],
+               alpha: float) -> tuple[Tensor, dict[str, float]]:
     """Scalar objective plus per-term values for logging, means over frames.
 
     pred/target order: heatmaps (T, h, w), 3D offsets (T, 3J, h, w), 2D
-    offsets (T, 2J, H, W). ``mask`` is a (T, h, w) center-pixel mask, or a
-    pair (mask for 3D maps, mask for 2D maps) when the two offset maps live
-    at different resolutions.
+    offsets (T, 2J, H, W). ``masks`` are the center-pixel masks of the 3D
+    and of the 2D offset maps, (T, h, w) and (T, H, W); ``alpha`` >= 0
+    weights the heatmap term.
     """
+    if alpha < 0:
+        raise ContractError(f"total_loss: alpha must be nonnegative, got {alpha}")
     pred_hm, pred_o3, pred_o2 = pred
     tgt_hm, tgt_o3, tgt_o2 = target
-    mask3d, mask2d = mask if isinstance(mask, tuple) else (mask, mask)
+    mask3d, mask2d = masks
     if pred_hm.shape != tgt_hm.shape:
         raise ContractError(f"heatmap shapes differ: {pred_hm.shape} vs {tgt_hm.shape}")
     l1_3d = masked_l1(pred_o3, tgt_o3, mask3d)
     l1_2d = masked_l1(pred_o2, tgt_o2, mask2d)
     diff = pred_hm - Tensor(tgt_hm)
     l2_hm = T.tmean(diff * diff)
-    total = l1_3d + l1_2d + T.scale(l2_hm, weights.alpha)
+    total = l1_3d + l1_2d + T.scale(l2_hm, alpha)
     terms = {"l1_3d": l1_3d.item(), "l1_2d": l1_2d.item(),
              "l2_hm": l2_hm.item(), "total": total.item()}
     return total, terms

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import Pose3D, encode_targets
-from .tensor import ContractError, Tensor
+from .tensor import ConfigError, Tensor
 
 
 @dataclass(frozen=True)
@@ -50,15 +50,15 @@ class SceneSpec:
                 # Joints lie between 1 cell and body_radius from the root.
                 ("body_radius", 1 <= self.body_radius < math.inf, "finite and >= 1")):
             if not ok:
-                raise ContractError(f"invalid scene spec: {key} = {getattr(self, key)}; "
-                                    f"need {need}")
+                raise ConfigError(f"invalid scene spec: {key} = {getattr(self, key)}; "
+                                  f"need {need}")
         margin = _blob_radius(self) + self.body_radius + 1
         lo = margin + self.amplitude
         if self.persons and (lo > self.width - 1 - margin - self.amplitude
                              or lo > self.height - 1 - margin - self.amplitude):
-            raise ContractError(f"invalid scene spec: a figure of body_radius = "
-                                f"{self.body_radius} moving by amplitude = {self.amplitude} "
-                                f"would exit the {self.height}x{self.width} grid")
+            raise ConfigError(f"invalid scene spec: a figure of body_radius = "
+                              f"{self.body_radius} moving by amplitude = {self.amplitude} "
+                              f"would exit the {self.height}x{self.width} grid")
 
 
 @dataclass

@@ -17,10 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
+from .blocks import init_conv
 from .checkpoint import load_params, save_params
 from .codec import Pose3D, center_mask, decode_poses, encode_targets
 from .igt import GridGeometry, offset_head_params, predict_offsets, retile
-from .losses import LossWeights, total_loss
+from .losses import total_loss
 from .metrics import EvalReport, match_and_evaluate
 from .synth import SceneSpec, SceneTruth, generate, gt_feature_provider
 from .tensor import ConfigError, ContractError, NumericError, Tensor
@@ -49,17 +50,14 @@ class TrainConfig:
     max_people: int = 8
 
     def __post_init__(self):
-        if self.steps < 1 or not 0 < self.lr < math.inf:
-            raise ContractError(f"invalid train config: steps={self.steps}, lr={self.lr}")
-        if not self.scales or min(self.scales) < 1 or len(set(self.scales)) != len(self.scales):
-            raise ConfigError(f"invalid train config: scales = {self.scales}; "
-                              f"need one or more distinct block sizes >= 1")
+        # VideoConfig checks the architecture: scales, layers, heads, fuse_heads.
         for key, ok, need in (
+                ("steps", self.steps >= 1, ">= 1"),
+                ("lr", 0 < self.lr < math.inf, "finite and > 0"),
                 ("seed", self.seed >= 0, ">= 0"),
                 ("milestones", all(0 <= m <= 1 for m in self.milestones),
                  "fractions in [0, 1]"),
                 ("clip_norm", 0 <= self.clip_norm < math.inf, "finite and >= 0"),
-                ("layers", self.layers >= 0, ">= 0"),
                 ("alpha", 0 <= self.alpha < math.inf, "finite and >= 0"),
                 ("head_hidden", self.head_hidden >= 1, ">= 1"),
                 ("head_sigma", 0 < self.head_sigma < math.inf, "finite and > 0"),
@@ -93,16 +91,10 @@ class IVTModel:
         rng = np.random.default_rng(seed)
         joints = video_cfg.joints
         self.fine_k = video_cfg.scales[0]
-        d_fine = video_cfg.token_dims[0]
-        self.tree: dict = {
+        self.tree: dict = {  # drawn in this order
             "video": video_params(rng, video_cfg, h, w),
             "offset_head": offset_head_params(rng, video_cfg.channels, joints, head_hidden),
-        }
-        bound = 1.0 / np.sqrt(d_fine * 9)
-        self.tree["pred_head"] = {
-            "w": Tensor(rng.uniform(-bound, bound, size=(1 + 3 * joints, d_fine, 3, 3)),
-                        requires_grad=True),
-            "b": Tensor(np.zeros(1 + 3 * joints), requires_grad=True),
+            "pred_head": dict(zip("wb", init_conv(rng, video_cfg.token_dims[0], 1 + 3 * joints))),
         }
 
     # -- parameter bookkeeping ------------------------------------------------
@@ -145,12 +137,19 @@ class IVTModel:
         if gather_offsets is None:
             gather_offsets = off2d.data
         tokens = ivt_forward(features, gather_offsets, flows, self.cfg, self.tree["video"])
-        frames, _, d = tokens.shape
         grid = GridGeometry(1, self.h // self.fine_k, self.w // self.fine_k)
-        spatial = retile(tokens, grid, d)  # (T, D, n_h, n_w)
-        out = T.conv2d(spatial, self.tree["pred_head"]["w"], self.tree["pred_head"]["b"])
-        heatmap = T.sigmoid(T.reshape(T.narrow(out, 1, 0, 1), (frames, grid.n_h, grid.n_w)))
-        return ModelOutput(heatmap, T.narrow(out, 1, 1, 3 * self.cfg.joints), off2d)
+        return ModelOutput(*prediction_head(tokens, grid, self.tree["pred_head"]), off2d)
+
+
+def prediction_head(tokens: Tensor, grid: GridGeometry,
+                    params: dict[str, Tensor]) -> tuple[Tensor, Tensor]:
+    """One 3x3 conv over the finest (T, N, D) tokens retiled onto ``grid`` (one-pixel
+    blocks): logistic center heatmap (T, n_h, n_w) and 3D offsets (T, 3J, n_h, n_w)."""
+    frames, _, d = tokens.shape
+    spatial = retile(tokens, grid, d)  # (T, D, n_h, n_w)
+    out = T.conv2d(spatial, params["w"], params["b"])
+    heatmap = T.sigmoid(T.reshape(T.narrow(out, 1, 0, 1), (frames, grid.n_h, grid.n_w)))
+    return heatmap, T.narrow(out, 1, 1, out.shape[1] - 1)
 
 
 # -- optimizer --------------------------------------------------------------------
@@ -237,8 +236,7 @@ def clip_loss(out: ModelOutput, targets: tuple,
               cfg: TrainConfig) -> tuple[Tensor, dict[str, float]]:
     """Mean over the clip's frames of the per-frame composite loss."""
     target, masks = targets
-    return total_loss((out.heatmap, out.offset3d, out.offset2d), target,
-                      LossWeights(cfg.alpha), masks)
+    return total_loss((out.heatmap, out.offset3d, out.offset2d), target, masks, cfg.alpha)
 
 
 @dataclass

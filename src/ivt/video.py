@@ -33,20 +33,26 @@ from .tensor import ConfigError, ContractError, NumericError, ShapeError, Tensor
 class VideoConfig:
     """Architecture of the stacked video transformer, and every width it implies.
 
-    ``scales`` is kept sorted, finest first. Per scale s the fuse block is
-    C*s^2 wide and a token is J*C*s^2 wide; CISA runs at ``d_common``.
+    Every field is required and checked here: ``scales`` are distinct block
+    sizes >= 1, kept sorted finest first, and ``layers`` >= 0. Per scale s the
+    fuse block is C*s^2 wide and a token is J*C*s^2 wide; CISA runs at ``d_common``.
     ``fuse_heads`` must divide every fuse width and, when there are layers,
     ``heads`` every token width (``d_common`` is one of them).
     """
     joints: int
     channels: int
-    scales: tuple[int, ...] = (2, 4, 8)
-    layers: int = 3
-    heads: int = 2
-    fuse_heads: int = 2
+    scales: tuple[int, ...]
+    layers: int
+    heads: int
+    fuse_heads: int
 
     def __post_init__(self):
-        object.__setattr__(self, "scales", tuple(sorted(int(s) for s in self.scales)))
+        scales = tuple(int(s) for s in self.scales)
+        if not scales or min(scales) < 1 or len(set(scales)) != len(scales):
+            raise ConfigError(f"scales = {scales}; need one or more distinct block sizes >= 1")
+        if self.layers < 0:
+            raise ConfigError(f"layers = {self.layers}; need >= 0")
+        object.__setattr__(self, "scales", tuple(sorted(scales)))
         served = [("fuse_heads", self.fuse_heads, self.fuse_dims)]
         if self.layers > 0:
             served.append(("heads", self.heads, self.token_dims))
@@ -114,27 +120,17 @@ def alignment_maps(flows: list[np.ndarray], geom: GridGeometry, frames: int) -> 
     """
     if len(flows) != frames - 1:
         raise ContractError(f"alignment_maps: need {frames - 1} flow pairs, got {len(flows)}")
-    k = geom.block_size
-    h, w = geom.n_h * k, geom.n_w * k
     means = [block_mean_flow(f, geom) for f in flows]
     if not all(np.all(np.isfinite(m)) for m in means):
         raise NumericError("alignment_maps: flow contains non-finite block means")
-    rows, cols = np.divmod(np.arange(geom.n), geom.n_w)
-    cy = rows * k + k // 2.0
-    cx = cols * k + k // 2.0
+    cx, cy = geom.centers()
     out = np.empty((frames, geom.n), dtype=np.int64)
     for t in range(frames):
-        px, py = cx.copy(), cy.copy()
+        px, py = cx, cy
         for s in range(t, frames - 1):
-            # Clamp before the integer cast, which would wrap flows beyond int64.
-            bx = np.clip(np.rint(px), 0, w - 1).astype(np.int64) // k
-            by = np.clip(np.rint(py), 0, h - 1).astype(np.int64) // k
-            bidx = by * geom.n_w + bx
-            px = px + means[s][bidx, 0]
-            py = py + means[s][bidx, 1]
-        dc = np.clip(np.rint(px), 0, w - 1).astype(np.int64) // k
-        dr = np.clip(np.rint(py), 0, h - 1).astype(np.int64) // k
-        dest = dr * geom.n_w + dc
+            bidx = geom.block_at(px, py)
+            px, py = px + means[s][bidx, 0], py + means[s][bidx, 1]
+        dest = geom.block_at(px, py)
         assign = np.arange(geom.n, dtype=np.int64)
         for i in range(geom.n):
             assign[dest[i]] = i

@@ -176,7 +176,7 @@ def test_criterion_3_residual_structure():
     for seed in range(5):
         rng = RNG(seed)
         # One block size K=2 on a 4x4 map: 4 tokens of width J*C*K*K = 8.
-        cfg = VideoConfig(joints=2, channels=1, scales=(2,), layers=1, heads=2)
+        cfg = VideoConfig(joints=2, channels=1, scales=(2,), layers=1, heads=2, fuse_heads=2)
         params = video_params(rng, cfg, 4, 4)["layer0"]
         zero_block_outputs(params["cisa"]["block"])
         params["cisa"]["pos2"] = Tensor(np.zeros((4, 8)))

@@ -105,7 +105,7 @@ def test_heads_must_divide_model_dim():
             multi_head_self_attention(rt(RNG(4), 3, 6), params, heads)
     # J*C*s^2 = 6 for the one scale; the fuse width C*s^2 = 3 takes fuse_heads = 3.
     with pytest.raises(ConfigError, match="heads = 4"):
-        VideoConfig(joints=2, channels=3, scales=(1,), heads=4, fuse_heads=3)
+        VideoConfig(joints=2, channels=3, scales=(1,), layers=3, heads=4, fuse_heads=3)
 
 
 def test_input_width_must_match_the_weights():

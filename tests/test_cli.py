@@ -7,10 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ivt.checkpoint import save_params
 from ivt.cli import git_revision, main, read_config
 from ivt.codec import poses_from_lines
 from ivt.synth import generate
-from ivt.train import TrainConfig
+from ivt.train import TrainConfig, build_model
 
 TINY_CONFIG = """\
 [scene]
@@ -168,6 +169,34 @@ def test_bench_takes_scales_that_do_not_divide_16(capsys):
 def test_bench_rejects_scales_too_big_to_allocate(scales, message, capsys):
     assert main(["bench", "--scales", scales, "--frames", "1"]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--scales", "0"), ("--scales", "-2"), ("--scales", "2,2"), ("--frames", "0"),
+    ("--frames", "3,-1"),
+])
+def test_bench_rejects_bad_values_and_names_the_key(tmp_path, capsys, flag, value):
+    out = tmp_path / "bench"
+    assert main(["bench", f"{flag}={value}", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert flag.lstrip("-") in captured.err
+    assert not (out / "bench.csv").exists()
+    if flag == "--frames":  # rejected before the table header
+        assert captured.out == "" and flag in captured.err
+
+
+@pytest.mark.parametrize("keep", [5, "half"])
+def test_eval_on_a_cut_checkpoint_exit_two_and_name_the_file(tmp_path, tiny_config, capsys,
+                                                             keep):
+    ckpt = tmp_path / "model.ivtc"
+    save_params(ckpt, build_model(*read_config(tiny_config)).named_params())
+    raw = ckpt.read_bytes()
+    ckpt.write_bytes(raw[:len(raw) // 2 if keep == "half" else keep])
+    out = tmp_path / "eval"
+    assert main(["eval", "--config", tiny_config, "--checkpoint", str(ckpt),
+                 "--out", str(out)]) == 2
+    assert f"{ckpt}: byte " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_unknown_key_exit_two(tmp_path):

@@ -173,14 +173,14 @@ def test_threshold_above_all_peaks_gives_empty_list():
     rng = RNG(4)
     poses = random_scene(rng, 2)
     hm, off3d, _ = encode_targets(poses, 16, 16)
-    assert decode_poses(hm, off3d, threshold=1.0 + 1e-9) == []
+    assert decode_poses(hm, off3d, threshold=1.0 + 1e-9, max_people=10) == []
 
 
 def test_threshold_monotonicity():
     rng = RNG(5)
     poses = random_scene(rng, 4)
     hm, off3d, _ = encode_targets(poses, 16, 16)
-    counts = [len(decode_poses(hm, off3d, threshold=t))
+    counts = [len(decode_poses(hm, off3d, threshold=t, max_people=10))
               for t in (0.05, 0.3, 0.6, 0.9, 1.01)]
     assert counts == sorted(counts, reverse=True)
 
@@ -196,7 +196,7 @@ def test_decode_orders_by_confidence():
     hm = np.zeros((9, 9))
     hm[2, 2], hm[6, 6] = 0.7, 0.9
     off3d = np.zeros((3, 9, 9))
-    decoded = decode_poses(hm, off3d, threshold=0.5)
+    decoded = decode_poses(hm, off3d, threshold=0.5, max_people=10)
     assert decoded[0].score == 0.9 and decoded[1].score == 0.7
 
 
@@ -219,9 +219,9 @@ def test_decode_rejects_bad_arguments():
     hm = np.zeros((4, 4))
     off = np.zeros((3, 4, 4))
     with pytest.raises(ContractError):
-        decode_poses(hm, off, threshold=0.0)
+        decode_poses(hm, off, threshold=0.0, max_people=10)
     with pytest.raises(ContractError):
-        decode_poses(hm, off, max_people=0)
+        decode_poses(hm, off, threshold=0.5, max_people=0)
 
 
 # -- text format ---------------------------------------------------------------------

@@ -185,9 +185,18 @@ def test_gather_indices_match_scalar_reference(data, frames, joints, k, n_h, n_w
         gather_indices(offsets, grid, joints)
 
 
+@settings(deadline=None, max_examples=200)
+@given(k=st.integers(1, 4), n_h=st.integers(1, 4), n_w=st.integers(1, 4),
+       px=st.floats(-1e300, 1e300), py=st.floats(-1e300, 1e300))
+def test_block_at_stays_on_the_grid(k, n_h, n_w, px, py):
+    geom = GridGeometry(k, n_h, n_w)
+    idx = geom.block_at(np.array([px]), np.array([py]))
+    assert idx.dtype == np.int64 and 0 <= idx[0] < geom.n
+
+
 def test_gather_gradient_supported_only_on_source_blocks():
     joints = 2
-    cfg = VideoConfig(joints=joints, channels=1, scales=(2,), layers=0, fuse_heads=1)
+    cfg = VideoConfig(joints=joints, channels=1, scales=(2,), layers=0, heads=2, fuse_heads=1)
     params = {"fuse2": zero_block_outputs(block_params(RNG(11), 4))}
     feat = Tensor(RNG(11).uniform(-1, 1, size=(2, 1, 8, 8)), requires_grad=True)
     offsets = np.zeros((2, 2 * joints, 8, 8))
@@ -232,7 +241,7 @@ def test_tokenize_matches_reshape_block_composition():
 
 
 def one_scale_clip(rng, joints, channels, k, fuse_heads=2):
-    cfg = VideoConfig(joints=joints, channels=channels, scales=(k,), layers=0,
+    cfg = VideoConfig(joints=joints, channels=channels, scales=(k,), layers=0, heads=2,
                       fuse_heads=fuse_heads)
     params = {f"fuse{k}": block_params(rng, channels * k * k)}
     return cfg, params

@@ -8,7 +8,7 @@ import pytest
 
 from ivt import tensor as T
 from ivt.gradcheck import grad_check
-from ivt.losses import LossWeights, masked_l1, total_loss
+from ivt.losses import masked_l1, total_loss
 from ivt.tensor import ContractError, Tensor
 
 RNG = np.random.default_rng
@@ -32,7 +32,7 @@ def test_exact_prediction_gives_zero_loss():
     rng = RNG(0)
     mask, hm, o3, o2 = make_maps(rng)
     total, terms = total_loss((Tensor(hm), Tensor(o3), Tensor(o2)),
-                              (hm, o3, o2), LossWeights(10.0), mask)
+                              (hm, o3, o2), (mask, mask), 10.0)
     assert total.item() == 0.0
     assert all(v == 0.0 for v in terms.values())
 
@@ -43,7 +43,7 @@ def test_alpha_zero_drops_heatmap_term():
     pred_hm = Tensor(rng.uniform(0, 1, size=hm.shape))
     pred_o3, pred_o2 = Tensor(rng.standard_normal(o3.shape)), Tensor(rng.standard_normal(o2.shape))
     total, terms = total_loss((pred_hm, pred_o3, pred_o2), (hm, o3, o2),
-                              LossWeights(0.0), mask)
+                              (mask, mask), 0.0)
     assert total.item() == pytest.approx(terms["l1_3d"] + terms["l1_2d"], abs=1e-15)
 
 
@@ -58,7 +58,7 @@ def test_hand_computed_single_pixel_value():
     pred_o3 = Tensor(np.zeros((1, 3, 1, 1)))
     tgt_o3 = np.zeros((1, 3, 1, 1))
     total, terms = total_loss((pred_hm, pred_o3, pred_o2),
-                              (tgt_hm, tgt_o3, tgt_o2), LossWeights(10.0), mask)
+                              (tgt_hm, tgt_o3, tgt_o2), (mask, mask), 10.0)
     # (|1| + |-2|) / 2 + 10 * (0.5)^2 = 1.5 + 2.5
     assert total.item() == pytest.approx(4.0, abs=1e-12)
     assert terms["l1_2d"] == pytest.approx(1.5, abs=1e-12)
@@ -73,7 +73,7 @@ def test_scalar_loop_oracle_random_maps():
     pred_o2 = rng.standard_normal(o2.shape)
     alpha = 10.0
     total, _ = total_loss((Tensor(pred_hm), Tensor(pred_o3), Tensor(pred_o2)),
-                          (hm, o3, o2), LossWeights(alpha), mask)
+                          (hm, o3, o2), (mask, mask), alpha)
     acc3 = [abs(pred_o3[0, c, y, x] - o3[0, c, y, x])
             for c in range(o3.shape[1])
             for y in range(4) for x in range(4) if mask[0, y, x]]
@@ -92,7 +92,7 @@ def test_loss_nonnegative_and_zero_only_on_match():
         pred = (Tensor(rng.uniform(0, 1, size=hm.shape)),
                 Tensor(rng.standard_normal(o3.shape)),
                 Tensor(rng.standard_normal(o2.shape)))
-        total, _ = total_loss(pred, (hm, o3, o2), LossWeights(10.0), mask)
+        total, _ = total_loss(pred, (hm, o3, o2), (mask, mask), 10.0)
         assert total.item() >= 0.0
 
 
@@ -102,15 +102,16 @@ def test_linearity_in_alpha():
     pred = (Tensor(rng.uniform(0, 1, size=hm.shape)),
             Tensor(rng.standard_normal(o3.shape)),
             Tensor(rng.standard_normal(o2.shape)))
-    t1, terms1 = total_loss(pred, (hm, o3, o2), LossWeights(2.0), mask)
-    t2, _ = total_loss(pred, (hm, o3, o2), LossWeights(5.0), mask)
+    t1, terms1 = total_loss(pred, (hm, o3, o2), (mask, mask), 2.0)
+    t2, _ = total_loss(pred, (hm, o3, o2), (mask, mask), 5.0)
     slope = (t2.item() - t1.item()) / 3.0
     assert slope == pytest.approx(terms1["l2_hm"], abs=1e-12)
 
 
 def test_negative_alpha_rejected():
-    with pytest.raises(ContractError):
-        LossWeights(-1.0)
+    mask, hm, o3, o2 = make_maps(RNG(6))
+    with pytest.raises(ContractError, match="alpha"):
+        total_loss((Tensor(hm), Tensor(o3), Tensor(o2)), (hm, o3, o2), (mask, mask), -1.0)
 
 
 def test_empty_mask_with_nonzero_targets_rejected():
@@ -139,14 +140,14 @@ def test_gradient_of_total_loss():
 
     def f(t):
         total, _ = total_loss((t, pred_o3, pred_o2), (hm, o3, o2),
-                              LossWeights(10.0), mask)
+                              (mask, mask), 10.0)
         return total
 
     assert grad_check(f, Tensor(rng.uniform(0, 1, size=hm.shape))) <= 1e-5
 
     def g(t):
         total, _ = total_loss((Tensor(hm), t, pred_o2), (hm, o3, o2),
-                              LossWeights(10.0), mask)
+                              (mask, mask), 10.0)
         return total
 
     assert grad_check(g, pred_o3) <= 1e-5

@@ -5,7 +5,7 @@ import pytest
 
 from ivt.codec import encode_targets
 from ivt.synth import SceneSpec, generate, gt_feature_provider
-from ivt.tensor import ContractError
+from ivt.tensor import ConfigError
 
 
 def small_spec(**kw):
@@ -105,13 +105,13 @@ def test_flow_is_integer_valued():
 
 
 def test_trajectory_exiting_grid_rejected():
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigError, match="amplitude"):
         generate(small_spec(height=16, width=16, amplitude=20.0))
 
 
 def test_invalid_spec_rejected():
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigError, match="persons"):
         SceneSpec(persons=-1)
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigError, match="frames"):
         SceneSpec(frames=0)
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +17,7 @@ from ivt.codec import Pose3D
 from ivt.metrics import match_and_evaluate
 from ivt.synth import SceneSpec, generate
 from ivt.tensor import ConfigError, ContractError, Tensor
-from ivt.losses import LossWeights, total_loss
+from ivt.losses import total_loss
 from ivt.train import (Adam, ModelOutput, TrainConfig, build_model, clip_loss,
                        decode_output, evaluate, load_model, lr_at, train)
 
@@ -60,6 +61,41 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.ivtc"
     path.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(ValueError):
+        load_params(path)
+
+
+def test_cut_checkpoint_reads_whole_records_or_names_the_offset(tmp_path):
+    rng = RNG(2)
+    params = {"w": Tensor(rng.standard_normal((2, 3))), "s": Tensor(np.array(0.5)),
+              "b": Tensor(rng.standard_normal(2))}
+    path = tmp_path / "full.ivtc"
+    save_params(path, params)
+    raw = path.read_bytes()
+    ends = {}  # file length after the first i whole records
+    for i in range(len(params) + 1):
+        part = tmp_path / f"first{i}.ivtc"
+        save_params(part, dict(list(params.items())[:i]))
+        ends[part.stat().st_size] = i
+    cut = tmp_path / "cut.ivtc"
+    for n in range(len(raw)):
+        cut.write_bytes(raw[:n])
+        if n in ends:
+            back = load_params(cut)
+            assert list(back) == list(params)[:ends[n]]
+            for name, t in back.items():
+                assert t.shape == params[name].shape
+                assert t.data.tobytes() == params[name].data.tobytes()
+        else:
+            with pytest.raises(ValueError, match=rf"^{re.escape(str(cut))}: byte \d+: "):
+                load_params(cut)
+
+
+def test_checkpoint_with_huge_name_length_names_the_offset(tmp_path):
+    path = tmp_path / "p.ivtc"
+    save_params(path, {"w": Tensor(np.ones(2))})
+    raw = path.read_bytes()
+    path.write_bytes(raw[:6] + b"\xff\xff\xff\xff" + raw[10:])
+    with pytest.raises(ValueError, match="byte 10: need 4294967295 bytes"):
         load_params(path)
 
 
@@ -112,9 +148,9 @@ def test_lr_schedule_two_milestone_drops():
 
 
 def test_invalid_train_config_rejected():
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigError, match="steps"):
         tiny_config(steps=0)
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigError, match="lr"):
         tiny_config(lr=0.0)
 
 
@@ -321,8 +357,8 @@ def test_clip_loss_is_mean_of_per_frame_losses():
     loss, terms = clip_loss(out, ((hm, o3, o2), (mask_head, mask_feat)), cfg)
     def frame(t):
         pred = tuple(Tensor(x.data[t:t + 1]) for x in (out.heatmap, out.offset3d, out.offset2d))
-        return total_loss(pred, (hm[t:t + 1], o3[t:t + 1], o2[t:t + 1]), LossWeights(3.0),
-                          (mask_head[t:t + 1], mask_feat[t:t + 1]))[1]
+        return total_loss(pred, (hm[t:t + 1], o3[t:t + 1], o2[t:t + 1]),
+                          (mask_head[t:t + 1], mask_feat[t:t + 1]), 3.0)[1]
 
     per_frame = [frame(t) for t in range(frames)]
     assert per_frame[1]["l1_3d"] == per_frame[1]["l1_2d"] == 0.0

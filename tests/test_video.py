@@ -23,14 +23,15 @@ def rt(rng, *shape):
 
 def one_scale(joints, channels, geom):
     """VideoConfig and grid of one block size, with token width J*C*K*K."""
-    cfg = VideoConfig(joints=joints, channels=channels, scales=(geom.block_size,), heads=2)
+    cfg = VideoConfig(joints=joints, channels=channels, scales=(geom.block_size,), layers=3,
+                      heads=2, fuse_heads=2)
     return cfg, [geom]
 
 
 def one_scale_layer(rng, joints, channels, geom):
     """VideoConfig, grids and layer-0 parameters of a one-scale stack."""
     cfg = VideoConfig(joints=joints, channels=channels, scales=(geom.block_size,),
-                      layers=1, heads=2)
+                      layers=1, heads=2, fuse_heads=2)
     k = geom.block_size
     params = video_params(rng, cfg, geom.n_h * k, geom.n_w * k)["layer0"]
     return cfg, [geom], params
@@ -324,7 +325,8 @@ def test_layer_gradient():
 
 def make_scales(joints=2, channels=1, scales=(2, 4), h=8, w=8, seed=20):
     rng = RNG(seed)
-    cfg = VideoConfig(joints=joints, channels=channels, scales=scales, heads=2)
+    cfg = VideoConfig(joints=joints, channels=channels, scales=scales, layers=3, heads=2,
+                      fuse_heads=2)
     return rng, cfg, cfg.grids(h, w)
 
 
@@ -510,6 +512,15 @@ def test_forward_multiscale_gradient():
 
 
 # -- the config check ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("key, value", [
+    ("scales", ()), ("scales", (0,)), ("scales", (-2,)), ("scales", (2, 2)), ("layers", -1),
+])
+def test_config_rejects_bad_scales_and_layers(key, value):
+    fields = dict(joints=2, channels=1, scales=(2,), layers=1, heads=2, fuse_heads=2)
+    with pytest.raises(ConfigError, match=f"^{key} = "):
+        VideoConfig(**{**fields, key: value})
 
 
 @settings(max_examples=40, deadline=None)
