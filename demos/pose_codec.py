@@ -8,7 +8,7 @@ the offsets back out; on clean maps the round trip is exact.
 
 import numpy as np
 
-from ivt.codec import Pose3D, decode_poses, encode_targets, keypoint_nms
+from ivt.codec import Pose3D, decode_poses, encode_heatmap, encode_offsets, keypoint_nms
 from ivt.metrics import mpjpe
 
 rng = np.random.default_rng(7)
@@ -23,9 +23,10 @@ for cx, cy in ((6, 6), (17, 9), (9, 18)):
     joints[0, :2] = (cx, cy)  # joint 0 is the root / heatmap center
     people.append(Pose3D(joints))
 
-heatmap, offsets3d, offsets2d = encode_targets(people, h, w)
+heatmap = encode_heatmap(people, h, w, 2.0)
+offsets3d, centers = encode_offsets(people, 5, h, w)
 print(f"encoded {len(people)} people -> heatmap {heatmap.shape}, "
-      f"3D offsets {offsets3d.shape}, 2D offsets {offsets2d.shape}")
+      f"3D offsets {offsets3d.shape} at {int(centers.sum())} center pixels")
 print("heatmap peaks at the root pixels:",
       [float(heatmap[cy, cx]) for cx, cy in ((6, 6), (17, 9), (9, 18))])
 

@@ -16,9 +16,8 @@ from .igt import (GridGeometry, extract_blocks, gather_indices, offset_head_para
 from .video import (VideoConfig, align_tokens, alignment_maps, block_mean_flow, cisa,
                     cisa_params, ita, ivt_forward, ivt_layer, mita, split_to_finest,
                     tokenize_clip, video_params)
-from .codec import (ROOT_JOINT, Pose3D, center_mask, decode_poses,
-                    encode_targets, keypoint_nms, poses_from_lines,
-                    poses_to_lines)
+from .codec import (ROOT_JOINT, Pose3D, decode_poses, encode_heatmap,
+                    encode_offsets, keypoint_nms, poses_from_lines, poses_to_lines)
 from .losses import masked_l1, total_loss
 from .metrics import (EvalReport, FrameEval, depth_error, greedy_match,
                       match_and_evaluate, mpjpe, pa_mpjpe, procrustes_align)

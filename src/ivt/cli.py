@@ -207,12 +207,7 @@ def cmd_train(args) -> int:
     scene, cfg = run_settings(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ckpt = out_dir / "checkpoint.ivtc"
-    try:
-        result = train(scene, cfg, checkpoint_path=ckpt)
-    except NumericError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    result = train(scene, cfg, checkpoint_path=out_dir / "checkpoint.ivtc")
     result.write_log(out_dir / "train_log.csv")
     write_manifest(out_dir, "train", {"scene": asdict(scene), "train": asdict(cfg)},
                    cfg.seed, ["checkpoint.ivtc", "train_log.csv"],
@@ -254,15 +249,13 @@ BENCH_MAX_BLOCK = 16
 BENCH_MAX_SIDE = 64
 
 
-def temporal_macs(frames: int, scales: tuple[int, ...], seed: int) -> tuple[int, float]:
-    """Multiply-accumulate count and wall time of one layer's temporal stage.
+def bench_config(scales: tuple[int, ...]) -> tuple[VideoConfig, int]:
+    """The model config of the `ivt bench` sweep and the side of its square map.
 
-    Runs ITA once per scale on random (T, N_s, D_s) tokens, with N_s and D_s
-    those of two joints and one channel on a square map whose side is the
-    smallest multiple of lcm(scales) that is at least 16: 16x16 whenever
-    the scales divide 16, and 18x18 for (2, 3). Block sizes above
-    ``BENCH_MAX_BLOCK`` and maps wider than ``BENCH_MAX_SIDE`` raise
-    ``ConfigError`` before anything is allocated.
+    The map has two joints and one channel, and its side is the smallest
+    multiple of lcm(scales) that is at least 16: 16x16 whenever the scales
+    divide 16, and 18x18 for (2, 3). Block sizes above ``BENCH_MAX_BLOCK``
+    and maps wider than ``BENCH_MAX_SIDE`` raise ``ConfigError``.
     """
     cfg = VideoConfig(joints=2, channels=1, scales=scales, layers=1, heads=2, fuse_heads=1)
     if cfg.scales[-1] > BENCH_MAX_BLOCK:
@@ -272,6 +265,15 @@ def temporal_macs(frames: int, scales: tuple[int, ...], seed: int) -> tuple[int,
     if side > BENCH_MAX_SIDE:
         raise ConfigError(f"bench: scales {cfg.scales} need a {side}x{side} map, "
                           f"above {BENCH_MAX_SIDE}x{BENCH_MAX_SIDE}")
+    return cfg, side
+
+
+def temporal_macs(frames: int, cfg: VideoConfig, side: int, seed: int) -> tuple[int, float]:
+    """Multiply-accumulate count and wall time of one layer's temporal stage.
+
+    Runs ITA once per scale of ``cfg`` on random (T, N_s, D_s) tokens, with
+    N_s and D_s those of a ``side`` x ``side`` map.
+    """
     rng = np.random.default_rng(seed)
     macs.reset()
     wall = 0.0
@@ -290,10 +292,11 @@ def cmd_bench(args) -> int:
     if min(frames) < 1:
         raise ConfigError(f"bench: --frames {args.frames}; need frame counts >= 1")
     scales = tuple(int(v) for v in args.scales.split(",")) if args.scales else (4,)
+    cfg, side = bench_config(scales)
     rows = []
     print(f"{'frames':>6s} {'temporal_macs':>14s} {'wall_s':>8s}")
     for t in frames:
-        count, wall = temporal_macs(t, scales, args.seed)
+        count, wall = temporal_macs(t, cfg, side, args.seed)
         rows.append({"frames": t, "temporal_macs": count, "wall_s": wall})
         print(f"{t:6d} {count:14d} {wall:8.3f}")
     if args.out:

@@ -35,50 +35,44 @@ class Pose3D:
         return self.joints[ROOT_JOINT]
 
 
-def encode_targets(poses: list[Pose3D], h: int, w: int, sigma: float = 2.0
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ground-truth (heatmap, 3D offsets, 2D offsets) for one frame.
-
-    Heatmap is the pixel-wise max of per-person Gaussians centered on the
-    root joint. Offsets are written only at each person's center pixel
-    (the pixel nearest the root); collisions go to the nearest center.
-    """
+def encode_heatmap(poses: list[Pose3D], h: int, w: int, sigma: float) -> np.ndarray:
+    """(h, w) center heatmap: the pixel-wise max of per-person Gaussians centered
+    on the root joint."""
     if sigma <= 0:
-        raise ConfigError(f"encode_targets: sigma must be positive, got {sigma}")
-    if not poses:
-        joints = 0
-    else:
-        joints = poses[0].joints.shape[0]
+        raise ConfigError(f"encode_heatmap: sigma must be positive, got {sigma}")
     hm = np.zeros((h, w))
-    off3d = np.zeros((3 * joints, h, w))
-    off2d = np.zeros((2 * joints, h, w))
     ys, xs = np.mgrid[0:h, 0:w]
-    owner_dist = np.full((h, w), np.inf)
-    for idx, pose in enumerate(poses):
+    for pose in poses:
         cx, cy = pose.root[0], pose.root[1]
-        if not (0 <= cx <= w - 1 and 0 <= cy <= h - 1):
-            raise ContractError(f"encode_targets: pose {idx} center ({cx}, {cy}) outside map")
         g = np.exp(-((xs - cx) ** 2 + (ys - cy) ** 2) / (2.0 * sigma * sigma))
         np.maximum(hm, g, out=hm)
+    return hm
+
+
+def encode_offsets(poses: list[Pose3D], joints: int, h: int, w: int
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """(3J, h, w) offsets and the (h, w) mask of the pixels that hold them.
+
+    Each person's offsets go to its center pixel, the pixel nearest the
+    root; collisions go to the nearest center. Channels 3j, 3j+1 and 3j+2
+    hold joint j's x and y offsets from that pixel and its depth, so the 2D
+    offsets are the x and y channels.
+    """
+    off3d = np.zeros((3 * joints, h, w))
+    owner_dist = np.full((h, w), np.inf)
+    for idx, pose in enumerate(poses):
+        if pose.joints.shape[0] != joints:
+            raise ContractError(f"encode_offsets: pose {idx} has "
+                                f"{pose.joints.shape[0]} joints, expected {joints}")
+        cx, cy = pose.root[0], pose.root[1]
+        if not (0 <= cx <= w - 1 and 0 <= cy <= h - 1):
+            raise ContractError(f"encode_offsets: pose {idx} center ({cx}, {cy}) outside map")
         px, py = int(round(cx)), int(round(cy))
         d = (cx - px) ** 2 + (cy - py) ** 2
         if d < owner_dist[py, px]:
             owner_dist[py, px] = d
-            for j in range(joints):
-                off3d[3 * j + 0, py, px] = pose.joints[j, 0] - px
-                off3d[3 * j + 1, py, px] = pose.joints[j, 1] - py
-                off3d[3 * j + 2, py, px] = pose.joints[j, 2]
-                off2d[2 * j + 0, py, px] = pose.joints[j, 0] - px
-                off2d[2 * j + 1, py, px] = pose.joints[j, 1] - py
-    return hm, off3d, off2d
-
-
-def center_mask(poses: list[Pose3D], h: int, w: int) -> np.ndarray:
-    """Boolean mask of ground-truth center pixels."""
-    mask = np.zeros((h, w), dtype=bool)
-    for pose in poses:
-        mask[int(round(pose.root[1])), int(round(pose.root[0]))] = True
-    return mask
+            off3d[:, py, px] = (pose.joints - (px, py, 0.0)).reshape(-1)
+    return off3d, owner_dist < np.inf
 
 
 def keypoint_nms(hm: np.ndarray) -> np.ndarray:
@@ -125,14 +119,19 @@ def poses_to_lines(frame: int, poses: list[Pose3D]) -> list[str]:
 
 
 def poses_from_lines(lines: list[str]) -> dict[int, list[Pose3D]]:
-    """Inverse of poses_to_lines, grouped by frame index."""
+    """Inverse of poses_to_lines, grouped by frame index; each frame's person
+    column must count 0, 1, 2, ... in order."""
     frames: dict[int, list[Pose3D]] = {}
     for line in lines:
         parts = line.split()
         if len(parts) < 3 or (len(parts) - 3) % 3 != 0:
             raise ContractError(f"poses_from_lines: malformed line {line!r}")
         frame = int(parts[0])
+        poses = frames.setdefault(frame, [])
+        if parts[1] != str(len(poses)):
+            raise ContractError(f"poses_from_lines: line {line!r} has person {parts[1]!r}; "
+                                f"need {len(poses)}")
         score = float(parts[2])
         joints = np.array([float(v) for v in parts[3:]]).reshape(-1, 3)
-        frames.setdefault(frame, []).append(Pose3D(joints, score=score))
+        poses.append(Pose3D(joints, score=score))
     return frames

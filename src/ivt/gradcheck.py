@@ -164,11 +164,11 @@ def _unit_full(rng: np.random.Generator, eps: float) -> float:
     # up and finite differences lose accuracy without any gradient bug.
     features_np = features_np + rng.uniform(0.05, 0.5, size=features_np.shape)
     model = build_model(scene, cfg)
-    targets = clip_targets(truth, model.fine_k, cfg.head_sigma)
+    targets = clip_targets(scene, truth, model.fine_k, cfg.head_sigma)
     rest = Tensor(features_np[1:])
 
     def f(t):
-        out = model.forward(T.concat([t, rest]), truth.flows, truth.offsets2d)
+        out = model.forward(T.concat([t, rest]), truth.flows, targets[0][2])
         return clip_loss(out, targets, cfg)[0]
 
     return grad_check(f, Tensor(features_np[:1]), eps)

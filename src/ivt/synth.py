@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import Pose3D, encode_targets
+from .codec import Pose3D
 from .tensor import ConfigError, Tensor
 
 
@@ -64,7 +64,6 @@ class SceneSpec:
 @dataclass
 class SceneTruth:
     poses: list[list[Pose3D]]          # per frame
-    offsets2d: np.ndarray              # (T, 2J, H, W)
     flows: list[np.ndarray]            # per adjacent pair, (2, H, W)
 
 
@@ -115,7 +114,7 @@ def _render_frame(spec: SceneSpec, poses: list[Pose3D], signatures: np.ndarray) 
 
 
 def generate(spec: SceneSpec) -> tuple[np.ndarray, SceneTruth]:
-    """Rendered (T, C, H, W) feature maps plus exact ground truth, deterministic in seed."""
+    """Rendered (T, C, H, W) feature maps plus exact poses and flows, deterministic in seed."""
     rng = np.random.default_rng(spec.seed)
     roots, offs = _trajectories(spec, rng)
     signatures = rng.uniform(0.5, 1.5, size=(spec.joints, spec.channels))
@@ -153,12 +152,7 @@ def generate(spec: SceneSpec) -> tuple[np.ndarray, SceneTruth]:
             flow[1][owner == p] = step[1]
         flows.append(flow)
 
-    offsets2d = np.zeros((spec.frames, 2 * spec.joints, spec.height, spec.width))
-    for t, poses in enumerate(poses_per_frame):
-        if poses:
-            offsets2d[t] = encode_targets(poses, spec.height, spec.width)[2]
-    truth = SceneTruth(poses_per_frame, offsets2d, flows)
-    return features, truth
+    return features, SceneTruth(poses_per_frame, flows)
 
 
 def gt_feature_provider(features: np.ndarray) -> Tensor:

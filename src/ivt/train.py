@@ -19,7 +19,7 @@ import numpy as np
 from . import tensor as T
 from .blocks import init_conv
 from .checkpoint import load_params, save_params
-from .codec import Pose3D, center_mask, decode_poses, encode_targets
+from .codec import Pose3D, decode_poses, encode_heatmap, encode_offsets
 from .igt import GridGeometry, offset_head_params, predict_offsets, retile
 from .losses import total_loss
 from .metrics import EvalReport, match_and_evaluate
@@ -213,23 +213,21 @@ def lr_at(cfg: TrainConfig, step: int) -> float:
 # -- training --------------------------------------------------------------------
 
 
-def clip_targets(truth: SceneTruth, k: int, sigma: float) -> tuple:
+def clip_targets(scene: SceneSpec, truth: SceneTruth, k: int, sigma: float) -> tuple:
     """The (targets, masks) of ``total_loss`` for the clip, stacked over frames:
-    heatmaps and 3D offsets on the head's grid (feature cells over the finest
-    block size k), 2D offsets at feature resolution."""
-    frames, two_j, h, w = truth.offsets2d.shape
-    n_h, n_w = h // k, w // k
-    hm = np.zeros((frames, n_h, n_w))
-    o3 = np.zeros((frames, 3 * (two_j // 2), n_h, n_w))
-    mask_head = np.zeros((frames, n_h, n_w), dtype=bool)
-    mask_feat = np.zeros((frames, h, w), dtype=bool)
-    for t, poses in enumerate(truth.poses):
+    heatmaps, 3D offsets and their mask on the head's grid (feature cells over
+    the finest block size k); 2D offsets, the x and y channels of the 3D
+    offsets, and their mask at feature resolution."""
+    joints, h, w = scene.joints, scene.height, scene.width
+    per_frame = []
+    for poses in truth.poses:
         scaled = [Pose3D(p.joints / (k, k, 1.0)) for p in poses]
-        if scaled:
-            hm[t], o3[t], _ = encode_targets(scaled, n_h, n_w, sigma)
-        mask_head[t] = center_mask(scaled, n_h, n_w)
-        mask_feat[t] = center_mask(poses, h, w)
-    return (hm, o3, truth.offsets2d), (mask_head, mask_feat)
+        per_frame.append((encode_heatmap(scaled, h // k, w // k, sigma),
+                          *encode_offsets(scaled, joints, h // k, w // k),
+                          *encode_offsets(poses, joints, h, w)))
+    hm, o3, mask_head, o3_feat, mask_feat = (np.stack(maps) for maps in zip(*per_frame))
+    o2 = o3_feat.reshape(-1, joints, 3, h, w)[:, :, :2].reshape(-1, 2 * joints, h, w)
+    return (hm, o3, o2), (mask_head, mask_feat)
 
 
 def clip_loss(out: ModelOutput, targets: tuple,
@@ -264,30 +262,34 @@ def check_frames(scene: SceneSpec, cfg: TrainConfig) -> None:
 def train(scene: SceneSpec, cfg: TrainConfig, checkpoint_path=None) -> TrainResult:
     """Optimize the full model on one synthetic scene clip.
 
-    Deterministic given (scene seed, train seed, config). A NaN loss
-    aborts with the step index after saving the last good parameters to
-    checkpoint_path (when given).
+    Deterministic given (scene seed, train seed, config). The parameters
+    go to checkpoint_path (when given) after the last step. A non-finite
+    value raises ``NumericError`` naming the step, and then no checkpoint
+    is written.
     """
     check_frames(scene, cfg)
     features_np, truth = generate(scene)
     features = gt_feature_provider(features_np)
     model = build_model(scene, cfg)
     optimizer = Adam(model.named_params())
-    gather = truth.offsets2d if cfg.teacher_forcing else None
-    targets = clip_targets(truth, model.fine_k, cfg.head_sigma)
+    targets = clip_targets(scene, truth, model.fine_k, cfg.head_sigma)
+    gather = targets[0][2] if cfg.teacher_forcing else None
 
     history: list[float] = []
     rows: list[dict] = []
     for step in range(cfg.steps):
-        out = model.forward(features, truth.flows, gather)
-        loss, terms = clip_loss(out, targets, cfg)
-        if not np.isfinite(loss.item()):
-            if checkpoint_path is not None:
-                save_params(checkpoint_path, model.named_params())
+        try:
+            out = model.forward(features, truth.flows, gather)
+            loss, terms = clip_loss(out, targets, cfg)
+            finite = np.isfinite(loss.item())
+            if finite:
+                T.backward(loss)
+                norm = optimizer.clip_gradients(cfg.clip_norm)
+                optimizer.step(lr_at(cfg, step))
+        except NumericError as exc:
+            raise NumericError(f"train: step {step}: {exc}") from exc
+        if not finite:
             raise NumericError(f"train: NaN loss at step {step}")
-        T.backward(loss)
-        norm = optimizer.clip_gradients(cfg.clip_norm)
-        optimizer.step(lr_at(cfg, step))
         history.append(terms["total"])
         rows.append({"step": step, "lr": lr_at(cfg, step), **terms,
                      "grad_norm": float(norm), "clipped": int(0 < cfg.clip_norm < norm)})

@@ -20,7 +20,7 @@ import pytest
 
 from ivt import tensor as T
 from ivt.blocks import block_params, multi_head_self_attention, zero_block_outputs
-from ivt.codec import Pose3D, decode_poses, encode_targets, keypoint_nms
+from ivt.codec import Pose3D, decode_poses, encode_heatmap, encode_offsets, keypoint_nms
 from ivt.gradcheck import GRAD_UNITS
 from ivt.metrics import mpjpe, pa_mpjpe
 from ivt.synth import SceneSpec, generate
@@ -75,7 +75,8 @@ def run_codec_round_trip() -> tuple[float, list[np.ndarray]]:
             joints[:, 2] = rng.uniform(0, 5, size=4)
             joints[0, :2] = (cx, cy)
             poses.append(Pose3D(joints))
-        hm, off3d, _ = encode_targets(poses, h, w)
+        hm = encode_heatmap(poses, h, w, 2.0)
+        off3d, _ = encode_offsets(poses, 4, h, w)
         decoded = decode_poses(hm, off3d, threshold=0.9, max_people=8)
         assert len(decoded) == persons
         got = sorted(decoded, key=lambda p: tuple(p.root[:2]))

@@ -1,7 +1,10 @@
 """Command-line interface: exit codes, artifacts, manifests, reproducibility."""
 
 import json
+import os
 import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +62,22 @@ def test_gradcheck_unknown_unit_exit_two(capsys):
 
 def test_gradcheck_eps_out_of_range_exit_two():
     assert main(["gradcheck", "--unit", "mhsa", "--eps", "1.0"]) == 2
+
+
+def test_diverging_train_exits_three_names_the_step_and_saves_nothing(tmp_path):
+    # A subprocess, because the run's overflow warnings are errors under pytest.
+    config = tmp_path / "diverge.cfg"
+    config.write_text(TINY_CONFIG.format(steps=10) + "lr = 1e200\nclip_norm = 0\n")
+    out = tmp_path / "run"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-m", "ivt.cli", "train", "--config", str(config),
+                           "--out", str(out)], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 3, proc.stderr[-2000:]
+    assert "numeric failure: train: step " in proc.stderr
+    assert not (out / "checkpoint.ivtc").exists()
 
 
 def test_train_then_eval_end_to_end(tmp_path, tiny_config, capsys):
@@ -168,7 +187,9 @@ def test_bench_takes_scales_that_do_not_divide_16(capsys):
 ])
 def test_bench_rejects_scales_too_big_to_allocate(scales, message, capsys):
     assert main(["bench", "--scales", scales, "--frames", "1"]) == 2
-    assert message in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""  # rejected before the table header
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -181,8 +202,9 @@ def test_bench_rejects_bad_values_and_names_the_key(tmp_path, capsys, flag, valu
     captured = capsys.readouterr()
     assert flag.lstrip("-") in captured.err
     assert not (out / "bench.csv").exists()
-    if flag == "--frames":  # rejected before the table header
-        assert captured.out == "" and flag in captured.err
+    assert captured.out == ""  # rejected before the table header
+    if flag == "--frames":
+        assert flag in captured.err
 
 
 @pytest.mark.parametrize("keep", [5, "half"])
@@ -233,6 +255,10 @@ BAD_INPUTS = {
     "duplicate-section": ("config", lambda t: t + "[scene]\nseed = 8\n", "scene"),
     "bad-boolean": ("config", lambda t: t + "teacher_forcing = maybe\n", "teacher_forcing"),
     "edited-pose-line": ("scene", _edit_pose_line, "frame 1"),
+    "pose-person-not-an-int": ("scene", lambda t: t.replace("\n1 0 ", "\n1 banana ", 1),
+                               "banana"),
+    "pose-person-out-of-order": ("scene", lambda t: t.replace("\n1 0 ", "\n1 7 ", 1),
+                                 "person '7'"),
     "frames-mismatch": ("config", lambda t: t.replace("frames = 2\n", "frames = 3\n", 1),
                         "frames"),
     "zero-scale": ("config", lambda t: t.replace("scales = 4\n", "scales = 0\n"), "scales"),

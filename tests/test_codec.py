@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ivt.codec import (Pose3D, center_mask, decode_poses, encode_targets,
+from ivt.codec import (Pose3D, decode_poses, encode_heatmap, encode_offsets,
                        keypoint_nms, poses_from_lines, poses_to_lines)
 from ivt.tensor import ConfigError, ContractError
 
@@ -27,27 +27,35 @@ def random_scene(rng, persons, joints=4, h=16, w=16):
     return poses
 
 
+def encode(poses, h, w, sigma):
+    """Heatmap and 3D offsets of a non-empty frame."""
+    return (encode_heatmap(poses, h, w, sigma),
+            encode_offsets(poses, poses[0].joints.shape[0], h, w)[0])
+
+
 # -- encoding -----------------------------------------------------------------------
 
 
 def test_centered_person_has_unit_peak():
     pose = Pose3D(np.array([[5.0, 6.0, 2.0], [6.0, 7.0, 2.5]]))
-    hm, _, _ = encode_targets([pose], 12, 12)
+    hm = encode_heatmap([pose], 12, 12, 2.0)
     assert hm[6, 5] == 1.0
     assert hm.max() == 1.0
 
 
 def test_zero_persons_give_zero_targets():
-    hm, off3d, off2d = encode_targets([], 8, 8)
+    hm = encode_heatmap([], 8, 8, 2.0)
     assert hm.shape == (8, 8) and not hm.any()
-    assert off3d.shape == (0, 8, 8) and off2d.shape == (0, 8, 8)
+    off3d, mask = encode_offsets([], 3, 8, 6)
+    assert off3d.shape == (9, 8, 6) and not off3d.any()
+    assert mask.shape == (8, 6) and mask.dtype == bool and not mask.any()
 
 
 def test_two_person_heatmap_is_max_of_gaussians():
     sigma = 2.0
     p1 = Pose3D(np.array([[3.0, 3.0, 1.0]]))
     p2 = Pose3D(np.array([[9.0, 5.0, 1.0]]))
-    hm, _, _ = encode_targets([p1, p2], 12, 12, sigma)
+    hm = encode_heatmap([p1, p2], 12, 12, sigma)
     want = np.zeros((12, 12))
     for y in range(12):
         for x in range(12):
@@ -60,10 +68,8 @@ def test_two_person_heatmap_is_max_of_gaussians():
 def test_offsets_written_only_at_center_pixels():
     rng = RNG(0)
     poses = random_scene(rng, 3)
-    _, off3d, off2d = encode_targets(poses, 16, 16)
-    mask = center_mask(poses, 16, 16)
+    off3d, mask = encode_offsets(poses, 4, 16, 16)
     assert not off3d[:, ~mask].any()
-    assert not off2d[:, ~mask].any()
     for pose in poses:
         px, py = int(round(pose.root[0])), int(round(pose.root[1]))
         for j in range(pose.joints.shape[0]):
@@ -75,12 +81,53 @@ def test_offsets_written_only_at_center_pixels():
 def test_center_outside_map_rejected():
     pose = Pose3D(np.array([[20.0, 2.0, 1.0]]))
     with pytest.raises(ContractError):
-        encode_targets([pose], 8, 8)
+        encode_offsets([pose], 1, 8, 8)
+
+
+def test_wrong_joint_count_rejected():
+    poses = [Pose3D(np.zeros((2, 3))), Pose3D(np.ones((3, 3)))]
+    with pytest.raises(ContractError, match="pose 1 has 3 joints, expected 2"):
+        encode_offsets(poses, 2, 8, 8)
 
 
 def test_nonpositive_sigma_rejected():
     with pytest.raises(ConfigError):
-        encode_targets([], 8, 8, sigma=0.0)
+        encode_heatmap([], 8, 8, 0.0)
+
+
+@st.composite
+def frames_inside_map(draw):
+    """Up to 4 poses whose roots lie inside an h x w map; roots may share a pixel."""
+    h, w = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    joints = draw(st.integers(1, 4))
+    poses = []
+    for _ in range(draw(st.integers(0, 4))):
+        rest = draw(arrays(np.float64, (joints - 1, 3),
+                           elements=st.floats(-20.0, 20.0, allow_nan=False)))
+        root = [draw(st.floats(0.0, w - 1.0)), draw(st.floats(0.0, h - 1.0)),
+                draw(st.floats(-5.0, 5.0))]
+        poses.append(Pose3D(np.vstack([root, rest])))
+    return h, w, joints, poses
+
+
+@settings(deadline=None, max_examples=200)
+@given(frames_inside_map())
+def test_offsets_mask_is_rounded_roots_and_offsets_give_owner_joints(frame):
+    h, w, joints, poses = frame
+    off3d, mask = encode_offsets(poses, joints, h, w)
+    pixel = [(int(round(p.root[0])), int(round(p.root[1]))) for p in poses]
+    want = np.zeros((h, w), dtype=bool)
+    for px, py in pixel:
+        want[py, px] = True
+    np.testing.assert_array_equal(mask, want)
+    assert not off3d[:, ~mask].any()
+    for px, py in set(pixel):
+        # The owner is the first of the poses at this pixel whose root is nearest.
+        dist = [(p.root[0] - px) ** 2 + (p.root[1] - py) ** 2 if at == (px, py) else np.inf
+                for p, at in zip(poses, pixel)]
+        owner = poses[int(np.argmin(dist))]
+        got = off3d[:, py, px].reshape(joints, 3) + (px, py, 0.0)
+        np.testing.assert_allclose(got, owner.joints, rtol=0, atol=1e-12)
 
 
 # -- NMS -----------------------------------------------------------------------------
@@ -125,7 +172,7 @@ def test_nms_idempotent_bitwise():
 def test_round_trip_recovers_exact_joints():
     rng = RNG(3)
     poses = random_scene(rng, 2)
-    hm, off3d, _ = encode_targets(poses, 16, 16)
+    hm, off3d = encode(poses, 16, 16, 2.0)
     decoded = decode_poses(hm, off3d, threshold=0.9, max_people=5)
     assert len(decoded) == 2
     got = sorted(decoded, key=lambda p: tuple(p.root[:2]))
@@ -160,7 +207,7 @@ def spaced_scenes(draw):
 @given(spaced_scenes(), st.floats(0.5, 2.0))
 def test_encode_decode_round_trip_property(scene, sigma):
     h, w, poses = scene
-    hm, off3d, _ = encode_targets(poses, h, w, sigma)
+    hm, off3d = encode(poses, h, w, sigma)
     decoded = decode_poses(hm, off3d, threshold=0.9, max_people=10)
     assert len(decoded) == len(poses)
     got = sorted(decoded, key=lambda p: tuple(p.root[:2]))
@@ -172,14 +219,14 @@ def test_encode_decode_round_trip_property(scene, sigma):
 def test_threshold_above_all_peaks_gives_empty_list():
     rng = RNG(4)
     poses = random_scene(rng, 2)
-    hm, off3d, _ = encode_targets(poses, 16, 16)
+    hm, off3d = encode(poses, 16, 16, 2.0)
     assert decode_poses(hm, off3d, threshold=1.0 + 1e-9, max_people=10) == []
 
 
 def test_threshold_monotonicity():
     rng = RNG(5)
     poses = random_scene(rng, 4)
-    hm, off3d, _ = encode_targets(poses, 16, 16)
+    hm, off3d = encode(poses, 16, 16, 2.0)
     counts = [len(decode_poses(hm, off3d, threshold=t, max_people=10))
               for t in (0.05, 0.3, 0.6, 0.9, 1.01)]
     assert counts == sorted(counts, reverse=True)
@@ -188,7 +235,7 @@ def test_threshold_monotonicity():
 def test_decoded_count_respects_max_people():
     rng = RNG(6)
     poses = random_scene(rng, 5)
-    hm, off3d, _ = encode_targets(poses, 16, 16)
+    hm, off3d = encode(poses, 16, 16, 2.0)
     assert len(decode_poses(hm, off3d, threshold=0.5, max_people=3)) == 3
 
 
@@ -205,7 +252,7 @@ def test_decode_round_trip_many_scenes():
         rng = RNG(100 + seed)
         persons = int(rng.integers(1, 5))
         poses = random_scene(rng, persons)
-        hm, off3d, _ = encode_targets(poses, 16, 16)
+        hm, off3d = encode(poses, 16, 16, 2.0)
         decoded = decode_poses(hm, off3d, threshold=0.9, max_people=8)
         assert len(decoded) == persons
         got = sorted(decoded, key=lambda p: tuple(p.root[:2]))
@@ -247,5 +294,13 @@ def test_pose_lines_round_trip_exact(frame, people):
 
 
 def test_malformed_pose_line_rejected():
-    with pytest.raises(ContractError):
-        poses_from_lines(["0 0 1.0 1.0 2.0"])  # coordinate count not multiple of 3
+    for lines, named in (
+            (["0 0 1.0 1.0 2.0"], "malformed"),  # coordinate count not multiple of 3
+            (["0 banana 1.0 1 2 3"], "banana"),
+            (["0 1 1.0 1 2 3"], "need 0"),  # a frame's first person is 0
+            (["0 0 1.0 1 2 3", "0 0 1.0 4 5 6"], "need 1"),  # one person twice
+            (["3 7 1.0 1 2 3", "3 7 1.0 4 5 6"], "need 0"),
+            (["0 0 1.0 1 2 3", "1 0 1.0 1 2 3", "0 2 1.0 4 5 6"], "need 1"),  # skips 1
+            (["0 -0 1.0 1 2 3"], "'-0'")):
+        with pytest.raises(ContractError, match=named):
+            poses_from_lines(lines)

@@ -1,9 +1,8 @@
-"""Synthetic scene generator: determinism, flow consistency, targets."""
+"""Synthetic scene generator: determinism, flow consistency, poses."""
 
 import numpy as np
 import pytest
 
-from ivt.codec import encode_targets
 from ivt.synth import SceneSpec, generate, gt_feature_provider
 from ivt.tensor import ConfigError
 
@@ -23,7 +22,6 @@ def test_zero_persons_give_empty_scene():
         assert frame_poses == []
     for flow in truth.flows:
         assert not flow.any()
-    assert truth.offsets2d.shape == (4, 6, 32, 32) and not truth.offsets2d.any()
 
 
 def test_static_scene_has_identical_frames_and_zero_flow():
@@ -58,16 +56,6 @@ def test_feature_provider_shapes():
     features, _ = generate(spec)
     clip = gt_feature_provider(features)
     assert clip.shape == (spec.frames, spec.channels, spec.height, spec.width)
-    _, truth = generate(spec)
-    assert truth.offsets2d.shape == (spec.frames, 2 * spec.joints, spec.height, spec.width)
-
-
-def test_targets_equal_encoder_output_bitwise():
-    spec = small_spec(persons=2, amplitude=1.0, seed=9)
-    _, truth = generate(spec)
-    for t in range(spec.frames):
-        _, _, o2 = encode_targets(truth.poses[t], spec.height, spec.width)
-        np.testing.assert_array_equal(truth.offsets2d[t], o2)
 
 
 def test_blob_centers_near_ground_truth_joints():

@@ -13,13 +13,13 @@ import pytest
 from ivt import tensor as T
 from ivt.cli import BLAS_THREAD_VARS
 from ivt.checkpoint import load_params, save_params
-from ivt.codec import Pose3D
+from ivt.codec import Pose3D, encode_heatmap, encode_offsets
 from ivt.metrics import match_and_evaluate
-from ivt.synth import SceneSpec, generate
-from ivt.tensor import ConfigError, ContractError, Tensor
+from ivt.synth import SceneSpec, generate, gt_feature_provider
+from ivt.tensor import ConfigError, ContractError, NumericError, Tensor
 from ivt.losses import total_loss
-from ivt.train import (Adam, ModelOutput, TrainConfig, build_model, clip_loss,
-                       decode_output, evaluate, load_model, lr_at, train)
+from ivt.train import (Adam, IVTModel, ModelOutput, TrainConfig, build_model, clip_loss,
+                       clip_targets, decode_output, evaluate, load_model, lr_at, train)
 
 RNG = np.random.default_rng
 
@@ -307,20 +307,17 @@ def test_oracle_splice_gives_zero_mpjpe():
 def test_decode_output_rescales_to_feature_cells():
     scene, cfg = tiny_scene(), tiny_config()
     model = build_model(scene, cfg)
-    _, truth = generate(scene)
-    from ivt.synth import gt_feature_provider
-
-    features, _ = generate(scene)
-    out = model.forward(gt_feature_provider(features), truth.flows, truth.offsets2d)
+    features, truth = generate(scene)
+    (_, _, o2), _ = clip_targets(scene, truth, model.fine_k, cfg.head_sigma)
+    out = model.forward(gt_feature_provider(features), truth.flows, o2)
     # Build a perfect head output at token-grid resolution and decode it.
     k = model.fine_k
     n = scene.height // k
     scaled = [Pose3D(np.column_stack([p.joints[:, 0] / k, p.joints[:, 1] / k,
                                       p.joints[:, 2]]))
               for p in truth.poses[0]]
-    from ivt.codec import encode_targets
-
-    hm, o3, _ = encode_targets(scaled, n, n, 1.0)
+    hm = encode_heatmap(scaled, n, n, 1.0)
+    o3, _ = encode_offsets(scaled, scene.joints, n, n)
     out.heatmap = Tensor(np.stack([hm] * cfg.frames))
     out.offset3d = Tensor(np.stack([o3] * cfg.frames))
     decoded = decode_output(model, out, threshold=0.9, max_people=4)
@@ -328,6 +325,69 @@ def test_decode_output_rescales_to_feature_cells():
     want = truth.poses[0][0].joints
     np.testing.assert_allclose(got[:, :2], want[:, :2], atol=1e-9)
     np.testing.assert_allclose(got[:, 2], want[:, 2], atol=1e-9)
+
+
+# -- targets ---------------------------------------------------------------------------
+
+
+def test_clip_targets_2d_offsets_are_the_xy_channels():
+    scene = tiny_scene(persons=2, joints=3, frames=4, height=32, width=32, amplitude=1.0,
+                       seed=9, blob_sigma=1.0, body_radius=3.0)
+    _, truth = generate(scene)
+    k, h, w = 4, scene.height, scene.width
+    (hm, o3, o2), (mask_head, mask_feat) = clip_targets(scene, truth, k, 1.0)
+    assert o2.shape == (scene.frames, 2 * scene.joints, h, w)
+    for t, poses in enumerate(truth.poses):
+        off, mask = encode_offsets(poses, scene.joints, h, w)
+        for j in range(scene.joints):
+            np.testing.assert_array_equal(o2[t, 2 * j], off[3 * j])
+            np.testing.assert_array_equal(o2[t, 2 * j + 1], off[3 * j + 1])
+        np.testing.assert_array_equal(mask_feat[t], mask)
+        scaled = [Pose3D(p.joints / (k, k, 1.0)) for p in poses]
+        off, mask = encode_offsets(scaled, scene.joints, h // k, w // k)
+        np.testing.assert_array_equal(o3[t], off)
+        np.testing.assert_array_equal(mask_head[t], mask)
+        np.testing.assert_array_equal(hm[t], encode_heatmap(scaled, h // k, w // k, 1.0))
+
+
+def test_scene_without_people_gives_full_shape_zero_targets():
+    scene = tiny_scene(persons=0, frames=3)
+    _, truth = generate(scene)
+    (hm, o3, o2), (mask_head, mask_feat) = clip_targets(scene, truth, 4, 1.0)
+    assert hm.shape == (3, 4, 4) and o3.shape == (3, 6, 4, 4) and o2.shape == (3, 4, 16, 16)
+    assert mask_head.shape == (3, 4, 4) and mask_feat.shape == (3, 16, 16)
+    for target in (hm, o3, o2, mask_head, mask_feat):
+        assert not target.any()
+
+
+def test_teacher_forcing_gathers_at_the_targets_2d_offsets(monkeypatch):
+    scene, cfg = tiny_scene(), tiny_config(steps=1)
+    seen = []
+    forward = IVTModel.forward
+
+    def spy(self, features, flows, gather_offsets=None):
+        seen.append(gather_offsets)
+        return forward(self, features, flows, gather_offsets)
+
+    monkeypatch.setattr(IVTModel, "forward", spy)
+    train(scene, cfg)
+    (_, _, o2), _ = clip_targets(scene, generate(scene)[1], 4, cfg.head_sigma)
+    assert len(seen) == 1
+    np.testing.assert_array_equal(seen[0], o2)
+
+
+def test_non_finite_loss_names_the_step_and_writes_no_checkpoint(tmp_path):
+    # With the op checks off, the diverging run first shows as a non-finite loss.
+    ckpt = tmp_path / "model.ivtc"
+    prev = T.debug_checks_enabled()
+    T.set_debug_checks(False)
+    try:
+        with np.errstate(all="ignore"), pytest.raises(NumericError,
+                                                      match=r"NaN loss at step [1-9]"):
+            train(tiny_scene(), tiny_config(steps=10, lr=1e200, clip_norm=0.0), ckpt)
+    finally:
+        T.set_debug_checks(prev)
+    assert not ckpt.exists()
 
 
 # -- loss ------------------------------------------------------------------------------
