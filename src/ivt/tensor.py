@@ -12,6 +12,15 @@ again; a second ``backward`` through it raises ``ContractError``. Data
 buffers are row-major contiguous float64 and are treated as immutable after
 construction; only the ``grad`` buffer is mutated.
 
+A backward closure keeps only its parents' data, its own output, parameters
+and per-row statistics (``layernorm``'s mean and inverse deviation,
+``sdpa``'s logsumexp). Any other array it needs (``gelu``'s tanh term,
+``layernorm``'s normalized input, ``sdpa``'s per-head copies, ``conv2d``'s
+im2col matrix) it rebuilds when it runs, with the same ops in the same order
+as forward, so the values are bitwise those forward had. Holding a parent's
+data costs nothing: the tape keeps every node alive until its own closure
+has run, so the live arrays between forward and backward are the tape's.
+
 Elementwise ops (``add``, ``sub``, ``mul``) take operands of equal shape.
 The only broadcast op is ``add_bcast`` (positional embedding); ``linear``
 adds its own bias, ``layernorm`` applies its own gain and bias, and
@@ -239,19 +248,26 @@ def sigmoid(a: Tensor) -> Tensor:
 _GELU_C = np.sqrt(2.0 / np.pi)
 
 
-def gelu(a: Tensor) -> Tensor:
-    """Smooth activation x * Phi(x), tanh approximation."""
-    x = a.data
+def _gelu_tanh(x: np.ndarray) -> np.ndarray:
+    """tanh(√(2/π) (x + 0.044715 x³)), as a new array."""
     t = x * x
     t *= x
     t *= 0.044715
     t += x
     t *= _GELU_C
     np.tanh(t, out=t)
+    return t
+
+
+def gelu(a: Tensor) -> Tensor:
+    """Smooth activation x * Phi(x), tanh approximation. Backward rebuilds
+    the tanh term from x."""
+    x = a.data
     data = 0.5 * x
-    data *= 1.0 + t
+    data *= 1.0 + _gelu_tanh(x)
 
     def bw(g):
+        t = _gelu_tanh(x)
         dinner = (3 * 0.044715) * x
         dinner *= x
         dinner += 1.0
@@ -339,6 +355,8 @@ def add_bcast(x: Tensor, p: Tensor) -> Tensor:
 
 def reshape(a: Tensor, new_shape) -> Tensor:
     new_shape = tuple(int(s) for s in new_shape)
+    if any(s < -1 for s in new_shape):
+        raise ShapeError(f"reshape: sizes must be at least -1, got {new_shape}")
     if new_shape.count(-1) > 1:
         raise ShapeError(f"reshape: at most one inferred dimension, got {new_shape}")
     if -1 in new_shape:
@@ -385,6 +403,8 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     A slice over the whole axis returns its input, with no copy and no node.
     """
     axis = int(axis)
+    if length < 0:
+        raise BoundsError(f"narrow: length {length} is negative")
     if start < 0 or start + length > a.shape[axis]:
         raise BoundsError(f"narrow: slice [{start}, {start + length}) out of range {a.shape[axis]}")
     if start == 0 and length == a.shape[axis]:
@@ -403,9 +423,12 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
 
 def take_rows(a: Tensor, indices) -> Tensor:
     """Gather rows along axis 0; backward scatters gradient back additively."""
-    idx = np.asarray(indices, dtype=np.int64)
+    idx = np.asarray(indices)
     if idx.ndim != 1:
         raise ContractError("take_rows: indices must be 1-D")
+    if idx.size and idx.dtype.kind not in "iu":
+        raise ContractError(f"take_rows: indices must be integers, got {idx.dtype}")
+    idx = idx.astype(np.int64, copy=False)
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
         bad = idx[(idx < 0) | (idx >= a.shape[0])][0]
         raise BoundsError(f"take_rows: index {int(bad)} out of range [0, {a.shape[0]})")
@@ -516,8 +539,9 @@ def sdpa(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     ``heads`` heads side by side; each attends on its own columns, e wide
     in q and k, and the output puts the heads side by side again. Inside,
     every head is one element of a (batch·heads, n, e) stack, copied in
-    and out. One fused op with a hand-written backward that keeps no
-    attention weights, at the cost of FlashAttention-2 (Dao,
+    and out; backward copies q, k, v and the output in again rather than
+    keep the stacks. One fused op with a hand-written backward that keeps
+    no attention weights, at the cost of FlashAttention-2 (Dao,
     arXiv:2307.08691): forward keeps one logsumexp per query row, and
     backward rebuilds each block of P from q, k and it. Both passes walk
     the scores in blocks of at most ``SDPA_BLOCK_BYTES`` (see
@@ -593,9 +617,11 @@ def sdpa(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
         lb += mb
         lse[b0:b1, r0:r1] = lb
     macs.add(batch * nq * nk * (d + dv))
+    out = _heads_to_width(data, heads, lead + (nq, v.shape[-1]))
 
     def bw(g):
-        g3 = _heads_to_batch(g, elements, heads)
+        q3, k3, v3, g3, data = (_heads_to_batch(a, elements, heads)
+                                for a in (q.data, k.data, v.data, g, out))
         qa = _with_column(q3 * c, -lse)
         qc = qa[..., :d]
         ga = _with_column(g3, -(g3 * data).sum(axis=-1, keepdims=True))  # [dO, −D]
@@ -621,7 +647,6 @@ def sdpa(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
         return tuple(_heads_to_width(a, heads, t.shape)
                      for a, t in ((dq3, q), (dk3, k), (dv3, v)))
 
-    out = _heads_to_width(data, heads, lead + (nq, v.shape[-1]))
     return Tensor._result(out, (q, k, v), bw, "sdpa")
 
 
@@ -644,6 +669,8 @@ def layernorm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     lead = tuple(range(a.ndim - 1))
 
     def bw(g):
+        xhat = x - mu
+        xhat *= inv
         gh = g * gain.data
         gh *= inv
         dx = gh - gh.mean(axis=-1, keepdims=True) - xhat * (gh * xhat).mean(axis=-1, keepdims=True)
@@ -655,26 +682,38 @@ def layernorm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 # -- convolution --------------------------------------------------------------
 
 
+def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """(B*H*W, C_in*kh*kw) windows of a (B, C_in, H, W) map zero-padded to
+    'same' size, as a new array."""
+    bsz, cin, h, wid = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2)))
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    return windows.transpose(0, 2, 3, 1, 4, 5).reshape(bsz * h * wid, cin * kh * kw)
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """3x3-style 2-D convolution, stride 1, zero 'same' padding, over a batch.
 
     x: (B, C_in, H, W); w: (C_out, C_in, kh, kw) with odd kh, kw; b: (C_out,).
     im2col over all B maps at once: the forward is one matmul, the backward
     one matmul for dw (summed over the batch) and one per kernel tap for dx.
+    The backward rebuilds the im2col matrix from x rather than keeping it.
     """
     if x.ndim != 4:
         raise ShapeError(f"conv2d: input must be (B, C, H, W), got {x.shape}")
+    if w.ndim != 4:
+        raise ShapeError(f"conv2d: weight {w.shape} must be (C_out, C_in, kh, kw) "
+                         f"for input {x.shape}")
     bsz, cin, h, wid = x.shape
     cout, cin_w, kh, kw = w.shape
     if cin != cin_w:
         raise ShapeError(f"conv2d: input channels {cin} != weight channels {cin_w}")
+    if b.shape != (cout,):
+        raise ShapeError(f"conv2d: bias {b.shape} must be ({cout},) for weight {w.shape}")
     if kh % 2 == 0 or kw % 2 == 0:
         raise ConfigError("conv2d: kernel dims must be odd")
     ph, pw = kh // 2, kw // 2
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    # cols: (B*H*W, C_in*kh*kw)
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(bsz * h * wid, cin * kh * kw)
+    cols = _im2col(x.data, kh, kw)
     wmat = w.data.reshape(cout, cin * kh * kw)
     # (C_out, B*H*W); cols @ wmat.T touched 12 MiB more 2-thread OpenBLAS buffer.
     out = wmat @ cols.T + b.data[:, None]
@@ -683,9 +722,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     def bw(g):
         gmat = g.transpose(0, 2, 3, 1).reshape(bsz * h * wid, cout)
-        dw = (gmat.T @ cols).reshape(w.shape)
+        dw = (gmat.T @ _im2col(x.data, kh, kw)).reshape(w.shape)
         db = gmat.sum(axis=0)
-        dxp = np.zeros_like(xp)
+        dxp = np.zeros((bsz, cin, h + 2 * ph, wid + 2 * pw))
         for di in range(kh):
             for dj in range(kw):  # dcols = gmat @ wmat one kernel tap at a time, to bound memory
                 dtap = (gmat @ w.data[:, :, di, dj]).reshape(bsz, h, wid, cin)

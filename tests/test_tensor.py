@@ -150,6 +150,15 @@ def test_conv2d_matches_scalar_loops():
         T.conv2d(Tensor(x[0]), Tensor(wgt), Tensor(b))  # one map needs its batch axis
 
 
+def test_conv2d_rejects_bad_weight_and_bias_shapes():
+    rng = RNG(6)
+    x, wgt = rt(rng, 2, 2, 5, 4), rt(rng, 3, 2, 3, 3)
+    with pytest.raises(ShapeError, match=r"bias \(1,\) must be \(3,\) for weight \(3, 2, 3, 3\)"):
+        T.conv2d(x, wgt, rt(rng, 1))  # would broadcast over the 3 output channels
+    with pytest.raises(ShapeError, match=r"weight \(3, 2, 3\) must be .* input \(2, 2, 5, 4\)"):
+        T.conv2d(x, rt(rng, 3, 2, 3), rt(rng, 3))
+
+
 def test_take_rows_gathers_and_accumulates_grad():
     x = Tensor(np.arange(12, dtype=float).reshape(4, 3), requires_grad=True)
     idx = np.array([1, 1, 3])
@@ -164,6 +173,11 @@ def test_take_rows_gathers_and_accumulates_grad():
 def test_take_rows_out_of_bounds_raises():
     with pytest.raises(BoundsError):
         T.take_rows(rt(RNG(0), 3, 2), np.array([0, 3]))
+    with pytest.raises(ContractError, match="integers"):
+        T.take_rows(rt(RNG(0), 3, 2), [1.7, 0.2])  # would truncate to rows 1 and 0
+    with pytest.raises(ContractError, match="integers"):
+        T.take_rows(rt(RNG(0), 3, 2), np.array([True, False, True]))
+    assert T.take_rows(rt(RNG(0), 3, 2), np.array([], dtype=np.int64)).shape == (0, 2)
 
 
 def test_concat_narrow_round_trip():
@@ -172,6 +186,10 @@ def test_concat_narrow_round_trip():
     c = T.concat([a, b], axis=1)
     np.testing.assert_array_equal(T.narrow(c, 1, 0, 3).data, a.data)
     np.testing.assert_array_equal(T.narrow(c, 1, 3, 4).data, b.data)
+    with pytest.raises(BoundsError, match="length -1 is negative"):
+        T.narrow(c, 1, 2, -1)  # would be an empty slice
+    with pytest.raises(BoundsError):
+        T.narrow(c, 1, 5, 3)
 
 
 def test_concat_of_one_and_narrow_of_whole_axis_are_identities():
@@ -196,6 +214,10 @@ def test_reshape_infers_one_dimension():
         T.reshape(x, (-1, -1))
     with pytest.raises(ShapeError):
         T.reshape(x, (-1, 5))
+    with pytest.raises(ShapeError, match="at least -1"):
+        T.reshape(x, (-2, -3))  # the sizes multiply to 6, but no size is below -1
+    with pytest.raises(ShapeError, match="at least -1"):
+        T.reshape(x, (-1, -8, 3))
 
 
 # -- gradient checks per op ----------------------------------------------------------
@@ -477,26 +499,61 @@ def test_sdpa_over_the_block_budget_matches_unfused_chain():
     assert_sdpa_matches_unfused_chain(shapes)
 
 
-def test_sdpa_forward_keeps_row_statistics_not_weights(monkeypatch):
-    """Between forward and backward, sdpa holds less than one score block
-    beyond its output: the row max and sum, not P (batch·nq·nk·8 bytes)."""
-    block = 32 * 600 * 8
-    monkeypatch.setattr(T, "SDPA_BLOCK_BYTES", block)
-    assert len(T._sdpa_blocks(4, 300, 600)) == 4 * 10
-    rng = RNG(19)
-    q, k, v = (Tensor(rng.uniform(-2, 2, size=s), requires_grad=True)
-               for s in ((4, 300, 8), (4, 600, 8), (4, 600, 4)))
+def kept_beyond_output(op):
+    """(out, bytes): op's result, and what its forward left allocated beyond
+    the output array, which is what the closure keeps until backward. The op
+    runs once before, so one-off allocations do not count."""
+    op()
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        out = T.sdpa(q, k, v, 1)
+        out = op()
         kept = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
     finally:
         tracemalloc.stop()
-    assert kept < block < 4 * 300 * 600 * 8
-    T.backward(T.tsum(out))
-    assert all(np.all(np.isfinite(t.grad)) for t in (q, k, v))
+    return out, kept
+
+
+# The Tensor, its closure and its cells as Python objects (about 4 KiB for
+# conv2d), well below the scratch arrays of the ops below.
+OBJECT_BYTES = 8192
+
+
+@pytest.mark.parametrize("op, shapes, row_stats", [
+    (T.gelu, ((64, 512),), 0),                             # the tanh term: 256 KiB
+    (T.layernorm, ((256, 128), (128,), (128,)), 2),        # the normalized input: 256 KiB
+    (T.conv2d, ((2, 4, 16, 16), (3, 4, 3, 3), (3,)), 0),   # im2col 144 KiB, padding 20 KiB
+], ids=["gelu", "layernorm", "conv2d"])
+def test_forward_keeps_its_output_and_row_statistics_only(op, shapes, row_stats):
+    """Between forward and backward an op holds its output and at most
+    ``row_stats`` numbers per output row; backward rebuilds its scratch
+    arrays (module docstring)."""
+    rng = RNG(25)
+    args = [Tensor(rng.uniform(-2, 2, size=s), requires_grad=True) for s in shapes]
+    out, kept = kept_beyond_output(lambda: op(*args))
+    rows = out.size // out.shape[-1]
+    assert kept <= 8 * row_stats * rows + OBJECT_BYTES
+    T.backward(T.tsum(T.tanh(out)))
+    assert all(np.all(np.isfinite(t.grad)) for t in args)
+
+
+def test_sdpa_forward_keeps_row_statistics_not_weights(monkeypatch):
+    """Between forward and backward, sdpa holds less than one score block
+    beyond its output: one logsumexp per row, not P (batch·nq·nk·8 bytes),
+    and, with two heads, not the per-head copies of q, k, v and the output
+    (345.6 KB), which backward rebuilds."""
+    block = 32 * 600 * 8
+    monkeypatch.setattr(T, "SDPA_BLOCK_BYTES", block)
+    for heads in (1, 2):
+        assert len(T._sdpa_blocks(4 * heads, 300, 600)) == 4 * heads * 10
+        rng = RNG(19)
+        q, k, v = (Tensor(rng.uniform(-2, 2, size=s), requires_grad=True)
+                   for s in ((4, 300, 8), (4, 600, 8), (4, 600, 4)))
+        out, kept = kept_beyond_output(lambda: T.sdpa(q, k, v, heads))
+        assert kept < block < 4 * 300 * 600 * 8, f"{heads} heads"
+        T.backward(T.tsum(out))
+        assert all(np.all(np.isfinite(t.grad)) for t in (q, k, v))
 
 
 def test_blocked_sdpa_nan_names_the_global_score_index(monkeypatch, debug_checks):

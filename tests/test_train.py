@@ -425,3 +425,59 @@ def test_clip_loss_is_mean_of_per_frame_losses():
     for key in ("l1_3d", "l1_2d", "l2_hm", "total"):
         assert terms[key] == pytest.approx(np.mean([f[key] for f in per_frame]), abs=1e-12)
     assert loss.item() == terms["total"]
+
+
+def _root(a: np.ndarray) -> np.ndarray:
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def _cell_arrays(value):
+    """The ndarrays in one closure cell, looking into tuples and lists."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _cell_arrays(item)
+
+
+def test_training_tape_closures_keep_tape_arrays_and_row_statistics():
+    """On a multi-scale training forward (perfbench's tiny sizes: scales
+    (4, 8), two heads), every float array a backward closure holds is a view
+    of some tape node's data, or holds at most one number per output row and
+    head. gelu's tanh term, layernorm's normalized input, sdpa's per-head
+    copies and conv2d's im2col are rebuilt in backward, not kept."""
+    scene = tiny_scene(height=32, width=32, amplitude=1.0, blob_sigma=1.0, body_radius=2.0)
+    cfg = tiny_config(scales=(4, 8), steps=1)
+    features_np, truth = generate(scene)
+    model = build_model(scene, cfg)
+    targets = clip_targets(scene, truth, model.fine_k, cfg.head_sigma)
+    out = model.forward(gt_feature_provider(features_np), truth.flows, targets[0][2])
+    loss, _ = clip_loss(out, targets, cfg)
+    nodes, seen, stack = [], set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    on_tape = {id(_root(n.data)) for n in nodes}
+    ops, checked = set(), 0
+    for node in nodes:
+        fn = node._backward_fn
+        if fn is None:
+            continue
+        ops.add(fn.__qualname__.split(".")[0])
+        cells = dict(zip(fn.__code__.co_freevars, (c.cell_contents for c in fn.__closure__ or ())))
+        rows = node.size // node.shape[-1] if node.ndim else 1
+        for name, value in cells.items():
+            for a in _cell_arrays(value):
+                if a.dtype.kind != "f" or id(_root(a)) in on_tape:
+                    continue
+                checked += 1
+                assert a.size <= rows * cells.get("heads", 1), (
+                    f"{fn.__qualname__} keeps {name} {a.shape} beside its output {node.shape}")
+    assert {"gelu", "layernorm", "sdpa", "conv2d"} <= ops
+    assert checked > 0  # the row statistics of layernorm and sdpa
+    T.backward(loss)
