@@ -21,7 +21,7 @@ from .codec import (ROOT_JOINT, Pose3D, decode_poses, encode_heatmap,
 from .losses import masked_l1, total_loss
 from .metrics import (EvalReport, FrameEval, depth_error, greedy_match,
                       match_and_evaluate, mpjpe, pa_mpjpe, procrustes_align)
-from .synth import SceneSpec, SceneTruth, generate, gt_feature_provider
+from .synth import SceneSpec, SceneTruth, generate
 from .checkpoint import load_params, save_params
 from .train import (Adam, IVTModel, ModelOutput, TrainConfig, TrainResult,
                     build_model, check_frames, clip_loss, clip_targets, decode_output,

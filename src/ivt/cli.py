@@ -26,6 +26,7 @@ import numpy as np
 from .gradcheck import GRAD_UNITS
 from .codec import poses_from_lines, poses_to_lines
 from .blocks import block_params
+from .checkpoint import save_params
 from .synth import SceneSpec, generate
 from .tensor import ConfigError, ContractError, NumericError, Tensor, macs
 from .train import TrainConfig, check_frames, evaluate, load_model, train, video_config
@@ -205,9 +206,10 @@ def run_settings(args) -> tuple[SceneSpec, TrainConfig]:
 
 def cmd_train(args) -> int:
     scene, cfg = run_settings(args)
+    result = train(scene, cfg)  # a failed run leaves no --out directory
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    result = train(scene, cfg, checkpoint_path=out_dir / "checkpoint.ivtc")
+    save_params(out_dir / "checkpoint.ivtc", result.model.named_params())
     result.write_log(out_dir / "train_log.csv")
     write_manifest(out_dir, "train", {"scene": asdict(scene), "train": asdict(cfg)},
                    cfg.seed, ["checkpoint.ivtc", "train_log.csv"],

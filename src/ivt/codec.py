@@ -90,9 +90,8 @@ def decode_poses(hm: np.ndarray, off3d: np.ndarray, threshold: float,
         raise ContractError(f"decode_poses: threshold must be positive, got {threshold}")
     if max_people < 1:
         raise ContractError(f"decode_poses: max_people must be >= 1, got {max_people}")
-    joints = off3d.shape[0] // 3
     peaks = keypoint_nms(hm)
-    h, w = hm.shape
+    w = hm.shape[1]
     flat = peaks.reshape(-1)
     keep = np.flatnonzero(flat >= threshold)
     # Descending confidence; ties broken by row-major pixel index.
@@ -100,11 +99,9 @@ def decode_poses(hm: np.ndarray, off3d: np.ndarray, threshold: float,
     poses = []
     for p in order:
         py, px = divmod(int(p), w)
-        pj = np.empty((joints, 3))
-        for j in range(joints):
-            pj[j, 0] = px + off3d[3 * j + 0, py, px]
-            pj[j, 1] = py + off3d[3 * j + 1, py, px]
-            pj[j, 2] = off3d[3 * j + 2, py, px]
+        pj = off3d[:, py, px].reshape(-1, 3).copy()  # encode_offsets' layout; a view, so copied
+        pj[:, 0] += px
+        pj[:, 1] += py
         poses.append(Pose3D(pj, score=float(flat[p])))
     return poses
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import Pose3D
-from .tensor import ConfigError, Tensor
+from .tensor import ConfigError
 
 
 @dataclass(frozen=True)
@@ -52,10 +52,7 @@ class SceneSpec:
             if not ok:
                 raise ConfigError(f"invalid scene spec: {key} = {getattr(self, key)}; "
                                   f"need {need}")
-        margin = _blob_radius(self) + self.body_radius + 1
-        lo = margin + self.amplitude
-        if self.persons and (lo > self.width - 1 - margin - self.amplitude
-                             or lo > self.height - 1 - margin - self.amplitude):
+        if self.persons and any(lo > hi for lo, hi in _root_box(self)):
             raise ConfigError(f"invalid scene spec: a figure of body_radius = "
                               f"{self.body_radius} moving by amplitude = {self.amplitude} "
                               f"would exit the {self.height}x{self.width} grid")
@@ -71,17 +68,22 @@ def _blob_radius(spec: SceneSpec) -> int:
     return int(np.ceil(3.0 * spec.blob_sigma))
 
 
+def _root_box(spec: SceneSpec) -> tuple[tuple[float, float], tuple[float, float]]:
+    """((lo_x, hi_x), (lo_y, hi_y)): where a root may rest so that, moved by up to
+    ``amplitude``, every joint's blob window stays inside the map."""
+    margin = _blob_radius(spec) + spec.body_radius + 1
+    lo = margin + spec.amplitude
+    return ((lo, spec.width - 1 - margin - spec.amplitude),
+            (lo, spec.height - 1 - margin - spec.amplitude))
+
+
 def _trajectories(spec: SceneSpec, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Integer root positions (P, T, 2) and static joint offsets (P, J, 3)."""
-    r = _blob_radius(spec)
-    margin = r + spec.body_radius + 1
-    lo_x, hi_x = margin + spec.amplitude, spec.width - 1 - margin - spec.amplitude
-    lo_y, hi_y = margin + spec.amplitude, spec.height - 1 - margin - spec.amplitude
+    box = _root_box(spec)
     roots = np.zeros((spec.persons, spec.frames, 2), dtype=np.int64)
     offs = np.zeros((spec.persons, spec.joints, 3))
     for p in range(spec.persons):
-        base = np.array([rng.integers(int(lo_x), int(hi_x) + 1),
-                         rng.integers(int(lo_y), int(hi_y) + 1)], dtype=np.int64)
+        base = np.array([rng.integers(int(lo), int(hi) + 1) for lo, hi in box], dtype=np.int64)
         phase = rng.uniform(0, 2 * np.pi, size=2)
         freq = rng.uniform(0.5, 1.5, size=2)
         t = np.arange(spec.frames)
@@ -153,9 +155,4 @@ def generate(spec: SceneSpec) -> tuple[np.ndarray, SceneTruth]:
         flows.append(flow)
 
     return features, SceneTruth(poses_per_frame, flows)
-
-
-def gt_feature_provider(features: np.ndarray) -> Tensor:
-    """Expose the rendered (T, C, H, W) maps through the feature-provider contract."""
-    return Tensor(features)
 

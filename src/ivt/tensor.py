@@ -21,6 +21,7 @@ as forward, so the values are bitwise those forward had. Holding a parent's
 data costs nothing: the tape keeps every node alive until its own closure
 has run, so the live arrays between forward and backward are the tape's.
 
+Ops take Tensors; an array is never converted to one implicitly.
 Elementwise ops (``add``, ``sub``, ``mul``) take operands of equal shape.
 The only broadcast op is ``add_bcast`` (positional embedding); ``linear``
 adds its own bias, ``layernorm`` applies its own gain and bias, and
@@ -59,17 +60,15 @@ class NumericError(RuntimeError):
 _debug_checks = True
 
 
-def set_debug_checks(enabled: bool) -> None:
+def set_debug_checks(enabled: bool) -> bool:
+    """Turn the debug checks on or off; returns the previous setting."""
     global _debug_checks
-    _debug_checks = bool(enabled)
-
-
-def debug_checks_enabled() -> bool:
-    return _debug_checks
+    prev, _debug_checks = _debug_checks, bool(enabled)
+    return prev
 
 
 class MacCounter:
-    """Counts multiply-accumulate operations of matmul/conv forwards.
+    """Counts multiply-accumulate operations of linear, sdpa and conv2d forwards.
 
     Scopes nest; a MAC executed inside ``scope("ita")`` is charged to
     "ita", to every enclosing scope, and to the grand total.
@@ -152,9 +151,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -181,13 +177,6 @@ class Tensor:
     def __mul__(self, other):
         return mul(self, other)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
 
 def _binary_shapes(a: Tensor, b: Tensor, op: str) -> None:
     if a.shape != b.shape:
@@ -197,8 +186,7 @@ def _binary_shapes(a: Tensor, b: Tensor, op: str) -> None:
 # -- elementwise ops ---------------------------------------------------------
 
 
-def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+def add(a: Tensor, b: Tensor) -> Tensor:
     _binary_shapes(a, b, "add")
     data = a.data + b.data
 
@@ -208,8 +196,7 @@ def add(a, b) -> Tensor:
     return Tensor._result(data, (a, b), bw, "add")
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+def sub(a: Tensor, b: Tensor) -> Tensor:
     _binary_shapes(a, b, "sub")
     data = a.data - b.data
 
@@ -219,8 +206,7 @@ def sub(a, b) -> Tensor:
     return Tensor._result(data, (a, b), bw, "sub")
 
 
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+def mul(a: Tensor, b: Tensor) -> Tensor:
     _binary_shapes(a, b, "mul")
     data = a.data * b.data
 
@@ -233,11 +219,6 @@ def mul(a, b) -> Tensor:
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
     return Tensor._result(a.data * c, (a,), lambda g: (g * c,), "scale")
-
-
-def tanh(a: Tensor) -> Tensor:
-    data = np.tanh(a.data)
-    return Tensor._result(data, (a,), lambda g: (g * (1.0 - data * data),), "tanh")
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -290,26 +271,7 @@ def absolute(a: Tensor) -> Tensor:
     return Tensor._result(data, (a,), lambda g: (g * np.sign(a.data),), "abs")
 
 
-# -- matmul ------------------------------------------------------------------
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; 2-D, or stacked with identical leading batch dims."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2 or a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2]:
-        raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} are incompatible")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul: inner dims of {a.shape} and {b.shape} disagree")
-    data = a.data @ b.data
-    batch = int(np.prod(a.shape[:-2], dtype=np.int64)) if a.ndim > 2 else 1
-    macs.add(batch * a.shape[-2] * a.shape[-1] * b.shape[-1])
-
-    def bw(g):
-        bt = np.swapaxes(b.data, -1, -2)
-        at = np.swapaxes(a.data, -1, -2)
-        return g @ bt, at @ g
-
-    return Tensor._result(data, (a, b), bw, "matmul")
+# -- affine map --------------------------------------------------------------
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -381,12 +343,13 @@ def transpose(a: Tensor, axes) -> Tensor:
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Join along one axis; a single tensor is returned as is, with no node."""
-    tensors = [_as_tensor(t) for t in tensors]
     if not tensors:
         raise ContractError("concat: empty tensor list")
+    axis = int(axis)
+    if not -tensors[0].ndim <= axis < tensors[0].ndim:
+        raise ShapeError(f"concat: axis {axis} out of range for rank {tensors[0].ndim}")
     if len(tensors) == 1:
         return tensors[0]
-    axis = int(axis)
     data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
@@ -403,6 +366,8 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     A slice over the whole axis returns its input, with no copy and no node.
     """
     axis = int(axis)
+    if not -a.ndim <= axis < a.ndim:
+        raise ShapeError(f"narrow: axis {axis} out of range for rank {a.ndim}")
     if length < 0:
         raise BoundsError(f"narrow: length {length} is negative")
     if start < 0 or start + length > a.shape[axis]:
@@ -462,20 +427,6 @@ def tmean(a: Tensor) -> Tensor:
 
 
 # -- fused row-wise ops -------------------------------------------------------
-
-
-def softmax(a: Tensor) -> Tensor:
-    """Row-wise softmax along the last axis, with max-shift stabilization."""
-    x = a.data
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=-1, keepdims=True)
-
-    def bw(g):
-        dot = (g * data).sum(axis=-1, keepdims=True)
-        return (data * (g - dot),)
-
-    return Tensor._result(data, (a,), bw, "softmax")
 
 
 # Bytes of one block of attention scores, sized to a core's 2 MiB L2 cache: half
@@ -558,8 +509,8 @@ def sdpa(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     rows of dq, and dk and dv assigned (whole rows) or accumulated (row
     ranges) (Rabe & Staats, arXiv:2112.05682); dq is scaled by 1/√e once,
     after the loop. The output and the gradients match the unfused
-    matmul/scale/softmax/matmul chain per head to 1e-12, not bitwise, also
-    for a call that is one block.
+    matmul/scale/softmax/matmul chain per head (in ``tests/reference_ops.py``)
+    to 1e-12, not bitwise, also for a call that is one block.
 
     Under debug checks every row sum l must be finite and at least 1 (its
     max term is exp(0)). A non-finite entry of P̃ makes its l non-finite;
@@ -569,7 +520,6 @@ def sdpa(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     and P v. A ``heads`` below 1 or not dividing the widths of q and v is a
     ``ConfigError``; a zero width or no keys is a ``ContractError``.
     """
-    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if (q.ndim < 2 or not q.ndim == k.ndim == v.ndim
             or not q.shape[:-2] == k.shape[:-2] == v.shape[:-2]):
         raise ShapeError(f"sdpa: shapes {q.shape}, {k.shape}, {v.shape} are incompatible")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .codec import Pose3D, decode_poses, encode_heatmap, encode_offsets
 from .igt import GridGeometry, offset_head_params, predict_offsets, retile
 from .losses import total_loss
 from .metrics import EvalReport, match_and_evaluate
-from .synth import SceneSpec, SceneTruth, generate, gt_feature_provider
+from .synth import SceneSpec, SceneTruth, generate
 from .tensor import ConfigError, ContractError, NumericError, Tensor
 from .video import VideoConfig, ivt_forward, video_params
 
@@ -240,14 +240,15 @@ def clip_loss(out: ModelOutput, targets: tuple,
 @dataclass
 class TrainResult:
     model: IVTModel
-    loss_history: list[float]
-    log_rows: list[dict] = field(default_factory=list)
+    log_rows: list[dict]  # one per step, in the columns of train_log.csv
+
+    @property
+    def loss_history(self) -> list[float]:
+        return [row["total"] for row in self.log_rows]
 
     def write_log(self, path) -> None:
         with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=["step", "lr", "l1_3d", "l1_2d",
-                                                    "l2_hm", "total", "grad_norm",
-                                                    "clipped"])
+            writer = csv.DictWriter(fh, fieldnames=list(self.log_rows[0]))
             writer.writeheader()
             writer.writerows(self.log_rows)
 
@@ -269,13 +270,12 @@ def train(scene: SceneSpec, cfg: TrainConfig, checkpoint_path=None) -> TrainResu
     """
     check_frames(scene, cfg)
     features_np, truth = generate(scene)
-    features = gt_feature_provider(features_np)
+    features = Tensor(features_np)
     model = build_model(scene, cfg)
     optimizer = Adam(model.named_params())
     targets = clip_targets(scene, truth, model.fine_k, cfg.head_sigma)
     gather = targets[0][2] if cfg.teacher_forcing else None
 
-    history: list[float] = []
     rows: list[dict] = []
     for step in range(cfg.steps):
         try:
@@ -290,12 +290,11 @@ def train(scene: SceneSpec, cfg: TrainConfig, checkpoint_path=None) -> TrainResu
             raise NumericError(f"train: step {step}: {exc}") from exc
         if not finite:
             raise NumericError(f"train: NaN loss at step {step}")
-        history.append(terms["total"])
         rows.append({"step": step, "lr": lr_at(cfg, step), **terms,
                      "grad_norm": float(norm), "clipped": int(0 < cfg.clip_norm < norm)})
     if checkpoint_path is not None:
         save_params(checkpoint_path, model.named_params())
-    return TrainResult(model, history, rows)
+    return TrainResult(model, rows)
 
 
 # -- evaluation --------------------------------------------------------------------
@@ -321,9 +320,8 @@ def evaluate(model: IVTModel, scene: SceneSpec, cfg: TrainConfig) -> EvalReport:
     predicted 2D offsets, whatever ``cfg.teacher_forcing`` says.
     """
     check_frames(scene, cfg)
-    features_np, truth = generate(scene)
-    features = gt_feature_provider(features_np)
-    out = model.forward(features, truth.flows)
+    features, truth = generate(scene)
+    out = model.forward(Tensor(features), truth.flows)
     decoded = decode_output(model, out, cfg.threshold, cfg.max_people)
     return match_and_evaluate(decoded, truth.poses)
 

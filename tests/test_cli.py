@@ -77,7 +77,7 @@ def test_diverging_train_exits_three_names_the_step_and_saves_nothing(tmp_path):
                           timeout=300)
     assert proc.returncode == 3, proc.stderr[-2000:]
     assert "numeric failure: train: step " in proc.stderr
-    assert not (out / "checkpoint.ivtc").exists()
+    assert not out.exists()
 
 
 def test_train_then_eval_end_to_end(tmp_path, tiny_config, capsys):

@@ -216,6 +216,46 @@ def test_encode_decode_round_trip_property(scene, sigma):
         np.testing.assert_allclose(g.joints, wp.joints, rtol=0, atol=1e-12)
 
 
+@st.composite
+def peaked_frames(draw):
+    """A 16-32 px heatmap with 1-4 poses whose roots sit on integer pixels at
+    least two cells apart (Chebyshev), pose i with a peak of 1 - i/10 at its
+    root. The first root's depth is -0.0."""
+    h, w = draw(st.integers(16, 32)), draw(st.integers(16, 32))
+    joints = draw(st.integers(1, 4))
+    coord = st.floats(-8.0, 8.0, allow_nan=False) | st.just(-0.0)
+    hm = np.zeros((h, w))
+    poses = []
+    for i in range(draw(st.integers(1, 4))):
+        free = [(x, y) for y in range(h) for x in range(w)
+                if all(max(abs(x - p.root[0]), abs(y - p.root[1])) >= 2 for p in poses)]
+        x, y = draw(st.sampled_from(free))
+        hm[y, x] = 1.0 - i / 10
+        j = draw(arrays(np.float64, (joints, 3), elements=coord))
+        j[1:, :2] += (x, y)
+        j[0] = (x, y, -0.0 if i == 0 else j[0, 2])
+        poses.append(Pose3D(j))
+    return hm, poses
+
+
+@settings(deadline=None, max_examples=100)
+@given(peaked_frames())
+def test_decode_adds_the_center_pixel_to_the_stored_offsets_bitwise(frame):
+    hm, poses = frame
+    (h, w), joints = hm.shape, poses[0].joints.shape[0]
+    off3d, _ = encode_offsets(poses, joints, h, w)
+    decoded = decode_poses(hm, off3d, threshold=0.5, max_people=len(poses))
+    assert len(decoded) == len(poses)
+    for got, pose in zip(decoded, poses):  # descending peaks: in the order drawn
+        px, py = int(pose.root[0]), int(pose.root[1])
+        want = np.empty((joints, 3))
+        for j in range(joints):  # channel 3j + c holds joint j, coordinate c
+            want[j] = (px + off3d[3 * j, py, px], py + off3d[3 * j + 1, py, px],
+                       off3d[3 * j + 2, py, px])
+        assert got.joints.tobytes() == want.tobytes()
+        assert got.joints[:, 2].tobytes() == pose.joints[:, 2].tobytes()  # -0.0 kept
+
+
 def test_threshold_above_all_peaks_gives_empty_list():
     rng = RNG(4)
     poses = random_scene(rng, 2)

@@ -12,6 +12,7 @@ from ivt.igt import (GridGeometry, extract_blocks, gather_indices, offset_head_p
                      predict_offsets, retile, tokenize)
 from ivt.tensor import ConfigError, Tensor
 from ivt.video import VideoConfig, tokenize_clip
+from reference_ops import tanh
 
 RNG = np.random.default_rng
 
@@ -94,7 +95,7 @@ def test_offset_head_gradient():
     rng = RNG(5)
     p = offset_head_params(rng, 2, 2, hidden=4)
     x = rt(rng, 2, 2, 4, 4)
-    assert grad_check(lambda t: T.tsum(T.tanh(predict_offsets(t, p))), x) <= 1e-5
+    assert grad_check(lambda t: T.tsum(tanh(predict_offsets(t, p))), x) <= 1e-5
 
 
 def test_offset_head_channel_mismatch_raises():

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from ivt.synth import SceneSpec, generate, gt_feature_provider
+from ivt.synth import SceneSpec, generate
 from ivt.tensor import ConfigError
 
 
@@ -54,8 +55,26 @@ def test_different_seeds_differ():
 def test_feature_provider_shapes():
     spec = small_spec()
     features, _ = generate(spec)
-    clip = gt_feature_provider(features)
-    assert clip.shape == (spec.frames, spec.channels, spec.height, spec.width)
+    assert features.shape == (spec.frames, spec.channels, spec.height, spec.width)
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**16), persons=st.integers(1, 3), joints=st.integers(1, 4),
+       frames=st.integers(1, 4), height=st.integers(16, 32), width=st.integers(16, 32),
+       amplitude=st.floats(0.0, 3.0), blob_sigma=st.floats(0.3, 1.5),
+       body_radius=st.floats(1.0, 5.0))
+def test_accepted_specs_render_every_blob_window_inside_the_map(**kw):
+    try:
+        spec = SceneSpec(channels=1, **kw)
+    except ConfigError:
+        assume(False)
+    _, truth = generate(spec)
+    r = int(np.ceil(3.0 * spec.blob_sigma))
+    for poses in truth.poses:
+        for pose in poses:
+            for jx, jy, _ in pose.joints:
+                cx, cy = int(np.rint(jx)), int(np.rint(jy))
+                assert r <= cx <= spec.width - 1 - r and r <= cy <= spec.height - 1 - r
 
 
 def test_blob_centers_near_ground_truth_joints():

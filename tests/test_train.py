@@ -15,7 +15,7 @@ from ivt.cli import BLAS_THREAD_VARS
 from ivt.checkpoint import load_params, save_params
 from ivt.codec import Pose3D, encode_heatmap, encode_offsets
 from ivt.metrics import match_and_evaluate
-from ivt.synth import SceneSpec, generate, gt_feature_provider
+from ivt.synth import SceneSpec, generate
 from ivt.tensor import ConfigError, ContractError, NumericError, Tensor
 from ivt.losses import total_loss
 from ivt.train import (Adam, IVTModel, ModelOutput, TrainConfig, build_model, clip_loss,
@@ -309,7 +309,7 @@ def test_decode_output_rescales_to_feature_cells():
     model = build_model(scene, cfg)
     features, truth = generate(scene)
     (_, _, o2), _ = clip_targets(scene, truth, model.fine_k, cfg.head_sigma)
-    out = model.forward(gt_feature_provider(features), truth.flows, o2)
+    out = model.forward(Tensor(features), truth.flows, o2)
     # Build a perfect head output at token-grid resolution and decode it.
     k = model.fine_k
     n = scene.height // k
@@ -379,8 +379,7 @@ def test_teacher_forcing_gathers_at_the_targets_2d_offsets(monkeypatch):
 def test_non_finite_loss_names_the_step_and_writes_no_checkpoint(tmp_path):
     # With the op checks off, the diverging run first shows as a non-finite loss.
     ckpt = tmp_path / "model.ivtc"
-    prev = T.debug_checks_enabled()
-    T.set_debug_checks(False)
+    prev = T.set_debug_checks(False)
     try:
         with np.errstate(all="ignore"), pytest.raises(NumericError,
                                                       match=r"NaN loss at step [1-9]"):
@@ -453,7 +452,7 @@ def test_training_tape_closures_keep_tape_arrays_and_row_statistics():
     features_np, truth = generate(scene)
     model = build_model(scene, cfg)
     targets = clip_targets(scene, truth, model.fine_k, cfg.head_sigma)
-    out = model.forward(gt_feature_provider(features_np), truth.flows, targets[0][2])
+    out = model.forward(Tensor(features_np), truth.flows, targets[0][2])
     loss, _ = clip_loss(out, targets, cfg)
     nodes, seen, stack = [], set(), [loss]
     while stack:
