@@ -2,8 +2,8 @@
 
 Exit codes are a stable contract: 0 success, 2 usage or config error,
 3 numeric failure. Every run writes a JSON manifest sufficient to
-reproduce it (command, config snapshot, seeds, artifact paths, input
-hashes, timestamps) and the machine facts that bitwise results depend on
+reproduce it (command, config snapshot with its seeds, artifact paths,
+input hashes, timestamps) and the machine facts that bitwise results depend on
 (Python, numpy and BLAS versions, BLAS thread variables, git revision).
 """
 
@@ -18,7 +18,7 @@ import os
 import platform
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -59,7 +59,7 @@ def cmd_gradcheck(args) -> int:
 # -- config files ------------------------------------------------------------------
 
 
-def read_config(path, seed_override=None) -> tuple[SceneSpec, TrainConfig]:
+def read_config(path) -> tuple[SceneSpec, TrainConfig]:
     """INI settings file: [scene] and [train] set SceneSpec and TrainConfig fields.
 
     Each value is parsed as the type of its field's default. An optional
@@ -81,8 +81,6 @@ def read_config(path, seed_override=None) -> tuple[SceneSpec, TrainConfig]:
     cfg = _read_section(parser, path, "train", TrainConfig)
     if parser.has_section("poses"):
         _check_poses(path, scene, list(parser["poses"]))
-    if seed_override is not None:
-        cfg = replace(cfg, seed=seed_override)
     return scene, cfg
 
 
@@ -173,12 +171,11 @@ def machine_facts() -> dict:
     }
 
 
-def write_manifest(out_dir: Path, command: str, config: dict, seed,
-                   artifacts: list[str], inputs: list[str]) -> None:
+def write_manifest(out_dir: Path, command: str, config: dict, artifacts: list[str],
+                   inputs: list[str]) -> None:
     manifest = {
         "command": command,
         "config": config,
-        "seed": seed,
         "artifacts": artifacts,
         "input_hashes": {str(p): _hash_file(p) for p in inputs if Path(p).is_file()},
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
@@ -194,9 +191,12 @@ def run_settings(args) -> tuple[SceneSpec, TrainConfig]:
     """--config's scene and train config; a --scene file replaces the scene.
 
     Both are checked against each other and the model architecture they
-    name here, before any run writes output.
+    name here, and --out must be a directory or absent, before any run
+    starts.
     """
-    scene, cfg = read_config(args.config, args.seed)
+    if Path(args.out).exists() and not Path(args.out).is_dir():
+        raise ConfigError(f"--out {args.out} exists and is not a directory")
+    scene, cfg = read_config(args.config)
     if args.scene:
         scene, _ = read_config(args.scene)
     check_frames(scene, cfg)
@@ -212,7 +212,7 @@ def cmd_train(args) -> int:
     save_params(out_dir / "checkpoint.ivtc", result.model.named_params())
     result.write_log(out_dir / "train_log.csv")
     write_manifest(out_dir, "train", {"scene": asdict(scene), "train": asdict(cfg)},
-                   cfg.seed, ["checkpoint.ivtc", "train_log.csv"],
+                   ["checkpoint.ivtc", "train_log.csv"],
                    [p for p in (args.config, args.scene) if p])
     print(f"final loss {result.loss_history[-1]:.6g} after {cfg.steps} steps")
     return EXIT_OK
@@ -237,7 +237,7 @@ def cmd_eval(args) -> int:
     report.to_csv(out_dir / "eval.csv")
     write_manifest(out_dir, "eval", {"scene": asdict(scene), "train": asdict(cfg),
                                      "oracle": args.oracle},
-                   cfg.seed, ["eval.csv"],
+                   ["eval.csv"],
                    [p for p in (args.config, args.scene, args.checkpoint) if p])
     agg = report.mpjpe
     print(f"matched={report.matched_pairs} missed={report.missed} "
@@ -270,13 +270,13 @@ def bench_config(scales: tuple[int, ...]) -> tuple[VideoConfig, int]:
     return cfg, side
 
 
-def temporal_macs(frames: int, cfg: VideoConfig, side: int, seed: int) -> tuple[int, float]:
+def temporal_macs(frames: int, cfg: VideoConfig, side: int) -> tuple[int, float]:
     """Multiply-accumulate count and wall time of one layer's temporal stage.
 
     Runs ITA once per scale of ``cfg`` on random (T, N_s, D_s) tokens, with
     N_s and D_s those of a ``side`` x ``side`` map.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     macs.reset()
     wall = 0.0
     for geom, d_s in zip(cfg.grids(side, side), cfg.token_dims):
@@ -298,7 +298,7 @@ def cmd_bench(args) -> int:
     rows = []
     print(f"{'frames':>6s} {'temporal_macs':>14s} {'wall_s':>8s}")
     for t in frames:
-        count, wall = temporal_macs(t, cfg, side, args.seed)
+        count, wall = temporal_macs(t, cfg, side)
         rows.append({"frames": t, "temporal_macs": count, "wall_s": wall})
         print(f"{t:6d} {count:14d} {wall:8.3f}")
     if args.out:
@@ -310,7 +310,7 @@ def cmd_bench(args) -> int:
             writer.writeheader()
             writer.writerows(rows)
         write_manifest(out_dir, "bench", {"frames": frames, "scales": list(scales)},
-                       args.seed, ["bench.csv"], [])
+                       ["bench.csv"], [])
     return EXIT_OK
 
 
@@ -342,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("train", help="toy training on a synthetic scene")
     t.add_argument("--config", default=None)
     t.add_argument("--scene", default=None, help="scene manifest path")
-    t.add_argument("--seed", type=int, default=None, help="train seed (replaces [train] seed)")
     t.add_argument("--out", required=True)
 
     e = sub.add_parser("eval", help="evaluate a checkpoint on a scene")
@@ -351,13 +350,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="evaluate ground truth against itself (pipeline check)")
     e.add_argument("--config", default=None)
     e.add_argument("--scene", default=None)
-    e.add_argument("--seed", type=int, default=None, help="train seed (replaces [train] seed)")
     e.add_argument("--out", required=True)
 
     b = sub.add_parser("bench", help="temporal-stage cost sweep over frame counts")
     b.add_argument("--frames", default=None, help="comma list, default 1,3,5,7,9")
     b.add_argument("--scales", default=None, help="comma list of block sizes")
-    b.add_argument("--seed", type=int, default=0)
     b.add_argument("--out", default=None)
 
     s = sub.add_parser("scene", help="export a replayable scene manifest")

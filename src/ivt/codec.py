@@ -16,12 +16,10 @@ import numpy as np
 
 from .tensor import ConfigError, ContractError
 
-ROOT_JOINT = 0
-
 
 @dataclass
 class Pose3D:
-    """One person: (J, 3) joint coordinates plus a detection score."""
+    """One person: (J, 3) joint coordinates, joint 0 the root, and a detection score."""
     joints: np.ndarray
     score: float = 1.0
 
@@ -32,7 +30,7 @@ class Pose3D:
 
     @property
     def root(self) -> np.ndarray:
-        return self.joints[ROOT_JOINT]
+        return self.joints[0]
 
 
 def encode_heatmap(poses: list[Pose3D], h: int, w: int, sigma: float) -> np.ndarray:
@@ -54,9 +52,9 @@ def encode_offsets(poses: list[Pose3D], joints: int, h: int, w: int
     """(3J, h, w) offsets and the (h, w) mask of the pixels that hold them.
 
     Each person's offsets go to its center pixel, the pixel nearest the
-    root; collisions go to the nearest center. Channels 3j, 3j+1 and 3j+2
-    hold joint j's x and y offsets from that pixel and its depth, so the 2D
-    offsets are the x and y channels.
+    root, which must lie in the map; collisions go to the nearest center.
+    Channels 3j, 3j+1 and 3j+2 hold joint j's x and y offsets from that
+    pixel and its depth, so the 2D offsets are the x and y channels.
     """
     off3d = np.zeros((3 * joints, h, w))
     owner_dist = np.full((h, w), np.inf)
@@ -65,7 +63,7 @@ def encode_offsets(poses: list[Pose3D], joints: int, h: int, w: int
             raise ContractError(f"encode_offsets: pose {idx} has "
                                 f"{pose.joints.shape[0]} joints, expected {joints}")
         cx, cy = pose.root[0], pose.root[1]
-        if not (0 <= cx <= w - 1 and 0 <= cy <= h - 1):
+        if not (-0.5 <= cx < w - 0.5 and -0.5 <= cy < h - 0.5):
             raise ContractError(f"encode_offsets: pose {idx} center ({cx}, {cy}) outside map")
         px, py = int(round(cx)), int(round(cy))
         d = (cx - px) ** 2 + (cy - py) ** 2

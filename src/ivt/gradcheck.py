@@ -164,7 +164,7 @@ def _unit_full(rng: np.random.Generator, eps: float) -> float:
     # up and finite differences lose accuracy without any gradient bug.
     features_np = features_np + rng.uniform(0.05, 0.5, size=features_np.shape)
     model = build_model(scene, cfg)
-    targets = clip_targets(scene, truth, model.fine_k, cfg.head_sigma)
+    targets = clip_targets(scene, truth, model.fine_k)
     rest = Tensor(features_np[1:])
 
     def f(t):

@@ -23,7 +23,7 @@ from .codec import Pose3D, decode_poses, encode_heatmap, encode_offsets
 from .igt import GridGeometry, offset_head_params, predict_offsets, retile
 from .losses import total_loss
 from .metrics import EvalReport, match_and_evaluate
-from .synth import SceneSpec, SceneTruth, generate
+from .synth import SceneSpec, SceneTruth, _root_box, generate
 from .tensor import ConfigError, ContractError, NumericError, Tensor
 from .video import VideoConfig, ivt_forward, video_params
 
@@ -44,10 +44,8 @@ class TrainConfig:
     heads: int = 2
     fuse_heads: int = 2
     head_hidden: int = 16
-    head_sigma: float = 1.0
     teacher_forcing: bool = True
     threshold: float = 0.3
-    max_people: int = 8
 
     def __post_init__(self):
         # VideoConfig checks the architecture: scales, layers, heads, fuse_heads.
@@ -60,9 +58,7 @@ class TrainConfig:
                 ("clip_norm", 0 <= self.clip_norm < math.inf, "finite and >= 0"),
                 ("alpha", 0 <= self.alpha < math.inf, "finite and >= 0"),
                 ("head_hidden", self.head_hidden >= 1, ">= 1"),
-                ("head_sigma", 0 < self.head_sigma < math.inf, "finite and > 0"),
-                ("threshold", 0 < self.threshold < math.inf, "finite and > 0"),
-                ("max_people", self.max_people >= 1, ">= 1")):
+                ("threshold", 0 < self.threshold < math.inf, "finite and > 0")):
             if not ok:
                 raise ConfigError(f"invalid train config: {key} = {getattr(self, key)}; "
                                   f"need {need}")
@@ -213,7 +209,10 @@ def lr_at(cfg: TrainConfig, step: int) -> float:
 # -- training --------------------------------------------------------------------
 
 
-def clip_targets(scene: SceneSpec, truth: SceneTruth, k: int, sigma: float) -> tuple:
+HEAD_SIGMA = 1.0  # width of the heatmap targets' Gaussians, in head cells
+
+
+def clip_targets(scene: SceneSpec, truth: SceneTruth, k: int) -> tuple:
     """The (targets, masks) of ``total_loss`` for the clip, stacked over frames:
     heatmaps, 3D offsets and their mask on the head's grid (feature cells over
     the finest block size k); 2D offsets, the x and y channels of the 3D
@@ -222,7 +221,7 @@ def clip_targets(scene: SceneSpec, truth: SceneTruth, k: int, sigma: float) -> t
     per_frame = []
     for poses in truth.poses:
         scaled = [Pose3D(p.joints / (k, k, 1.0)) for p in poses]
-        per_frame.append((encode_heatmap(scaled, h // k, w // k, sigma),
+        per_frame.append((encode_heatmap(scaled, h // k, w // k, HEAD_SIGMA),
                           *encode_offsets(scaled, joints, h // k, w // k),
                           *encode_offsets(poses, joints, h, w)))
     hm, o3, mask_head, o3_feat, mask_feat = (np.stack(maps) for maps in zip(*per_frame))
@@ -260,20 +259,37 @@ def check_frames(scene: SceneSpec, cfg: TrainConfig) -> None:
                           f"{cfg.frames}; the two must be equal")
 
 
+def _check_root_cells(scene: SceneSpec, cfg: TrainConfig) -> None:
+    """``clip_targets`` encodes a root at pixel x in head cell x / k, with k the
+    finest block size, which must round into the head grid for every root the
+    scene can place (``encode_offsets``' rule)."""
+    k = video_config(scene, cfg).scales[0]
+    for key, side, (_, hi) in zip(("width", "height"), (scene.width, scene.height),
+                                  _root_box(scene)):
+        reach = int(hi) + int(np.rint(scene.amplitude))  # roots move by up to rint(amplitude)
+        if scene.persons and reach / k >= side // k - 0.5:
+            raise ConfigError(f"scales = {cfg.scales}: a root can reach pixel {reach} of the "
+                              f"scene {key} {side}, past the last head cell at block size {k}; "
+                              "need a smaller finest scale or more margin (body_radius, "
+                              "blob_sigma, amplitude)")
+
+
 def train(scene: SceneSpec, cfg: TrainConfig, checkpoint_path=None) -> TrainResult:
     """Optimize the full model on one synthetic scene clip.
 
     Deterministic given (scene seed, train seed, config). The parameters
     go to checkpoint_path (when given) after the last step. A non-finite
     value raises ``NumericError`` naming the step, and then no checkpoint
-    is written.
+    is written. A scene whose roots can leave the head grid raises
+    ``ConfigError`` before anything is built.
     """
     check_frames(scene, cfg)
+    _check_root_cells(scene, cfg)
     features_np, truth = generate(scene)
     features = Tensor(features_np)
     model = build_model(scene, cfg)
     optimizer = Adam(model.named_params())
-    targets = clip_targets(scene, truth, model.fine_k, cfg.head_sigma)
+    targets = clip_targets(scene, truth, model.fine_k)
     gather = targets[0][2] if cfg.teacher_forcing else None
 
     rows: list[dict] = []
@@ -299,6 +315,8 @@ def train(scene: SceneSpec, cfg: TrainConfig, checkpoint_path=None) -> TrainResu
 
 # -- evaluation --------------------------------------------------------------------
 
+MAX_PEOPLE = 8  # poses decoded per frame, at most
+
 
 def decode_output(model: IVTModel, out: ModelOutput, threshold: float,
                   max_people: int) -> list[list[Pose3D]]:
@@ -322,7 +340,7 @@ def evaluate(model: IVTModel, scene: SceneSpec, cfg: TrainConfig) -> EvalReport:
     check_frames(scene, cfg)
     features, truth = generate(scene)
     out = model.forward(Tensor(features), truth.flows)
-    decoded = decode_output(model, out, cfg.threshold, cfg.max_people)
+    decoded = decode_output(model, out, cfg.threshold, MAX_PEOPLE)
     return match_and_evaluate(decoded, truth.poses)
 
 

@@ -137,6 +137,24 @@ def test_eval_oracle_splice_reports_zero_error(tmp_path, tiny_config):
         assert float(value) == 0.0
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_out_that_is_a_file_exits_two_before_the_run(tmp_path, tiny_config, capsys,
+                                                     monkeypatch, command):
+    def run(*args):
+        pytest.fail(f"{command} ran although --out is a file")
+
+    monkeypatch.setattr("ivt.cli.train", run)
+    monkeypatch.setattr("ivt.cli.evaluate", run)
+    ckpt = tmp_path / "model.ivtc"
+    save_params(ckpt, build_model(*read_config(tiny_config)).named_params())
+    out = tmp_path / "taken"
+    out.write_text("kept\n")
+    extra = ["--checkpoint", str(ckpt)] if command == "eval" else []
+    assert main([command, "--config", tiny_config, *extra, "--out", str(out)]) == 2
+    assert "--out" in capsys.readouterr().err
+    assert out.read_text() == "kept\n"
+
+
 def test_eval_without_checkpoint_or_oracle_exit_two(tmp_path, tiny_config):
     assert main(["eval", "--config", tiny_config, "--out", str(tmp_path / "x")]) == 2
 
@@ -275,12 +293,13 @@ BAD_INPUTS = {
     "indivisible-fuse-heads": ("config",
                                lambda t: t.replace("fuse_heads = 2\n", "fuse_heads = 3\n"),
                                "fuse_heads"),
+    # The scene's roots reach pixel 9, and 9 / 16 rounds past the one block-16 head cell.
+    "root-beyond-head-grid": ("config", lambda t: t.replace("scales = 4\n", "scales = 16\n"),
+                              "scales"),
     "indivisible-map": ("config", lambda t: t.replace("scales = 4\n", "scales = 3\n"),
                         "block size 3"),
     "zero-threshold": ("config", lambda t: t.replace("threshold = 0.05\n", "threshold = 0\n"),
                        "threshold"),
-    "zero-max-people": ("config", lambda t: t + "max_people = 0\n", "max_people"),
-    "zero-head-sigma": ("config", lambda t: t + "head_sigma = 0\n", "head_sigma"),
     "negative-alpha": ("config", lambda t: t + "alpha = -1\n", "alpha"),
     # Values the scene generator or the model cannot run with, rejected before
     # anything is written.
@@ -292,7 +311,6 @@ BAD_INPUTS = {
     "nan-lr": ("config", lambda t: t + "lr = nan\n", "lr"),
     "nan-clip-norm": ("config", lambda t: t + "clip_norm = nan\n", "clip_norm"),
     "nan-milestones": ("config", lambda t: t + "milestones = 0.5 nan\n", "milestones"),
-    "infinite-head-sigma": ("config", lambda t: t + "head_sigma = inf\n", "head_sigma"),
     "zero-blob-sigma": ("config", lambda t: t.replace("blob_sigma = 0.8\n", "blob_sigma = 0\n"),
                         "blob_sigma"),
     "negative-train-seed": ("config", lambda t: t.replace("seed = 3\n", "seed = -1\n"),
@@ -314,6 +332,9 @@ BAD_INPUTS = {
     "target-sigma": ("config",
                      lambda t: t.replace("[scene]\n", "[scene]\ntarget_sigma = 2.0\n"),
                      "target_sigma"),
+    # TrainConfig has no head_sigma or max_people: both are constants of ivt.train.
+    "head-sigma": ("config", lambda t: t + "head_sigma = 1.0\n", "head_sigma"),
+    "max-people": ("config", lambda t: t + "max_people = 8\n", "max_people"),
 }
 
 
@@ -378,12 +399,14 @@ def test_manifest_round_trip(tmp_path):
             assert got.joints.tobytes() == want.joints.tobytes() and got.score == want.score
 
 
-def test_scene_seed_comes_only_from_the_config(tmp_path, capsys):
-    # `--seed` means the train seed; `ivt scene` has no such option.
+@pytest.mark.parametrize("command", ["scene", "train", "eval", "bench"])
+def test_scene_seed_comes_only_from_the_config(tmp_path, capsys, command):
+    # Each seed comes only from its section: [scene] seed or [train] seed.
     config = tmp_path / "scene.cfg"
     config.write_text(MANIFEST_SCENE)
+    args = [] if command == "bench" else ["--config", str(config)]
     with pytest.raises(SystemExit) as exc:
-        main(["scene", "--config", str(config), "--seed", "3", "--out", str(tmp_path / "s.ini")])
+        main([command, *args, "--seed", "3", "--out", str(tmp_path / "s.ini")])
     assert exc.value.code == 2
     assert "--seed" in capsys.readouterr().err
     assert not (tmp_path / "s.ini").exists()

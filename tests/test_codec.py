@@ -79,9 +79,12 @@ def test_offsets_written_only_at_center_pixels():
 
 
 def test_center_outside_map_rejected():
-    pose = Pose3D(np.array([[20.0, 2.0, 1.0]]))
-    with pytest.raises(ContractError):
-        encode_offsets([pose], 1, 8, 8)
+    # The center pixel is the one nearest the root, and it must lie in the map.
+    for x in (20.0, 7.5, -0.6):
+        with pytest.raises(ContractError):
+            encode_offsets([Pose3D(np.array([[x, 2.0, 1.0]]))], 1, 8, 8)
+    off, mask = encode_offsets([Pose3D(np.array([[7.4, 2.0, 1.0]]))], 1, 8, 8)
+    assert mask[2, 7] and off[0, 2, 7] == 7.4 - 7
 
 
 def test_wrong_joint_count_rejected():

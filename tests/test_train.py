@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ivt import tensor as T
 from ivt.cli import BLAS_THREAD_VARS
@@ -18,8 +19,9 @@ from ivt.metrics import match_and_evaluate
 from ivt.synth import SceneSpec, generate
 from ivt.tensor import ConfigError, ContractError, NumericError, Tensor
 from ivt.losses import total_loss
-from ivt.train import (Adam, IVTModel, ModelOutput, TrainConfig, build_model, clip_loss,
-                       clip_targets, decode_output, evaluate, load_model, lr_at, train)
+from ivt.train import (Adam, IVTModel, ModelOutput, TrainConfig, _check_root_cells,
+                       build_model, clip_loss, clip_targets, decode_output, evaluate,
+                       load_model, lr_at, train)
 
 RNG = np.random.default_rng
 
@@ -210,12 +212,60 @@ def test_loss_history_does_not_depend_on_blas_threads():
     assert histories[0] == histories[1]
 
 
+def test_import_ivt_loads_every_module_and_exports_no_names():
+    # perfbench imports the package once and then looks each module up by name.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = ("import json, sys, types, ivt; assert isinstance(ivt.train, types.ModuleType); "
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('ivt.'))))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout) == [f"ivt.{m}" for m in (
+        "blocks", "checkpoint", "codec", "gradcheck", "igt", "losses", "metrics", "synth",
+        "tensor", "train", "video")]
+
+
 def test_scene_and_config_frames_must_agree():
     scene, cfg = tiny_scene(frames=3), tiny_config()
     with pytest.raises(ConfigError, match="frames"):
         train(scene, cfg)
     with pytest.raises(ConfigError, match="frames"):
         evaluate(build_model(scene, cfg), scene, cfg)
+
+
+# The tiny scene's roots reach pixel 9: head cell 9 / 8 = 1.125 rounds into the
+# 2x2 grid of block size 8, and 9 / 16 = 0.5625 out of the 1x1 grid of size 16.
+def test_roots_in_the_last_head_block_train_for_every_seed():
+    for seed in range(20):
+        assert len(train(tiny_scene(seed=seed), tiny_config(scales=(8,), steps=1)).log_rows) == 1
+
+
+def test_roots_beyond_the_head_grid_are_rejected_for_every_seed(monkeypatch):
+    def built(*args):
+        pytest.fail("the check ran after the scene or the model was built")
+
+    monkeypatch.setattr("ivt.train.generate", built)
+    monkeypatch.setattr("ivt.train.build_model", built)
+    for seed in range(20):
+        with pytest.raises(ConfigError, match="scales"):
+            train(tiny_scene(seed=seed), tiny_config(scales=(16,)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**16), persons=st.integers(1, 3), height=st.integers(16, 32),
+       width=st.integers(16, 32), amplitude=st.floats(0.0, 3.0),
+       blob_sigma=st.floats(0.3, 1.5), body_radius=st.floats(1.0, 5.0),
+       scales=st.sets(st.integers(1, 8), min_size=1, max_size=3))
+def test_accepted_scales_give_every_root_a_head_cell(scales, **kw):
+    try:
+        scene = tiny_scene(frames=3, **kw)
+        cfg = tiny_config(frames=3, scales=tuple(scales), fuse_heads=1)
+        _check_root_cells(scene, cfg)
+    except ConfigError:
+        assume(False)
+    clip_targets(scene, generate(scene)[1], min(scales))
 
 
 def test_training_log_columns(tmp_path):
@@ -308,7 +358,7 @@ def test_decode_output_rescales_to_feature_cells():
     scene, cfg = tiny_scene(), tiny_config()
     model = build_model(scene, cfg)
     features, truth = generate(scene)
-    (_, _, o2), _ = clip_targets(scene, truth, model.fine_k, cfg.head_sigma)
+    (_, _, o2), _ = clip_targets(scene, truth, model.fine_k)
     out = model.forward(Tensor(features), truth.flows, o2)
     # Build a perfect head output at token-grid resolution and decode it.
     k = model.fine_k
@@ -335,7 +385,7 @@ def test_clip_targets_2d_offsets_are_the_xy_channels():
                        seed=9, blob_sigma=1.0, body_radius=3.0)
     _, truth = generate(scene)
     k, h, w = 4, scene.height, scene.width
-    (hm, o3, o2), (mask_head, mask_feat) = clip_targets(scene, truth, k, 1.0)
+    (hm, o3, o2), (mask_head, mask_feat) = clip_targets(scene, truth, k)
     assert o2.shape == (scene.frames, 2 * scene.joints, h, w)
     for t, poses in enumerate(truth.poses):
         off, mask = encode_offsets(poses, scene.joints, h, w)
@@ -353,7 +403,7 @@ def test_clip_targets_2d_offsets_are_the_xy_channels():
 def test_scene_without_people_gives_full_shape_zero_targets():
     scene = tiny_scene(persons=0, frames=3)
     _, truth = generate(scene)
-    (hm, o3, o2), (mask_head, mask_feat) = clip_targets(scene, truth, 4, 1.0)
+    (hm, o3, o2), (mask_head, mask_feat) = clip_targets(scene, truth, 4)
     assert hm.shape == (3, 4, 4) and o3.shape == (3, 6, 4, 4) and o2.shape == (3, 4, 16, 16)
     assert mask_head.shape == (3, 4, 4) and mask_feat.shape == (3, 16, 16)
     for target in (hm, o3, o2, mask_head, mask_feat):
@@ -371,7 +421,7 @@ def test_teacher_forcing_gathers_at_the_targets_2d_offsets(monkeypatch):
 
     monkeypatch.setattr(IVTModel, "forward", spy)
     train(scene, cfg)
-    (_, _, o2), _ = clip_targets(scene, generate(scene)[1], 4, cfg.head_sigma)
+    (_, _, o2), _ = clip_targets(scene, generate(scene)[1], 4)
     assert len(seen) == 1
     np.testing.assert_array_equal(seen[0], o2)
 
@@ -451,7 +501,7 @@ def test_training_tape_closures_keep_tape_arrays_and_row_statistics():
     cfg = tiny_config(scales=(4, 8), steps=1)
     features_np, truth = generate(scene)
     model = build_model(scene, cfg)
-    targets = clip_targets(scene, truth, model.fine_k, cfg.head_sigma)
+    targets = clip_targets(scene, truth, model.fine_k)
     out = model.forward(Tensor(features_np), truth.flows, targets[0][2])
     loss, _ = clip_loss(out, targets, cfg)
     nodes, seen, stack = [], set(), [loss]
