@@ -36,7 +36,8 @@ def save_params(path, params: dict[str, Tensor]) -> None:
 
 def load_params(path) -> dict[str, Tensor]:
     """Named tensors in file order; a file cut between records gives the leading
-    ones. A damaged file raises ``ValueError`` naming the path and byte offset."""
+    ones. A damaged file, or one that names a parameter twice, raises
+    ``ValueError`` naming the path and byte offset."""
     raw = memoryview(Path(path).read_bytes())
     pos = 0
 
@@ -54,11 +55,14 @@ def load_params(path) -> dict[str, Tensor]:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
     params: dict[str, Tensor] = {}
     while pos < len(raw):
+        start = pos
         (nlen,) = struct.unpack("<I", take(4))
         try:
             name = str(take(nlen), "utf-8")
         except UnicodeDecodeError:
             raise ValueError(f"{path}: byte {pos - nlen}: name is not UTF-8") from None
+        if name in params:
+            raise ValueError(f"{path}: byte {start}: parameter {name!r} is repeated")
         (rank,) = struct.unpack("<I", take(4))
         dims = struct.unpack(f"<{rank}Q", take(8 * rank))
         data = np.frombuffer(take(8 * math.prod(dims)), dtype="<f8").reshape(dims)

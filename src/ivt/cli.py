@@ -41,11 +41,6 @@ GRAD_TOL = 1e-5
 
 def cmd_gradcheck(args) -> int:
     units = list(GRAD_UNITS) if args.unit == "all" else [args.unit]
-    for unit in units:
-        if unit not in GRAD_UNITS:
-            print(f"error: unknown gradcheck unit {unit!r}; "
-                  f"known: {', '.join(GRAD_UNITS)}", file=sys.stderr)
-            return EXIT_USAGE
     worst = 0.0
     for unit in units:
         rng = np.random.default_rng(args.seed)
@@ -64,8 +59,8 @@ def read_config(path) -> tuple[SceneSpec, TrainConfig]:
 
     Each value is parsed as the type of its field's default. An optional
     [poses] section holds the scene's poses in the codec's line format and
-    must equal, bitwise, the poses generated from [scene]; `ivt scene`
-    writes such a file, so a scene manifest is a config file.
+    must equal, bitwise, the poses generated from [scene]. `ivt scene`
+    writes all three sections, so its manifest replays a run on its own.
     """
     parser = _ini()
     if path is not None:
@@ -177,7 +172,7 @@ def write_manifest(out_dir: Path, command: str, config: dict, artifacts: list[st
         "command": command,
         "config": config,
         "artifacts": artifacts,
-        "input_hashes": {str(p): _hash_file(p) for p in inputs if Path(p).is_file()},
+        "input_hashes": {str(p): _hash_file(p) for p in inputs if p and Path(p).is_file()},
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "machine": machine_facts(),
     }
@@ -187,18 +182,20 @@ def write_manifest(out_dir: Path, command: str, config: dict, artifacts: list[st
 # -- train / eval / bench / scene ---------------------------------------------------
 
 
+def _check_out_dir(out) -> None:
+    if out and Path(out).exists() and not Path(out).is_dir():
+        raise ConfigError(f"--out {out} exists and is not a directory")
+
+
 def run_settings(args) -> tuple[SceneSpec, TrainConfig]:
-    """--config's scene and train config; a --scene file replaces the scene.
+    """The scene and train config of --config, the run's one settings file.
 
     Both are checked against each other and the model architecture they
     name here, and --out must be a directory or absent, before any run
     starts.
     """
-    if Path(args.out).exists() and not Path(args.out).is_dir():
-        raise ConfigError(f"--out {args.out} exists and is not a directory")
+    _check_out_dir(args.out)
     scene, cfg = read_config(args.config)
-    if args.scene:
-        scene, _ = read_config(args.scene)
     check_frames(scene, cfg)
     video_config(scene, cfg).grids(scene.height, scene.width)
     return scene, cfg
@@ -212,8 +209,7 @@ def cmd_train(args) -> int:
     save_params(out_dir / "checkpoint.ivtc", result.model.named_params())
     result.write_log(out_dir / "train_log.csv")
     write_manifest(out_dir, "train", {"scene": asdict(scene), "train": asdict(cfg)},
-                   ["checkpoint.ivtc", "train_log.csv"],
-                   [p for p in (args.config, args.scene) if p])
+                   ["checkpoint.ivtc", "train_log.csv"], [args.config])
     print(f"final loss {result.loss_history[-1]:.6g} after {cfg.steps} steps")
     return EXIT_OK
 
@@ -227,9 +223,6 @@ def cmd_eval(args) -> int:
         _, truth = generate(scene)
         report = match_and_evaluate(truth.poses, truth.poses)
     else:
-        if not args.checkpoint:
-            print("error: eval needs --checkpoint (or --oracle)", file=sys.stderr)
-            return EXIT_USAGE
         model = load_model(scene, cfg, args.checkpoint)
         report = evaluate(model, scene, cfg)
     out_dir = Path(args.out)
@@ -237,8 +230,7 @@ def cmd_eval(args) -> int:
     report.to_csv(out_dir / "eval.csv")
     write_manifest(out_dir, "eval", {"scene": asdict(scene), "train": asdict(cfg),
                                      "oracle": args.oracle},
-                   ["eval.csv"],
-                   [p for p in (args.config, args.scene, args.checkpoint) if p])
+                   ["eval.csv"], [args.config, args.checkpoint])
     agg = report.mpjpe
     print(f"matched={report.matched_pairs} missed={report.missed} "
           f"mpjpe={'n/a' if agg is None else format(agg, '.6g')}")
@@ -290,6 +282,7 @@ def temporal_macs(frames: int, cfg: VideoConfig, side: int) -> tuple[int, float]
 
 
 def cmd_bench(args) -> int:
+    _check_out_dir(args.out)
     frames = [int(v) for v in args.frames.split(",")] if args.frames else [1, 3, 5, 7, 9]
     if min(frames) < 1:
         raise ConfigError(f"bench: --frames {args.frames}; need frame counts >= 1")
@@ -315,15 +308,17 @@ def cmd_bench(args) -> int:
 
 
 def cmd_scene(args) -> int:
-    scene, _ = read_config(args.config)
+    scene, cfg = read_config(args.config)
     _, truth = generate(scene)
     manifest = _ini()
-    manifest["scene"] = asdict(scene)
+    for name, section in (("scene", scene), ("train", cfg)):
+        manifest[name] = {key: ", ".join(map(str, v)) if isinstance(v, tuple) else str(v)
+                          for key, v in asdict(section).items()}
     manifest["poses"] = dict.fromkeys(line for t, poses in enumerate(truth.poses)
                                       for line in poses_to_lines(t, poses))
     with open(args.out, "w", encoding="utf-8") as fh:
         manifest.write(fh)
-    print(f"wrote scene manifest to {args.out}")
+    print(f"wrote settings file to {args.out}")
     return EXIT_OK
 
 
@@ -335,48 +330,43 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gradcheck", help="finite-difference checks per unit")
-    g.add_argument("--unit", default="all")
+    g.set_defaults(run=cmd_gradcheck)
+    g.add_argument("--unit", default="all", choices=["all", *GRAD_UNITS])
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--eps", type=float, default=1e-6)
 
     t = sub.add_parser("train", help="toy training on a synthetic scene")
+    t.set_defaults(run=cmd_train)
     t.add_argument("--config", default=None)
-    t.add_argument("--scene", default=None, help="scene manifest path")
     t.add_argument("--out", required=True)
 
     e = sub.add_parser("eval", help="evaluate a checkpoint on a scene")
-    e.add_argument("--checkpoint", default=None)
-    e.add_argument("--oracle", action="store_true",
-                   help="evaluate ground truth against itself (pipeline check)")
+    e.set_defaults(run=cmd_eval)
+    source = e.add_mutually_exclusive_group(required=True)
+    source.add_argument("--checkpoint", default=None)
+    source.add_argument("--oracle", action="store_true",
+                        help="evaluate ground truth against itself (pipeline check)")
     e.add_argument("--config", default=None)
-    e.add_argument("--scene", default=None)
     e.add_argument("--out", required=True)
 
     b = sub.add_parser("bench", help="temporal-stage cost sweep over frame counts")
+    b.set_defaults(run=cmd_bench)
     b.add_argument("--frames", default=None, help="comma list, default 1,3,5,7,9")
     b.add_argument("--scales", default=None, help="comma list of block sizes")
     b.add_argument("--out", default=None)
 
-    s = sub.add_parser("scene", help="export a replayable scene manifest")
+    s = sub.add_parser("scene", help="write a settings file, poses included, that replays a run")
+    s.set_defaults(run=cmd_scene)
     s.add_argument("--config", default=None)
     s.add_argument("--out", required=True)
     return parser
-
-
-COMMANDS = {
-    "gradcheck": cmd_gradcheck,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "bench": cmd_bench,
-    "scene": cmd_scene,
-}
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
+        return args.run(args)
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

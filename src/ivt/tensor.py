@@ -149,6 +149,8 @@ class Tensor:
         return self.data.size
 
     def item(self) -> float:
+        if self.data.size != 1:
+            raise ContractError(f"item: need a tensor of size 1, got shape {self.shape}")
         return float(self.data.reshape(-1)[0])
 
     def __repr__(self) -> str:
@@ -350,6 +352,9 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         raise ShapeError(f"concat: axis {axis} out of range for rank {tensors[0].ndim}")
     if len(tensors) == 1:
         return tensors[0]
+    axis %= tensors[0].ndim
+    if len({(t.ndim, t.shape[:axis], t.shape[axis + 1:]) for t in tensors}) > 1:
+        raise ShapeError(f"concat: shapes {[t.shape for t in tensors]} differ off axis {axis}")
     data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, artifacts, manifests, reproducibility."""
 
+import argparse
 import json
 import os
 import platform
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from ivt.checkpoint import save_params
-from ivt.cli import git_revision, main, read_config
+from ivt.cli import build_parser, git_revision, main, read_config
 from ivt.codec import poses_from_lines
 from ivt.synth import generate
 from ivt.train import TrainConfig, build_model
@@ -56,8 +57,16 @@ def test_gradcheck_known_unit_exit_zero(capsys):
 
 
 def test_gradcheck_unknown_unit_exit_two(capsys):
-    assert main(["gradcheck", "--unit", "bogus"]) == 2
-    assert "unknown" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["gradcheck", "--unit", "bogus"])
+    assert exc.value.code == 2
+    assert "bogus" in capsys.readouterr().err
+
+
+def test_gradcheck_full_pipeline_unit_passes(capsys):
+    assert main(["gradcheck", "--unit", "full"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("full") and "[ok]" in out
 
 
 def test_gradcheck_eps_out_of_range_exit_two():
@@ -137,7 +146,7 @@ def test_eval_oracle_splice_reports_zero_error(tmp_path, tiny_config):
         assert float(value) == 0.0
 
 
-@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("command", ["train", "eval", "bench"])
 def test_out_that_is_a_file_exits_two_before_the_run(tmp_path, tiny_config, capsys,
                                                      monkeypatch, command):
     def run(*args):
@@ -145,18 +154,45 @@ def test_out_that_is_a_file_exits_two_before_the_run(tmp_path, tiny_config, caps
 
     monkeypatch.setattr("ivt.cli.train", run)
     monkeypatch.setattr("ivt.cli.evaluate", run)
+    monkeypatch.setattr("ivt.cli.temporal_macs", run)
     ckpt = tmp_path / "model.ivtc"
     save_params(ckpt, build_model(*read_config(tiny_config)).named_params())
     out = tmp_path / "taken"
     out.write_text("kept\n")
-    extra = ["--checkpoint", str(ckpt)] if command == "eval" else []
-    assert main([command, "--config", tiny_config, *extra, "--out", str(out)]) == 2
-    assert "--out" in capsys.readouterr().err
+    extra = {"train": ["--config", tiny_config],
+             "eval": ["--config", tiny_config, "--checkpoint", str(ckpt)],
+             "bench": ["--frames", "1,3"]}[command]
+    assert main([command, *extra, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "--out" in captured.err
+    assert captured.out == ""
     assert out.read_text() == "kept\n"
 
 
-def test_eval_without_checkpoint_or_oracle_exit_two(tmp_path, tiny_config):
-    assert main(["eval", "--config", tiny_config, "--out", str(tmp_path / "x")]) == 2
+@pytest.mark.parametrize("given", ["neither", "both"])
+def test_eval_without_checkpoint_or_oracle_exit_two(tmp_path, tiny_config, capsys, given):
+    # --checkpoint and --oracle are the two sources of predictions: exactly one is given.
+    ckpt = tmp_path / "x.ivtc"
+    ckpt.write_bytes(b"never read")
+    flags = ["--oracle", "--checkpoint", str(ckpt)] if given == "both" else []
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--config", tiny_config, *flags, "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert "--checkpoint" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_scene_comes_only_from_the_config(tmp_path, tiny_config, capsys, command):
+    manifest = tmp_path / "scene.ini"
+    assert main(["scene", "--config", tiny_config, "--out", str(manifest)]) == 0
+    extra = ["--oracle"] if command == "eval" else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", tiny_config, *extra, "--scene", str(manifest),
+              "--out", str(tmp_path / "run")])
+    assert exc.value.code == 2
+    assert "--scene" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_eval_threshold_comes_only_from_the_config(tmp_path, tiny_config, capsys):
@@ -172,9 +208,7 @@ def test_scene_export_and_train_from_manifest(tmp_path, tiny_config):
     assert main(["scene", "--config", tiny_config, "--out", str(scene_path)]) == 0
     assert scene_path.is_file()
     out = tmp_path / "run"
-    code = main(["train", "--config", tiny_config, "--scene", str(scene_path),
-                 "--out", str(out)])
-    assert code == 0
+    assert main(["train", "--config", str(scene_path), "--out", str(out)]) == 0
 
 
 def test_bench_emits_frame_sweep(tmp_path, capsys):
@@ -261,8 +295,8 @@ def _edit_pose_line(text):
 
 
 # (file edited, edit, text the error must name). "config" edits the tiny
-# config passed as --config; "scene" edits a manifest from `ivt scene`
-# passed as --scene.
+# config; "scene" edits the settings file that `ivt scene` writes from it.
+# Either is then passed as --config.
 BAD_INPUTS = {
     "manifest-unknown-key": ("scene", lambda t: t.replace("[scene]\n", "[scene]\nbogus = 1\n"),
                              "bogus"),
@@ -344,13 +378,11 @@ def test_bad_settings_exit_two_and_name_the_key(tmp_path, tiny_config, capsys, c
     path = tmp_path / "bad.ini"
     if target == "config":
         path.write_text(edit(Path(tiny_config).read_text()))
-        argv = ["train", "--config", str(path)]
     else:
         assert main(["scene", "--config", tiny_config, "--out", str(path)]) == 0
         path.write_text(edit(path.read_text()))
-        argv = ["train", "--config", tiny_config, "--scene", str(path)]
     out = tmp_path / "run"
-    assert main(argv + ["--out", str(out)]) == 2
+    assert main(["train", "--config", str(path), "--out", str(out)]) == 2
     assert named in capsys.readouterr().err
     assert not out.exists()  # rejected before the run starts
 
@@ -405,6 +437,7 @@ def test_scene_seed_comes_only_from_the_config(tmp_path, capsys, command):
     config = tmp_path / "scene.cfg"
     config.write_text(MANIFEST_SCENE)
     args = [] if command == "bench" else ["--config", str(config)]
+    args += ["--oracle"] if command == "eval" else []  # eval's one required choice
     with pytest.raises(SystemExit) as exc:
         main([command, *args, "--seed", "3", "--out", str(tmp_path / "s.ini")])
     assert exc.value.code == 2
@@ -413,11 +446,35 @@ def test_scene_seed_comes_only_from_the_config(tmp_path, capsys, command):
 
 
 def test_manifest_replays_same_scene(tmp_path, tiny_config):
+    # The settings file `ivt scene` writes holds every [train] field, defaults
+    # included, tuples and booleans too, so it replays the run with no edit.
+    config = tmp_path / "run.cfg"
+    config.write_text(Path(tiny_config).read_text().replace("scales = 4\n", "scales = 4, 8\n")
+                      + "milestones = 0.25, 0.75\nteacher_forcing = off\nlr = 0.0007\n")
     manifest = tmp_path / "scene.ini"
-    assert main(["scene", "--config", tiny_config, "--out", str(manifest)]) == 0
-    text = Path(tiny_config).read_text()
-    manifest.write_text(manifest.read_text() + text[text.index("[train]"):])
+    assert main(["scene", "--config", str(config), "--out", str(manifest)]) == 0
+    assert read_config(manifest) == read_config(config)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert main(["train", "--config", str(manifest), "--out", str(out_a)]) == 0
-    assert main(["train", "--config", tiny_config, "--out", str(out_b)]) == 0
+    assert main(["train", "--config", str(config), "--out", str(out_b)]) == 0
     assert (out_a / "checkpoint.ivtc").read_bytes() == (out_b / "checkpoint.ivtc").read_bytes()
+
+
+# Every flag of every command. A flag added or removed is a change to this set
+# and to the README's command-line section.
+FLAGS = {
+    "gradcheck": {"--unit", "--seed", "--eps"},
+    "train": {"--config", "--out"},
+    "eval": {"--checkpoint", "--oracle", "--config", "--out"},
+    "bench": {"--frames", "--scales", "--out"},
+    "scene": {"--config", "--out"},
+}
+
+
+def test_flag_inventory():
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    got = {name: {flag for action in sub._actions for flag in action.option_strings}
+           - {"-h", "--help"} for name, sub in commands.items()}
+    assert got == FLAGS
+    assert sum(map(len, FLAGS.values())) == 14

@@ -248,7 +248,7 @@ def one_scale_clip(rng, joints, channels, k, fuse_heads=2):
     return cfg, params
 
 
-def test_igt_frame_single_block_grid():
+def test_tokenize_clip_single_block_grid():
     rng = RNG(15)
     joints = 2
     cfg, params = one_scale_clip(rng, joints, 1, 4)
@@ -262,7 +262,7 @@ def test_igt_frame_single_block_grid():
         np.testing.assert_allclose(out.data[t, 0], want, atol=1e-12)
 
 
-def test_igt_frame_output_shape():
+def test_tokenize_clip_output_shape():
     rng = RNG(16)
     joints = 3
     cfg, params = one_scale_clip(rng, joints, 2, 2)
@@ -270,7 +270,7 @@ def test_igt_frame_output_shape():
     assert [o.shape for o in out] == [(3, 16, joints * 8)]
 
 
-def test_igt_frame_hand_built_offsets_match_manual_trace():
+def test_tokenize_clip_hand_built_offsets_match_manual_trace():
     rng = RNG(17)
     joints, k = 2, 2
     cfg, params = one_scale_clip(rng, joints, 1, k)
@@ -289,7 +289,7 @@ def test_igt_frame_hand_built_offsets_match_manual_trace():
             np.testing.assert_allclose(out[t, i], manual, atol=1e-12)
 
 
-def test_igt_frame_joint_permutation_consistency():
+def test_gather_indices_joint_permutation_consistency():
     rng = RNG(18)
     joints, k = 3, 2
     f = rt(rng, 2, 1, 6, 6)
@@ -306,7 +306,7 @@ def test_igt_frame_joint_permutation_consistency():
         np.testing.assert_array_equal(moved, base[perm])
 
 
-def test_igt_frame_deterministic():
+def test_tokenize_clip_deterministic():
     rng = RNG(19)
     joints = 2
     cfg, params = one_scale_clip(rng, joints, 1, 2)

@@ -47,6 +47,11 @@ def test_tensor_is_float64():
 def test_scalar_item():
     t = Tensor(np.array(3.5))
     assert t.item() == 3.5
+    assert Tensor(np.array([[2.5]])).item() == 2.5
+    with pytest.raises(ContractError, match=r"item: .*shape \(3,\)"):
+        Tensor(np.array([7.0, 8.0, 9.0])).item()
+    with pytest.raises(ContractError, match=r"shape \(0,\)"):
+        Tensor(np.zeros(0)).item()
 
 
 def test_add_shape_mismatch_raises():
@@ -197,6 +202,10 @@ def test_concat_narrow_round_trip():
         T.concat([a, b], axis=2)
     with pytest.raises(ShapeError, match="concat: axis -3 out of range for rank 2"):
         T.concat([a], axis=-3)
+    with pytest.raises(ShapeError, match=r"concat: shapes \[\(2, 3\), \(2, 4\)\] differ"):
+        T.concat([a, b], axis=0)
+    with pytest.raises(ShapeError, match=r"concat: shapes \[\(2, 3\), \(2, 3, 1\)\] differ"):
+        T.concat([a, rt(rng, 2, 3, 1)], axis=-1)
 
 
 def test_concat_of_one_and_narrow_of_whole_axis_are_identities():

@@ -92,6 +92,20 @@ def test_cut_checkpoint_reads_whole_records_or_names_the_offset(tmp_path):
                 load_params(cut)
 
 
+def test_checkpoint_that_repeats_a_name_names_the_offset(tmp_path):
+    # One checkpoint followed by the records of another: the second "w" would
+    # silently replace the first.
+    first, second = tmp_path / "a.ivtc", tmp_path / "b.ivtc"
+    save_params(first, {"w": Tensor(np.ones(2))})
+    save_params(second, {"w": Tensor(np.full(2, 5.0))})
+    joined = tmp_path / "joined.ivtc"
+    joined.write_bytes(first.read_bytes() + second.read_bytes()[6:])
+    offset = first.stat().st_size
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(joined))}: byte {offset}: "
+                                         r"parameter 'w' is repeated"):
+        load_params(joined)
+
+
 def test_checkpoint_with_huge_name_length_names_the_offset(tmp_path):
     path = tmp_path / "p.ivtc"
     save_params(path, {"w": Tensor(np.ones(2))})
