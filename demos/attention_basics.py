@@ -9,7 +9,7 @@ makes attention a copy.
 import numpy as np
 
 from ivt import tensor as T
-from ivt.blocks import block_params, multi_head_self_attention
+from ivt.blocks import block_params
 from ivt.tensor import Tensor
 
 rng = np.random.default_rng(0)
@@ -28,6 +28,14 @@ print("softmax weight vector over the three keys; it sums to",
 # With a single key there is nothing to weigh: the value is copied.
 single = T.sdpa(q, Tensor(k.data[:1]), Tensor(v.data[:1]), 1)
 print("\nsingle key copies the value:", np.array_equal(single.data, v.data[:1]))
+
+
+
+def multi_head_self_attention(x, params, heads):
+    """Project the tokens to queries, keys and values, attend, project out."""
+    q, k, v = (T.linear(x, params[f"w{c}"], params[f"b{c}"]) for c in "qkv")
+    return T.linear(T.sdpa(q, k, v, heads), params["wo"], params["bo"])
+
 
 # Multi-head self-attention mixes a whole token sequence.
 params = block_params(rng, 8)

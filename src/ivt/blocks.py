@@ -1,10 +1,13 @@
-"""Transformer primitives: parameter init, MHSA, FFN, one block.
+"""Transformer primitives: parameter init and one block.
 
 All functions are pure maps over immutable parameter tensors. Blocks use
 the pre-norm residual layout Y = X + MHSA(LN(X)); out = Y + FFN(LN(Y)),
 so zero-initialized output projections make a block the identity map.
-Each affine layer is one ``T.linear``, layer norm with its gain and bias
-is ``T.layernorm``, and attention with its head split is ``T.sdpa``.
+Each residual branch is one tape node: ``T.attention_branch`` (layer norm,
+q/k/v projections, ``sdpa`` with its head split, output projection and
+the add) and ``T.ffn_branch`` (layer norm, 4x linear, GELU, linear and the
+add). The same chain of one-op nodes lives in ``tests/reference_ops.py``;
+the branches match it bitwise and keep fewer arrays on the tape.
 """
 
 from __future__ import annotations
@@ -54,23 +57,10 @@ def zero_block_outputs(p: dict[str, Tensor]) -> dict[str, Tensor]:
     return p
 
 
-def multi_head_self_attention(x: Tensor, params: dict[str, Tensor], heads: int) -> Tensor:
-    """Project X to Q/K/V, attend per feature-axis head, project out.
-
-    The width d is the projections' width; ``heads`` must divide it.
-    """
-    q, k, v = (T.linear(x, params[f"w{c}"], params[f"b{c}"]) for c in "qkv")
-    return T.linear(T.sdpa(q, k, v, heads), params["wo"], params["bo"])
-
-
-def ffn(x: Tensor, params: dict[str, Tensor]) -> Tensor:
-    """Two linear layers with a smooth nonlinearity between."""
-    h = T.gelu(T.linear(x, params["ffn_w1"], params["ffn_b1"]))
-    return T.linear(h, params["ffn_w2"], params["ffn_b2"])
-
-
 def transformer_block_self(x: Tensor, params: dict[str, Tensor], heads: int) -> Tensor:
-    y = x + multi_head_self_attention(
-        T.layernorm(x, params["ln1_g"], params["ln1_b"]), params, heads)
-    return y + ffn(T.layernorm(y, params["ln2_g"], params["ln2_b"]), params)
-
+    """Pre-norm self-attention block on (..., n, d) tokens; ``heads`` divides d."""
+    p = params
+    y = T.attention_branch(x, p["ln1_g"], p["ln1_b"], p["wq"], p["bq"], p["wk"], p["bk"],
+                           p["wv"], p["bv"], p["wo"], p["bo"], heads)
+    return T.ffn_branch(y, p["ln2_g"], p["ln2_b"], p["ffn_w1"], p["ffn_b1"],
+                        p["ffn_w2"], p["ffn_b2"])

@@ -12,7 +12,7 @@ from typing import Callable
 import numpy as np
 
 from . import tensor as T
-from .blocks import block_params, ffn, init_conv, multi_head_self_attention
+from .blocks import block_params, init_conv
 from .igt import GridGeometry, tokenize
 from .losses import total_loss
 from .synth import SceneSpec, generate
@@ -58,19 +58,20 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-6) -> f
 
 
 def _unit_mhsa(rng: np.random.Generator, eps: float) -> float:
-    params = block_params(rng, 8)
+    """The block's attention branch, x + MHSA(LN(x)), on 3 tokens of width 8."""
+    p = block_params(rng, 8)
     x = Tensor(rng.uniform(-1, 1, size=(3, 8)))
-    return grad_check(lambda t: T.tsum(multi_head_self_attention(t, params, 2)), x, eps)
+    return grad_check(lambda t: T.tsum(T.attention_branch(
+        t, p["ln1_g"], p["ln1_b"], p["wq"], p["bq"], p["wk"], p["bk"], p["wv"], p["bv"],
+        p["wo"], p["bo"], 2)), x, eps)
 
 
 def _unit_ffn(rng: np.random.Generator, eps: float) -> float:
-    params = block_params(rng, 8)
+    """The block's FFN branch, x + FFN(LN(x)), on 3 tokens of width 8."""
+    p = block_params(rng, 8)
     x = Tensor(rng.uniform(-1, 1, size=(3, 8)))
-
-    def f(t):
-        return T.tsum(ffn(T.layernorm(t, params["ln2_g"], params["ln2_b"]), params))
-
-    return grad_check(f, x, eps)
+    return grad_check(lambda t: T.tsum(T.ffn_branch(
+        t, p["ln2_g"], p["ln2_b"], p["ffn_w1"], p["ffn_b1"], p["ffn_w2"], p["ffn_b2"])), x, eps)
 
 
 def _unit_igt(rng: np.random.Generator, eps: float) -> float:

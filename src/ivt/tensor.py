@@ -13,19 +13,25 @@ buffers are row-major contiguous float64 and are treated as immutable after
 construction; only the ``grad`` buffer is mutated.
 
 A backward closure keeps only its parents' data, its own output, parameters
-and per-row statistics (``layernorm``'s mean and inverse deviation,
-``sdpa``'s logsumexp). Any other array it needs (``gelu``'s tanh term,
-``layernorm``'s normalized input, ``sdpa``'s per-head copies, ``conv2d``'s
-im2col matrix) it rebuilds when it runs, with the same ops in the same order
-as forward, so the values are bitwise those forward had. Holding a parent's
-data costs nothing: the tape keeps every node alive until its own closure
-has run, so the live arrays between forward and backward are the tape's.
+and per-row statistics (a layer norm's mean and inverse deviation,
+``sdpa``'s logsumexp). The two residual branches of a transformer block
+(``attention_branch`` and ``ffn_branch``) keep one thing more: the arrays
+that cost a matmul to rebuild (q, k, v, the attention output before its
+projection, the FFN pre-activation). Any other array a closure needs
+(``gelu``'s tanh term and output, a layer norm's normalized input and
+output, ``sdpa``'s per-head copies, ``conv2d``'s im2col matrix) it rebuilds
+when it runs, with the same ops in the same order as forward, so the values
+are bitwise those forward had. Holding a parent's data costs nothing: the
+tape keeps every node alive until its own closure has run, so the live
+arrays between forward and backward are the tape's.
 
 Ops take Tensors; an array is never converted to one implicitly.
 Elementwise ops (``add``, ``sub``, ``mul``) take operands of equal shape.
 The only broadcast op is ``add_bcast`` (positional embedding); ``linear``
-adds its own bias, ``layernorm`` applies its own gain and bias, and
-``sdpa`` splits and merges its own attention heads.
+adds its own bias, ``sdpa`` splits and merges its own attention heads, and
+each residual branch applies its own layer norm, biases and residual add.
+Array-level helpers (``_affine``, ``_gelu``, ``_layernorm``, ``_sdpa_*``)
+hold each formula once; the public ops and the branches share them.
 """
 
 from __future__ import annotations
@@ -242,30 +248,36 @@ def _gelu_tanh(x: np.ndarray) -> np.ndarray:
     return t
 
 
+def _gelu(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """x Φ(x) = 0.5 x (1 + t), from x and its tanh term t, as a new array."""
+    out = 0.5 * x
+    out *= 1.0 + t
+    return out
+
+
+def _gelu_grad(x: np.ndarray, t: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """g times gelu's derivative at x, from x and its tanh term t."""
+    dinner = (3 * 0.044715) * x
+    dinner *= x
+    dinner += 1.0
+    dinner *= _GELU_C
+    w = t * t
+    d = 0.5 * x
+    d *= np.subtract(1.0, w, out=w)
+    d *= dinner
+    np.add(1.0, t, out=w)
+    w *= 0.5
+    d += w
+    d *= g
+    return d
+
+
 def gelu(a: Tensor) -> Tensor:
     """Smooth activation x * Phi(x), tanh approximation. Backward rebuilds
     the tanh term from x."""
     x = a.data
-    data = 0.5 * x
-    data *= 1.0 + _gelu_tanh(x)
-
-    def bw(g):
-        t = _gelu_tanh(x)
-        dinner = (3 * 0.044715) * x
-        dinner *= x
-        dinner += 1.0
-        dinner *= _GELU_C
-        w = t * t
-        d = 0.5 * x
-        d *= np.subtract(1.0, w, out=w)
-        d *= dinner
-        np.add(1.0, t, out=w)
-        w *= 0.5
-        d += w
-        d *= g
-        return (d,)
-
-    return Tensor._result(data, (a,), bw, "gelu")
+    return Tensor._result(_gelu(x, _gelu_tanh(x)), (a,),
+                          lambda g: (_gelu_grad(x, _gelu_tanh(x), g),), "gelu")
 
 
 def absolute(a: Tensor) -> Tensor:
@@ -276,6 +288,29 @@ def absolute(a: Tensor) -> Tensor:
 # -- affine map --------------------------------------------------------------
 
 
+def _linear_width(d_x: int, w: Tensor, b: Tensor, op: str) -> int:
+    """The output width of an affine map of w and b on d_x-wide rows."""
+    d_in, d_out = w.shape
+    if d_x != d_in:
+        raise ShapeError(f"{op}: input dim {d_x} != weight dim {d_in}")
+    if b.shape != (d_out,):
+        raise ShapeError(f"{op}: bias {b.shape} must be ({d_out},)")
+    return d_out
+
+
+def _affine(x2: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x2 w + b for (rows, d_in) x2, as a new array; charges its MACs."""
+    out = x2 @ w
+    out += b
+    macs.add(x2.shape[0] * w.shape[0] * w.shape[1])
+    return out
+
+
+def _affine_grad(x2: np.ndarray, w: np.ndarray, g2: np.ndarray):
+    """(dx2, dw, db) of ``_affine`` for the (rows, d_out) output gradient g2."""
+    return g2 @ w.T, x2.T @ g2, g2.sum(axis=0)
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine map x w + b over the last axis, for any leading shape.
 
@@ -284,19 +319,13 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     the backward returns what a reshape/matmul/add_bcast/reshape chain
     would, bitwise.
     """
-    d_in, d_out = w.shape
-    if x.shape[-1] != d_in:
-        raise ShapeError(f"linear: input dim {x.shape[-1]} != weight dim {d_in}")
-    if b.shape != (d_out,):
-        raise ShapeError(f"linear: bias {b.shape} must be ({d_out},)")
-    x2 = x.data.reshape(-1, d_in)
-    data = x2 @ w.data
-    data += b.data
-    macs.add(x2.shape[0] * d_in * d_out)
+    d_out = _linear_width(x.shape[-1], w, b, "linear")
+    x2 = x.data.reshape(-1, w.shape[0])
+    data = _affine(x2, w.data, b.data)
 
     def bw(g):
-        g2 = g.reshape(-1, d_out)
-        return (g2 @ w.data.T).reshape(x.shape), x2.T @ g2, g2.sum(axis=0)
+        dx2, dw, db = _affine_grad(x2, w.data, g.reshape(-1, d_out))
+        return dx2.reshape(x.shape), dw, db
 
     return Tensor._result(data.reshape(x.shape[:-1] + (d_out,)), (x, w, b), bw, "linear")
 
@@ -488,6 +517,94 @@ def _heads_to_width(a: np.ndarray, heads: int, shape) -> np.ndarray:
     return out
 
 
+def _sdpa_check(q_shape, k_shape, v_shape, heads: int, op: str) -> None:
+    """The shape and head contract of ``sdpa``; errors name ``op``."""
+    if (len(q_shape) < 2 or not len(q_shape) == len(k_shape) == len(v_shape)
+            or not q_shape[:-2] == k_shape[:-2] == v_shape[:-2]):
+        raise ShapeError(f"{op}: shapes {q_shape}, {k_shape}, {v_shape} are incompatible")
+    if q_shape[-1] != k_shape[-1] or k_shape[-2] != v_shape[-2]:
+        raise ShapeError(f"{op}: inner dims of {q_shape}, {k_shape}, {v_shape} disagree")
+    if q_shape[-1] == 0:
+        raise ContractError(f"{op}: feature dim is zero")
+    if k_shape[-2] < 1:
+        raise ContractError(f"{op}: need at least one key")
+    if heads < 1 or q_shape[-1] % heads or v_shape[-1] % heads:
+        raise ConfigError(f"{op}: heads {heads} must be at least 1 and divide the "
+                          f"widths {q_shape[-1]} and {v_shape[-1]}")
+
+
+def _sdpa_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int, op: str):
+    """(out, lse, blocks): the attention output, one logsumexp per query row
+    and head, and the score blocks that backward walks again (``sdpa``)."""
+    lead = q.shape[:-2]
+    elements = int(np.prod(lead, dtype=np.int64))
+    batch, nq, nk = elements * heads, q.shape[-2], k.shape[-2]
+    d, dv = q.shape[-1] // heads, v.shape[-1] // heads
+    q3, k3, v3 = (_heads_to_batch(a, elements, heads) for a in (q, k, v))
+    c = float(1.0 / np.sqrt(d))
+    blocks = _sdpa_blocks(batch, nq, nk)
+    scratch = np.empty(max((b1 - b0) * (r1 - r0) for b0, b1, r0, r1 in blocks) * nk)
+    qc, kt = q3 * c, np.swapaxes(k3, -1, -2)
+    lse = np.empty((batch, nq, 1))
+    data = np.empty((batch, nq, dv))
+    for block in blocks:
+        b0, b1, r0, r1 = block
+        pb = _sdpa_block(qc, kt, block, scratch)
+        mb = pb.max(axis=-1, keepdims=True)
+        with np.errstate(invalid="ignore"):  # inf − inf is NaN, which the check names
+            pb -= mb
+        np.exp(pb, out=pb)
+        lb = pb.sum(axis=-1, keepdims=True)
+        if _debug_checks:
+            if not np.all(np.isfinite(lb)):
+                b, r, j = np.argwhere(~np.isfinite(pb))[0]
+                element, head = divmod(int(b0 + b), heads)
+                at = np.unravel_index(element, lead) + (r0 + r, j)
+                raise NumericError(f"{op}: non-finite output at index "
+                                   f"{tuple(map(int, at))}, head {head}")
+            assert np.all(lb >= 1.0), "softmax row sums must be at least 1"
+        ob = data[b0:b1, r0:r1]
+        np.matmul(pb, v3[b0:b1], out=ob)
+        ob /= lb
+        np.log(lb, out=lb)
+        lb += mb
+        lse[b0:b1, r0:r1] = lb
+    macs.add(batch * nq * nk * (d + dv))
+    return _heads_to_width(data, heads, lead + (nq, v.shape[-1])), lse, blocks
+
+
+def _sdpa_backward(q, k, v, out, lse, blocks, g, heads: int):
+    """(dq, dk, dv) of ``_sdpa_forward`` for the output gradient g."""
+    elements = int(np.prod(q.shape[:-2], dtype=np.int64))
+    d, nk = q.shape[-1] // heads, k.shape[-2]
+    c = float(1.0 / np.sqrt(d))
+    scratch_len = max((b1 - b0) * (r1 - r0) for b0, b1, r0, r1 in blocks) * nk
+    q3, k3, v3, g3, data = (_heads_to_batch(a, elements, heads) for a in (q, k, v, g, out))
+    qa = _with_column(q3 * c, -lse)
+    qc = qa[..., :d]
+    ga = _with_column(g3, -(g3 * data).sum(axis=-1, keepdims=True))  # [dO, −D]
+    kat = np.swapaxes(_with_column(k3, 1.0), -1, -2)
+    vat = np.swapaxes(_with_column(v3, 1.0), -1, -2)
+    dq3, dk3, dv3 = np.empty(q3.shape), np.empty(k3.shape), np.empty(v3.shape)
+    scratch, ds_scratch = np.empty(scratch_len), np.empty(scratch_len)
+    for block in blocks:
+        b0, b1, r0, r1 = block
+        pb = _sdpa_block(qa, kat, block, scratch)  # s − lse
+        np.exp(pb, out=pb)  # P
+        ds = _sdpa_block(ga, vat, block, ds_scratch)  # dP − D
+        ds *= pb  # dS, the gradient of the scaled scores
+        np.matmul(ds, k3[b0:b1], out=dq3[b0:b1, r0:r1])
+        dst, pbt = np.swapaxes(ds, -1, -2), np.swapaxes(pb, -1, -2)
+        if r0 == 0:
+            np.matmul(dst, qc[b0:b1, r0:r1], out=dk3[b0:b1])
+            np.matmul(pbt, g3[b0:b1, r0:r1], out=dv3[b0:b1])
+        else:
+            dk3[b0:b1] += dst @ qc[b0:b1, r0:r1]
+            dv3[b0:b1] += pbt @ g3[b0:b1, r0:r1]
+    dq3 *= c
+    return tuple(_heads_to_width(a, heads, t.shape) for a, t in ((dq3, q), (dk3, k), (dv3, v)))
+
+
 def sdpa(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     """Multi-head attention softmax(q kᵀ / √e) v over the last two axes.
 
@@ -516,6 +633,8 @@ def sdpa(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     after the loop. The output and the gradients match the unfused
     matmul/scale/softmax/matmul chain per head (in ``tests/reference_ops.py``)
     to 1e-12, not bitwise, also for a call that is one block.
+    ``attention_branch`` runs the same two passes (``_sdpa_forward`` and
+    ``_sdpa_backward``).
 
     Under debug checks every row sum l must be finite and at least 1 (its
     max term is exp(0)). A non-finite entry of P̃ makes its l non-finite;
@@ -525,113 +644,150 @@ def sdpa(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     and P v. A ``heads`` below 1 or not dividing the widths of q and v is a
     ``ConfigError``; a zero width or no keys is a ``ContractError``.
     """
-    if (q.ndim < 2 or not q.ndim == k.ndim == v.ndim
-            or not q.shape[:-2] == k.shape[:-2] == v.shape[:-2]):
-        raise ShapeError(f"sdpa: shapes {q.shape}, {k.shape}, {v.shape} are incompatible")
-    if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
-        raise ShapeError(f"sdpa: inner dims of {q.shape}, {k.shape}, {v.shape} disagree")
-    if q.shape[-1] == 0:
-        raise ContractError("sdpa: feature dim is zero")
-    if k.shape[-2] < 1:
-        raise ContractError("sdpa: need at least one key")
-    if heads < 1 or q.shape[-1] % heads or v.shape[-1] % heads:
-        raise ConfigError(f"sdpa: heads {heads} must be at least 1 and divide the "
-                          f"widths {q.shape[-1]} and {v.shape[-1]}")
-    lead = q.shape[:-2]
-    elements = int(np.prod(lead, dtype=np.int64))
-    batch, nq, nk = elements * heads, q.shape[-2], k.shape[-2]
-    d, dv = q.shape[-1] // heads, v.shape[-1] // heads
-    q3, k3, v3 = (_heads_to_batch(a.data, elements, heads) for a in (q, k, v))
-    c = float(1.0 / np.sqrt(d))
-    blocks = _sdpa_blocks(batch, nq, nk)
-    scratch_len = max((b1 - b0) * (r1 - r0) for b0, b1, r0, r1 in blocks) * nk
-    scratch = np.empty(scratch_len)
-    qc, kt = q3 * c, np.swapaxes(k3, -1, -2)
-    lse = np.empty((batch, nq, 1))
-    data = np.empty((batch, nq, dv))
-    for block in blocks:
-        b0, b1, r0, r1 = block
-        pb = _sdpa_block(qc, kt, block, scratch)
-        mb = pb.max(axis=-1, keepdims=True)
-        with np.errstate(invalid="ignore"):  # inf − inf is NaN, which the check names
-            pb -= mb
-        np.exp(pb, out=pb)
-        lb = pb.sum(axis=-1, keepdims=True)
-        if _debug_checks:
-            if not np.all(np.isfinite(lb)):
-                b, r, j = np.argwhere(~np.isfinite(pb))[0]
-                element, head = divmod(int(b0 + b), heads)
-                at = np.unravel_index(element, lead) + (r0 + r, j)
-                raise NumericError(f"sdpa: non-finite output at index "
-                                   f"{tuple(map(int, at))}, head {head}")
-            assert np.all(lb >= 1.0), "softmax row sums must be at least 1"
-        ob = data[b0:b1, r0:r1]
-        np.matmul(pb, v3[b0:b1], out=ob)
-        ob /= lb
-        np.log(lb, out=lb)
-        lb += mb
-        lse[b0:b1, r0:r1] = lb
-    macs.add(batch * nq * nk * (d + dv))
-    out = _heads_to_width(data, heads, lead + (nq, v.shape[-1]))
+    _sdpa_check(q.shape, k.shape, v.shape, heads, "sdpa")
+    out, lse, blocks = _sdpa_forward(q.data, k.data, v.data, heads, "sdpa")
 
     def bw(g):
-        q3, k3, v3, g3, data = (_heads_to_batch(a, elements, heads)
-                                for a in (q.data, k.data, v.data, g, out))
-        qa = _with_column(q3 * c, -lse)
-        qc = qa[..., :d]
-        ga = _with_column(g3, -(g3 * data).sum(axis=-1, keepdims=True))  # [dO, −D]
-        kat = np.swapaxes(_with_column(k3, 1.0), -1, -2)
-        vat = np.swapaxes(_with_column(v3, 1.0), -1, -2)
-        dq3, dk3, dv3 = np.empty(q3.shape), np.empty(k3.shape), np.empty(v3.shape)
-        scratch, ds_scratch = np.empty(scratch_len), np.empty(scratch_len)
-        for block in blocks:
-            b0, b1, r0, r1 = block
-            pb = _sdpa_block(qa, kat, block, scratch)  # s − lse
-            np.exp(pb, out=pb)  # P
-            ds = _sdpa_block(ga, vat, block, ds_scratch)  # dP − D
-            ds *= pb  # dS, the gradient of the scaled scores
-            np.matmul(ds, k3[b0:b1], out=dq3[b0:b1, r0:r1])
-            dst, pbt = np.swapaxes(ds, -1, -2), np.swapaxes(pb, -1, -2)
-            if r0 == 0:
-                np.matmul(dst, qc[b0:b1, r0:r1], out=dk3[b0:b1])
-                np.matmul(pbt, g3[b0:b1, r0:r1], out=dv3[b0:b1])
-            else:
-                dk3[b0:b1] += dst @ qc[b0:b1, r0:r1]
-                dv3[b0:b1] += pbt @ g3[b0:b1, r0:r1]
-        dq3 *= c
-        return tuple(_heads_to_width(a, heads, t.shape)
-                     for a, t in ((dq3, q), (dk3, k), (dv3, v)))
+        return _sdpa_backward(q.data, k.data, v.data, out, lse, blocks, g, heads)
 
     return Tensor._result(out, (q, k, v), bw, "sdpa")
 
 
-LN_EPS = 1e-6  # added to the variance in layernorm
+LN_EPS = 1e-6  # added to the variance in a layer norm
 
 
-def layernorm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then scale it by
-    ``gain`` and shift it by ``bias``, both of the last axis's shape."""
-    d = a.shape[-1]
+def _check_layernorm(d: int, gain: Tensor, bias: Tensor, op: str) -> None:
     if gain.shape != (d,) or bias.shape != (d,):
-        raise ShapeError(f"layernorm: gain {gain.shape} and bias {bias.shape} must be "
-                         f"({d},)")
-    x = a.data
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = xc * inv
-    lead = tuple(range(a.ndim - 1))
+        raise ShapeError(f"{op}: gain {gain.shape} and bias {bias.shape} must be ({d},)")
+
+
+def _layernorm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, stats=None):
+    """(out, xhat, mu, inv): x normalized over its last axis to zero mean and
+    unit variance (xhat), scaled by ``gain`` and shifted by ``bias`` (out),
+    with the row mean mu and inverse deviation inv. Given ``stats`` = (mu,
+    inv), xhat is rebuilt from them with the ops that first formed it."""
+    if stats is None:
+        mu = x.mean(axis=-1, keepdims=True)
+        xhat = x - mu
+        inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + LN_EPS)
+    else:
+        mu, inv = stats
+        xhat = x - mu
+    xhat *= inv
+    out = xhat * gain
+    out += bias
+    return out, xhat, mu, inv
+
+
+def _layernorm_grad(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gain: np.ndarray):
+    """(dx, dgain, dbias) of ``_layernorm`` for the output gradient g."""
+    gh = g * gain
+    gh *= inv
+    dx = gh - gh.mean(axis=-1, keepdims=True) - xhat * (gh * xhat).mean(axis=-1, keepdims=True)
+    lead = tuple(range(g.ndim - 1))
+    return dx, (g * xhat).reshape(-1, g.shape[-1]).sum(axis=0), g.sum(axis=lead)
+
+
+# -- pre-norm residual branches ------------------------------------------------
+
+
+def attention_branch(x: Tensor, gain: Tensor, bias: Tensor, wq: Tensor, bq: Tensor,
+                     wk: Tensor, bk: Tensor, wv: Tensor, bv: Tensor, wo: Tensor,
+                     bo: Tensor, heads: int) -> Tensor:
+    """x + (sdpa(LN(x) wq + bq, LN(x) wk + bk, LN(x) wv + bv) wo + bo), one node.
+
+    LN is the layer norm over the last axis with ``gain`` and ``bias``;
+    sdpa splits ``heads`` heads (``sdpa``). The closure keeps the row
+    statistics of the layer norm, q, k, v, the attention output before wo
+    and sdpa's logsumexp; backward rebuilds the layer norm's output. The
+    output and every gradient are bitwise those of the chain layernorm,
+    three ``linear``, ``sdpa``, ``linear`` and ``add`` (the chain in
+    ``tests/reference_ops.py``), and MACs are charged as that chain charges
+    them. It raises the errors the chain raised; under debug checks a
+    non-finite value names the stage: ``attention_branch/layernorm``,
+    ``/q``, ``/k``, ``/v``, ``/sdpa`` (with sdpa's score index and head)
+    and ``/out``.
+    """
+    op = "attention_branch"
+    d = x.shape[-1]
+    _check_layernorm(d, gain, bias, op)
+    widths = [_linear_width(d, w, b, op) for w, b in ((wq, bq), (wk, bk), (wv, bv))]
+    lead = x.shape[:-1]
+    _sdpa_check(*(lead + (n,) for n in widths), heads, f"{op}/sdpa")
+    if _linear_width(widths[2], wo, bo, op) != d:
+        raise ShapeError(f"{op}: output width {wo.shape[1]} != input width {d}")
+    ln, _, mu, inv = _layernorm(x.data, gain.data, bias.data)
+    _check_finite(ln, f"{op}/layernorm")
+    ln2 = ln.reshape(-1, d)
+    projected = []
+    for name, w, b in (("q", wq, bq), ("k", wk, bk), ("v", wv, bv)):
+        projected.append(_affine(ln2, w.data, b.data).reshape(lead + (w.shape[1],)))
+        _check_finite(projected[-1], f"{op}/{name}")
+    del ln, ln2
+    q, k, v = projected
+    a, lse, blocks = _sdpa_forward(q, k, v, heads, f"{op}/sdpa")
+    _check_finite(a, f"{op}/sdpa")
+    data = _affine(a.reshape(-1, widths[2]), wo.data, bo.data).reshape(x.shape)
+    data += x.data
 
     def bw(g):
-        xhat = x - mu
-        xhat *= inv
-        gh = g * gain.data
-        gh *= inv
-        dx = gh - gh.mean(axis=-1, keepdims=True) - xhat * (gh * xhat).mean(axis=-1, keepdims=True)
-        return dx, (g * xhat).reshape(-1, d).sum(axis=0), g.sum(axis=lead)
+        da, dwo, dbo = _affine_grad(a.reshape(-1, widths[2]), wo.data, g.reshape(-1, d))
+        dqkv = _sdpa_backward(q, k, v, a, lse, blocks, da.reshape(a.shape), heads)
+        ln, xhat, _, _ = _layernorm(x.data, gain.data, bias.data, (mu, inv))
+        ln2 = ln.reshape(-1, d)
+        dln, dparams = None, []
+        for dp, w in zip(dqkv, (wq, wk, wv)):  # in the order the chain summed them
+            dl, dw, db = _affine_grad(ln2, w.data, dp.reshape(-1, w.shape[1]))
+            dln = dl if dln is None else dln + dl
+            dparams += [dw, db]
+        dx, dgain, dbias = _layernorm_grad(dln.reshape(x.shape), xhat, inv, gain.data)
+        dx += g
+        return (dx, dgain, dbias, *dparams, dwo, dbo)
 
-    return Tensor._result(xhat * gain.data + bias.data, (a, gain, bias), bw, "layernorm")
+    return Tensor._result(data, (x, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo), bw,
+                          f"{op}/out")
+
+
+def ffn_branch(x: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, b1: Tensor,
+               w2: Tensor, b2: Tensor) -> Tensor:
+    """x + (gelu(LN(x) w1 + b1) w2 + b2), one node.
+
+    LN is the layer norm over the last axis with ``gain`` and ``bias``.
+    The closure keeps the row statistics of the layer norm and the
+    pre-activation h = LN(x) w1 + b1; backward rebuilds the layer norm's
+    output and gelu's. The output and every gradient are bitwise those of
+    the chain layernorm, ``linear``, ``gelu``, ``linear`` and ``add`` (the
+    chain in ``tests/reference_ops.py``), and MACs are charged as that chain
+    charges them. It raises the errors the chain raised; under debug checks
+    a non-finite value names the stage: ``ffn_branch/layernorm``,
+    ``/hidden`` and ``/out`` (gelu maps every finite h to a finite value,
+    so its output is not scanned).
+    """
+    op = "ffn_branch"
+    d = x.shape[-1]
+    _check_layernorm(d, gain, bias, op)
+    if _linear_width(_linear_width(d, w1, b1, op), w2, b2, op) != d:
+        raise ShapeError(f"{op}: output width {w2.shape[1]} != input width {d}")
+    ln, _, mu, inv = _layernorm(x.data, gain.data, bias.data)
+    _check_finite(ln, f"{op}/layernorm")
+    h = _affine(ln.reshape(-1, d), w1.data, b1.data)
+    del ln
+    _check_finite(h, f"{op}/hidden")
+    act = _gelu(h, _gelu_tanh(h))
+    data = _affine(act, w2.data, b2.data).reshape(x.shape)
+    data += x.data
+
+    def bw(g):
+        t = _gelu_tanh(h)
+        dact, dw2, db2 = _affine_grad(_gelu(h, t), w2.data, g.reshape(-1, d))
+        dh = _gelu_grad(h, t, dact)
+        ln, xhat, _, _ = _layernorm(x.data, gain.data, bias.data, (mu, inv))
+        dln, dw1, db1 = _affine_grad(ln.reshape(-1, d), w1.data, dh)
+        dx, dgain, dbias = _layernorm_grad(dln.reshape(x.shape), xhat, inv, gain.data)
+        dx += g
+        return dx, dgain, dbias, dw1, db1, dw2, db2
+
+    return Tensor._result(data, (x, gain, bias, w1, b1, w2, b2), bw, f"{op}/out")
 
 
 # -- convolution --------------------------------------------------------------

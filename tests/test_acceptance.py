@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from ivt import tensor as T
-from ivt.blocks import block_params, multi_head_self_attention, zero_block_outputs
+from ivt.blocks import block_params, zero_block_outputs
 from ivt.codec import Pose3D, decode_poses, encode_heatmap, encode_offsets, keypoint_nms
 from ivt.gradcheck import GRAD_UNITS
 from ivt.metrics import mpjpe, pa_mpjpe
@@ -27,7 +27,7 @@ from ivt.synth import SceneSpec, generate
 from ivt.tensor import Tensor, macs
 from ivt.train import TrainConfig, evaluate, train
 from ivt.video import GridGeometry, VideoConfig, alignment_maps, ivt_layer, video_params
-from reference_ops import softmax
+from reference_ops import multi_head_self_attention, softmax
 
 RNG = np.random.default_rng
 

@@ -1,15 +1,19 @@
 """Transformer primitives: attention algebra, block structure, gradients."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import reference_ops
 from ivt import tensor as T
-from ivt.blocks import (block_params, ffn, multi_head_self_attention,
-                        transformer_block_self, zero_block_outputs)
+from ivt.blocks import block_params, transformer_block_self, zero_block_outputs
 from ivt.gradcheck import grad_check
-from ivt.tensor import ConfigError, ShapeError, Tensor
+from ivt.tensor import ConfigError, ContractError, NumericError, ShapeError, Tensor
 from ivt.video import VideoConfig
-from reference_ops import tanh
+from reference_ops import ffn, layernorm, multi_head_self_attention, tanh
 
 RNG = np.random.default_rng
 
@@ -104,6 +108,8 @@ def test_heads_must_divide_model_dim():
     for heads in (4, 0):
         with pytest.raises(ConfigError, match="heads"):
             multi_head_self_attention(rt(RNG(4), 3, 6), params, heads)
+        with pytest.raises(ConfigError, match="heads"):
+            transformer_block_self(rt(RNG(4), 3, 6), params, heads)
     # J*C*s^2 = 6 for the one scale; the fuse width C*s^2 = 3 takes fuse_heads = 3.
     with pytest.raises(ConfigError, match="heads = 4"):
         VideoConfig(joints=2, channels=3, scales=(1,), layers=3, heads=4, fuse_heads=3)
@@ -196,7 +202,7 @@ def test_layer_norm_constant_row_returns_bias():
     rng = RNG(11)
     g, b = rt(rng, 6), rt(rng, 6)
     x = Tensor(np.full((3, 6), 2.5))
-    out = T.layernorm(x, g, b).data
+    out = layernorm(x, g, b).data
     np.testing.assert_allclose(out, np.tile(b.data, (3, 1)), atol=1e-9)
 
 
@@ -250,10 +256,11 @@ def test_no_dead_parameters():
             assert p.grad is not None and np.any(p.grad != 0), f"dead parameter {name}"
 
 
-def test_block_builds_twelve_tape_nodes_and_no_transpose():
-    """Each affine layer, layer norm with its gain and bias, and attention with
-    its head split are one node each: 2 (layer norms) + 4 (q, k, v and output
-    projections) + 1 (attention) + 3 (FFN) + 2 (residual adds)."""
+def test_block_builds_two_tape_nodes_and_no_transpose():
+    """Each pre-norm residual branch is one node: attention (layer norm,
+    q/k/v projections, attention, output projection, add) and FFN (layer
+    norm, two affine layers around GELU, add), where the chain of one-op
+    nodes builds 12."""
     rng = RNG(17)
     params = block_params(rng, 8)
     x = Tensor(rng.uniform(-1, 1, size=(3, 5, 8)), requires_grad=True)
@@ -265,9 +272,7 @@ def test_block_builds_twelve_tape_nodes_and_no_transpose():
         seen.add(id(node))
         ops.append(node._backward_fn.__qualname__.split(".")[0])
         stack.extend(node._parents)
-    assert len(ops) == 12
-    assert ops.count("linear") == 6
-    assert ops.count("layernorm") == 2 and ops.count("sdpa") == 1
+    assert ops == ["ffn_branch", "attention_branch"]
     assert "transpose" not in ops
 
 
@@ -278,3 +283,163 @@ def test_composite_block_gradient_many_seeds():
         x = rt(rng, 3, 4)
         err = grad_check(lambda t: T.tsum(transformer_block_self(t, params, 2)), x)
         assert err <= 1e-5, f"seed {seed}: {err}"
+
+
+# -- fused residual branches against the reference chain -------------------------------
+
+
+def attention_branch(x, p, heads):
+    return T.attention_branch(x, p["ln1_g"], p["ln1_b"], p["wq"], p["bq"], p["wk"], p["bk"],
+                              p["wv"], p["bv"], p["wo"], p["bo"], heads)
+
+
+def ffn_branch(x, p, heads):
+    return T.ffn_branch(x, p["ln2_g"], p["ln2_b"], p["ffn_w1"], p["ffn_b1"],
+                        p["ffn_w2"], p["ffn_b2"])
+
+
+def attention_chain(x, p, heads):
+    return x + multi_head_self_attention(layernorm(x, p["ln1_g"], p["ln1_b"]), p, heads)
+
+
+def ffn_chain(x, p, heads):
+    return x + ffn(layernorm(x, p["ln2_g"], p["ln2_b"]), p)
+
+
+ROW_SPLIT = 370  # tokens whose 370 x 370 scores exceed one block: sdpa splits query rows
+assert len(T._sdpa_blocks(1, ROW_SPLIT, ROW_SPLIT)) > 1
+
+
+def branch_bits(branch, x_np, params_np, cot, heads):
+    """Output, input gradient and parameter gradients of one branch, as bytes."""
+    x = Tensor(x_np, requires_grad=True)
+    params = {k: Tensor(v, requires_grad=True) for k, v in params_np.items()}
+    out = branch(x, params, heads)
+    T.backward(T.tsum(out * Tensor(cot)))
+    grads = {k: None if p.grad is None else p.grad.tobytes() for k, p in params.items()}
+    return out.data.tobytes(), x.grad.tobytes(), grads
+
+
+@st.composite
+def branch_cases(draw):
+    lead = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    n = draw(st.sampled_from([1, 2, 3, 5, 8, ROW_SPLIT]))
+    heads = draw(st.integers(1, 2))
+    return lead, n, heads * draw(st.integers(1, 4)), heads, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(deadline=None, max_examples=60)
+@given(case=branch_cases())
+@example(case=((2,), ROW_SPLIT, 4, 2, 0))
+def test_branches_match_the_reference_chain_bitwise(case):
+    """Both branches give the output and every gradient (input, layer-norm
+    gain and bias, weights and biases) of the one-op chain bit for bit,
+    for any leading shape, width and head count, also where sdpa splits
+    the query rows into blocks."""
+    lead, n, d, heads, seed = case
+    rng = RNG(seed)
+    params = {k: rng.uniform(-1, 1, size=p.shape) for k, p in block_params(rng, d).items()}
+    x = rng.uniform(-2, 2, size=lead + (n, d))
+    cot = rng.standard_normal(x.shape)
+    for fused, chain in ((attention_branch, attention_chain), (ffn_branch, ffn_chain)):
+        assert branch_bits(fused, x, params, cot, heads) == branch_bits(chain, x, params, cot,
+                                                                         heads)
+
+
+def live_bytes(build):
+    """(out, bytes): build's result, and the bytes its call left allocated.
+    build runs once before, so one-off allocations do not count."""
+    build()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = build()
+        return out, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_block_forward_keeps_less_than_the_chain():
+    """Between forward and backward a block holds at least the bytes of two
+    layer-norm outputs, the GELU output and the two projections before the
+    residual adds less than the chain: 8 rows of width d per token."""
+    rng = RNG(20)
+    d, rows = 32, 4 * 16
+    params = block_params(rng, d)
+    x = Tensor(rng.uniform(-1, 1, size=(4, 16, d)), requires_grad=True)
+    fused, fused_bytes = live_bytes(lambda: transformer_block_self(x, params, 2))
+    chain, chain_bytes = live_bytes(lambda: reference_ops.transformer_block_self(x, params, 2))
+    np.testing.assert_array_equal(fused.data, chain.data)
+    gone = 8 * rows * (2 * d + 4 * d + 2 * d)
+    assert chain_bytes - fused_bytes >= gone, (chain_bytes, fused_bytes, gone)
+
+
+# (x shape, parameter shapes replaced, heads, error): each raised by the chain too.
+BAD_BLOCK_INPUTS = {
+    "input-width": ((3, 8), {}, 2, ShapeError),
+    "heads-not-dividing": ((3, 6), {}, 4, ConfigError),
+    "zero-heads": ((3, 6), {}, 0, ConfigError),
+    "no-tokens": ((0, 6), {}, 2, ContractError),
+    "one-dim": ((6,), {}, 2, ShapeError),
+    "ln1-gain": ((3, 6), {"ln1_g": (5,)}, 2, ShapeError),
+    "ln2-bias": ((3, 6), {"ln2_b": (5,)}, 2, ShapeError),
+    "key-width": ((3, 6), {"wk": (6, 4), "bk": (4,)}, 2, ShapeError),
+    "query-bias": ((3, 6), {"bq": (5,)}, 2, ShapeError),
+    "out-width": ((3, 6), {"wo": (6, 5), "bo": (5,)}, 2, ShapeError),
+    "hidden-bias": ((3, 6), {"ffn_b1": (23,)}, 2, ShapeError),
+    "ffn-out-width": ((3, 6), {"ffn_w2": (24, 5), "ffn_b2": (5,)}, 2, ShapeError),
+}
+
+
+@pytest.mark.parametrize("case", BAD_BLOCK_INPUTS, ids=list(BAD_BLOCK_INPUTS))
+def test_branches_raise_what_the_chain_raised(case):
+    shape, replaced, heads, error = BAD_BLOCK_INPUTS[case]
+    rng = RNG(21)
+    params = block_params(rng, 6)
+    params.update({k: rt(rng, *s) for k, s in replaced.items()})
+    x = rt(rng, *shape)
+    for block in (reference_ops.transformer_block_self, transformer_block_self):
+        with pytest.raises(error):
+            block(x, params, heads)
+
+
+@pytest.fixture
+def debug_checks():
+    prev = T.set_debug_checks(True)
+    yield
+    T.set_debug_checks(prev)
+
+
+def test_non_finite_values_name_the_branch_and_the_stage(debug_checks):
+    rng = RNG(22)
+    params = block_params(rng, 4)
+    row = np.array([2.0, 2.0, -2.0, -2.0])  # normalizes to about (1, 1, -1, -1)
+    x = Tensor(np.tile(row, (3, 1)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        huge = dict(params, ffn_w1=Tensor(np.tile(1e308 * row[:, None] / 2, (1, 16))))
+        with pytest.raises(NumericError, match=r"ffn_branch/hidden: .* index \(0, 0\)"):
+            ffn_branch(x, huge, 2)
+        with pytest.raises(NumericError, match=r"ffn_branch/layernorm: "):
+            ffn_branch(Tensor(np.full((3, 4), 1e308)), params, 2)
+        big = dict(params, wv=Tensor(np.zeros((4, 4))), bv=Tensor(np.ones(4)),
+                   wo=Tensor(np.full((4, 4), 1e308)))  # every value is 1, so 4e308 out
+        with pytest.raises(NumericError, match=r"attention_branch/out: "):
+            attention_branch(x, big, 2)
+
+
+def test_sdpa_error_in_the_attention_branch_names_index_and_head(debug_checks):
+    """Head 1 (columns 2 and 3) of element 1 scores q·k / √2 ≈ 2.8e400, which
+    overflows; element 0 normalizes to zero in the columns that feed head 1,
+    so it scores exactly 0 there, and head 0 is finite."""
+    rng = RNG(23)
+    params = block_params(rng, 4)
+    x = np.empty((2, 3, 4))
+    x[0], x[1] = [1.0, -1.0, 0.0, 0.0], [-1.0, -1.0, 1.0, 1.0]
+    w = rng.uniform(-1, 1, size=(4, 4))
+    w[:, 2], w[:, 3] = 1e200 * np.array([0.0, 0.0, 1.0, 1.0]), 0.0
+    params = dict(params, wq=Tensor(w), wk=Tensor(w))
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericError,
+                           match=r"attention_branch/sdpa: .* index \(1, 0, 0\), head 1"):
+            attention_branch(Tensor(x), params, 2)

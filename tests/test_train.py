@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import reference_ops
+from ivt import igt, video
 from ivt import tensor as T
 from ivt.cli import BLAS_THREAD_VARS
 from ivt.checkpoint import load_params, save_params
@@ -194,6 +196,50 @@ def test_loss_history_deterministic_bitwise():
     a = train(scene, cfg).loss_history
     b = train(scene, cfg).loss_history
     assert a == b
+
+
+# The convergence fixture (tests/test_acceptance.py), 3 steps; and perfbench's
+# tiny 2-scale clip, whose CISA projects both scales to a common width.
+BLOCK_CHAIN_RUNS = {
+    "fixture": (SceneSpec(seed=42, persons=1, joints=2, frames=5, height=64, width=64,
+                          channels=1, amplitude=0.0, blob_sigma=1.5, body_radius=5.0),
+                TrainConfig(steps=3, lr=5e-4, milestones=(0.6, 0.8), seed=42, layers=3,
+                            alpha=10.0, scales=(8,), heads=2, fuse_heads=2, head_hidden=8,
+                            teacher_forcing=True, threshold=0.3)),
+    "two-scale": (tiny_scene(height=32, width=32, amplitude=1.0, blob_sigma=1.0,
+                             body_radius=2.0),
+                  tiny_config(scales=(4, 8), steps=2)),
+}
+
+
+@pytest.mark.parametrize("run", BLOCK_CHAIN_RUNS, ids=list(BLOCK_CHAIN_RUNS))
+def test_training_through_the_block_chain_is_bitwise_the_same(run, monkeypatch):
+    """Every block (tokenizer fuse, CISA, ITA) built as the chain of one-op
+    nodes trains to the same loss history, float.hex for float.hex, and
+    charges the same MACs per scope."""
+    scene, cfg = BLOCK_CHAIN_RUNS[run]
+    features_np, truth = generate(scene)
+
+    def history_and_macs():
+        model = build_model(scene, cfg)
+        macs = T.macs
+        macs.reset()
+        with macs.counting():
+            model.forward(Tensor(features_np), truth.flows)
+        counts = (macs.total, dict(macs.by_scope))
+        return [float.hex(v) for v in train(scene, cfg).loss_history], counts
+
+    fused = history_and_macs()
+    calls = []
+
+    def chain(*args):
+        calls.append(1)
+        return reference_ops.transformer_block_self(*args)
+
+    for module in (igt, video):
+        monkeypatch.setattr(module, "transformer_block_self", chain)
+    assert history_and_macs() == fused
+    assert calls and fused[1][1]["ita"] > 0 and fused[1][1]["cisa"] > 0
 
 
 # Two steps on the 3-scale clip of perfbench's multiscale-train workload, whose
@@ -505,12 +551,22 @@ def _cell_arrays(value):
             yield from _cell_arrays(item)
 
 
+# The arrays beyond the tape that a residual branch keeps for backward: the
+# layer norm's row statistics, and what costs a matmul to rebuild.
+BRANCH_KEEPS = {"attention_branch": {"mu", "inv", "q", "k", "v", "a", "lse"},
+                "ffn_branch": {"mu", "inv", "h"}}
+
+
 def test_training_tape_closures_keep_tape_arrays_and_row_statistics():
     """On a multi-scale training forward (perfbench's tiny sizes: scales
     (4, 8), two heads), every float array a backward closure holds is a view
-    of some tape node's data, or holds at most one number per output row and
-    head. gelu's tanh term, layernorm's normalized input, sdpa's per-head
-    copies and conv2d's im2col are rebuilt in backward, not kept."""
+    of some tape node's data, or one of the arrays its residual branch
+    keeps (``BRANCH_KEEPS``): the layer norm's mean and inverse deviation
+    (one number per row), sdpa's logsumexp (one per row and head), q, k, v
+    and the attention output, or the FFN pre-activation (one row each per
+    row). No other op keeps an array beside the tape. Layer-norm and GELU
+    outputs, gelu's tanh term, sdpa's per-head copies and conv2d's im2col
+    are rebuilt in backward, not kept."""
     scene = tiny_scene(height=32, width=32, amplitude=1.0, blob_sigma=1.0, body_radius=2.0)
     cfg = tiny_config(scales=(4, 8), steps=1)
     features_np, truth = generate(scene)
@@ -526,21 +582,30 @@ def test_training_tape_closures_keep_tape_arrays_and_row_statistics():
             nodes.append(node)
             stack.extend(node._parents)
     on_tape = {id(_root(n.data)) for n in nodes}
-    ops, checked = set(), 0
+    ops, kept = set(), {}
     for node in nodes:
         fn = node._backward_fn
         if fn is None:
             continue
-        ops.add(fn.__qualname__.split(".")[0])
+        op = fn.__qualname__.split(".")[0]
+        ops.add(op)
         cells = dict(zip(fn.__code__.co_freevars, (c.cell_contents for c in fn.__closure__ or ())))
         rows = node.size // node.shape[-1] if node.ndim else 1
         for name, value in cells.items():
             for a in _cell_arrays(value):
                 if a.dtype.kind != "f" or id(_root(a)) in on_tape:
                     continue
-                checked += 1
-                assert a.size <= rows * cells.get("heads", 1), (
+                assert name in BRANCH_KEEPS.get(op, ()), (
                     f"{fn.__qualname__} keeps {name} {a.shape} beside its output {node.shape}")
-    assert {"gelu", "layernorm", "sdpa", "conv2d"} <= ops
-    assert checked > 0  # the row statistics of layernorm and sdpa
+                kept.setdefault(op, set()).add(name)
+                if name in ("mu", "inv"):
+                    assert a.size == rows, (op, name)
+                elif name == "lse":
+                    assert a.size == rows * cells["heads"], (op, name)
+                elif name == "h":
+                    assert a.shape[0] == rows, (op, name)
+                else:
+                    assert a.shape[:-1] == node.shape[:-1], (op, name)
+    assert kept == BRANCH_KEEPS
+    assert {"gelu", "conv2d"} <= ops
     T.backward(loss)
