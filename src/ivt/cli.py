@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import csv
 import hashlib
 import json
 import math
@@ -297,9 +298,8 @@ def cmd_bench(args) -> int:
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        import csv as _csv
         with open(out_dir / "bench.csv", "w", newline="") as fh:
-            writer = _csv.DictWriter(fh, fieldnames=["frames", "temporal_macs", "wall_s"])
+            writer = csv.DictWriter(fh, fieldnames=["frames", "temporal_macs", "wall_s"])
             writer.writeheader()
             writer.writerows(rows)
         write_manifest(out_dir, "bench", {"frames": frames, "scales": list(scales)},

@@ -154,11 +154,9 @@ def _unit_loss(rng: np.random.Generator, eps: float) -> float:
 
 def _unit_full(rng: np.random.Generator, eps: float) -> float:
     """Loss of the whole pipeline wrt one frame's feature map."""
-    scene = SceneSpec(seed=int(rng.integers(0, 2**31)), persons=1, joints=2,
-                      frames=2, height=16, width=16, channels=1, amplitude=0.0,
+    scene = SceneSpec(seed=int(rng.integers(0, 2**31)), frames=2, height=16, width=16,
                       blob_sigma=0.8, body_radius=1.5)
-    cfg = TrainConfig(steps=1, frames=2, layers=1, scales=(4,), heads=2,
-                      fuse_heads=2, head_hidden=4)
+    cfg = TrainConfig(steps=1, frames=2, layers=1, scales=(4,), head_hidden=4)
     features_np, truth = generate(scene)
     # Dither the flat background: constant-zero blocks sit in the
     # zero-variance regime of the normalization, where the curvature blows

@@ -259,6 +259,8 @@ def _gelu_grad(x: np.ndarray, t: np.ndarray, g: np.ndarray) -> np.ndarray:
     """g times gelu's derivative at x, from x and its tanh term t."""
     dinner = (3 * 0.044715) * x
     dinner *= x
+    # Above 1e300, 1 - t² is exactly 0, and an x² overflowed to inf would make 0 · inf NaN.
+    np.minimum(dinner, 1e300, out=dinner)
     dinner += 1.0
     dinner *= _GELU_C
     w = t * t

@@ -30,6 +30,7 @@ from .video import VideoConfig, ivt_forward, video_params
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """The defaults, seed 0, are the convergence fixture's run; a test pins perfbench's copy."""
     steps: int = 500
     lr: float = 5e-4
     # Fractions of total steps where the rate drops 10x (mirrors a 30/40-of-50
@@ -40,10 +41,10 @@ class TrainConfig:
     frames: int = 5
     layers: int = 3
     alpha: float = 10.0
-    scales: tuple[int, ...] = (2, 4, 8)
+    scales: tuple[int, ...] = (8,)
     heads: int = 2
     fuse_heads: int = 2
-    head_hidden: int = 16
+    head_hidden: int = 8
     teacher_forcing: bool = True
     threshold: float = 0.3
 

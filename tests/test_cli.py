@@ -4,6 +4,7 @@ import argparse
 import json
 import os
 import platform
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -478,3 +479,29 @@ def test_flag_inventory():
            - {"-h", "--help"} for name, sub in commands.items()}
     assert got == FLAGS
     assert sum(map(len, FLAGS.values())) == 14
+
+
+def readme_commands() -> list[list[str]]:
+    """The `ivt ...` lines of the README's "Command line" block, as argv lists."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+            if line.startswith("ivt ")]
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    # The block shows every command, each writing its own --out directory;
+    # `ivt scene` writes the settings file the others read.
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} == set(FLAGS)
+    outs = [(argv[0], argv[argv.index("--out") + 1]) for argv in commands if "--out" in argv]
+    assert len({out for _, out in outs}) == len(outs)
+    assert not [out for command, out in outs if command != "scene" and Path(out).suffix]
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv) == 0, (argv, capsys.readouterr().err)
+        if argv[0] == "scene":  # cut the 500-step default run to 2 steps
+            path = Path(argv[argv.index("--out") + 1])
+            text = path.read_text()
+            assert "\nsteps = 500\n" in text
+            path.write_text(text.replace("\nsteps = 500\n", "\nsteps = 2\n"))

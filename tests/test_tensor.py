@@ -130,6 +130,18 @@ def test_gelu_known_values():
     assert abs(y[2]) < 1e-6
 
 
+@pytest.mark.parametrize("scale", [3.7e154, 1e200, 1e300])
+def test_gelu_gradient_is_finite_where_x_squared_overflows(scale):
+    # Out here 1 - tanh² is exactly 0 and (3 * 0.044715) x² overflows to inf;
+    # their product must be 0, not NaN. The tanh term's x³ overflows too.
+    x = Tensor(np.array([scale, -scale]), requires_grad=True)
+    with np.errstate(over="ignore"):
+        y = T.gelu(x)
+        T.backward(T.tsum(y))
+    assert y.data.tolist() == [scale, 0.0]
+    assert x.grad.tolist() == [1.0, 0.0]
+
+
 def test_conv2d_matches_scalar_loops():
     rng = RNG(6)
     bsz, cin, cout, h, w = 2, 2, 3, 5, 4

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -29,15 +30,13 @@ RNG = np.random.default_rng
 
 
 def tiny_scene(**kw):
-    base = dict(seed=7, persons=1, joints=2, frames=2, height=16, width=16,
-                channels=1, amplitude=0.0, blob_sigma=0.8, body_radius=1.5)
+    base = dict(seed=7, frames=2, height=16, width=16, blob_sigma=0.8, body_radius=1.5)
     base.update(kw)
     return SceneSpec(**base)
 
 
 def tiny_config(**kw):
-    base = dict(steps=2, frames=2, layers=1, scales=(4,), heads=2, fuse_heads=2,
-                head_hidden=4, seed=3)
+    base = dict(steps=2, frames=2, layers=1, scales=(4,), head_hidden=4, seed=3)
     base.update(kw)
     return TrainConfig(**base)
 
@@ -198,14 +197,10 @@ def test_loss_history_deterministic_bitwise():
     assert a == b
 
 
-# The convergence fixture (tests/test_acceptance.py), 3 steps; and perfbench's
+# The convergence fixture (the defaults, seed 42), 3 steps; and perfbench's
 # tiny 2-scale clip, whose CISA projects both scales to a common width.
 BLOCK_CHAIN_RUNS = {
-    "fixture": (SceneSpec(seed=42, persons=1, joints=2, frames=5, height=64, width=64,
-                          channels=1, amplitude=0.0, blob_sigma=1.5, body_radius=5.0),
-                TrainConfig(steps=3, lr=5e-4, milestones=(0.6, 0.8), seed=42, layers=3,
-                            alpha=10.0, scales=(8,), heads=2, fuse_heads=2, head_hidden=8,
-                            teacher_forcing=True, threshold=0.3)),
+    "fixture": (SceneSpec(seed=42), TrainConfig(seed=42, steps=3)),
     "two-scale": (tiny_scene(height=32, width=32, amplitude=1.0, blob_sigma=1.0,
                              body_radius=2.0),
                   tiny_config(scales=(4, 8), steps=2)),
@@ -248,11 +243,8 @@ MULTISCALE_HISTORY = """
 import json
 from ivt.synth import SceneSpec
 from ivt.train import TrainConfig, train
-scene = SceneSpec(seed=42, persons=2, joints=2, frames=5, height=64, width=64, channels=1,
-                  amplitude=1.0, blob_sigma=1.5, body_radius=5.0)
-cfg = TrainConfig(seed=42, steps=2, lr=5e-4, milestones=(0.6, 0.8), layers=3, alpha=10.0,
-                  scales=(2, 4, 8), heads=2, fuse_heads=2, head_hidden=8,
-                  teacher_forcing=True, threshold=0.3)
+scene = SceneSpec(seed=42, persons=2, amplitude=1.0)
+cfg = TrainConfig(seed=42, steps=2, scales=(2, 4, 8))
 print(json.dumps([float.hex(x) for x in train(scene, cfg).loss_history]))
 """
 
@@ -270,6 +262,20 @@ def test_loss_history_does_not_depend_on_blas_threads():
         histories.append(json.loads(proc.stdout))
     assert len(histories[0]) == 2
     assert histories[0] == histories[1]
+
+
+def test_defaults_are_the_benchmark_fixture():
+    """perfbench keeps its own copy of the pinned runs. The fixture is the
+    defaults, and the multi-scale run is the defaults with three overrides."""
+    wl = runpy.run_path(str(Path(__file__).resolve().parent.parent / "perfbench" /
+                            "workloads.py"), run_name="perfbench_workloads")
+    for s in (0, wl["BASE_SEED"]):
+        assert SceneSpec(seed=s, **wl["FIXTURE_SCENE"]) == SceneSpec(seed=s)
+        assert TrainConfig(seed=s, steps=500, **wl["FIXTURE_TRAIN"]) == TrainConfig(seed=s)
+        assert (SceneSpec(seed=s, **wl["MULTISCALE_SCENE"])
+                == SceneSpec(seed=s, persons=2, amplitude=1.0))
+        assert (TrainConfig(seed=s, **wl["MULTISCALE_TRAIN"])
+                == TrainConfig(seed=s, scales=(2, 4, 8)))
 
 
 def test_import_ivt_loads_every_module_and_exports_no_names():
