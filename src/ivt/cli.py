@@ -30,7 +30,7 @@ from .blocks import block_params
 from .checkpoint import save_params
 from .synth import SceneSpec, generate
 from .tensor import ConfigError, ContractError, NumericError, Tensor, macs
-from .train import TrainConfig, check_frames, evaluate, load_model, train, video_config
+from .train import TrainConfig, check_run, evaluate, load_model, train
 from .video import VideoConfig, ita
 
 EXIT_OK = 0
@@ -45,7 +45,7 @@ def cmd_gradcheck(args) -> int:
     worst = 0.0
     for unit in units:
         rng = np.random.default_rng(args.seed)
-        err = GRAD_UNITS[unit](rng, args.eps)
+        err = GRAD_UNITS[unit](rng, 1e-6)  # criterion 1's step
         worst = max(worst, err)
         status = "ok" if err <= GRAD_TOL else "FAIL"
         print(f"{unit:10s} max_rel_err={err:.3e} [{status}]")
@@ -62,6 +62,7 @@ def read_config(path) -> tuple[SceneSpec, TrainConfig]:
     [poses] section holds the scene's poses in the codec's line format and
     must equal, bitwise, the poses generated from [scene]. `ivt scene`
     writes all three sections, so its manifest replays a run on its own.
+    Every command applies the same rules: the two must pass ``check_run``.
     """
     parser = _ini()
     if path is not None:
@@ -75,6 +76,7 @@ def read_config(path) -> tuple[SceneSpec, TrainConfig]:
             raise ConfigError(f"{path}: unknown section(s) {sorted(unknown)}")
     scene = _read_section(parser, path, "scene", SceneSpec)
     cfg = _read_section(parser, path, "train", TrainConfig)
+    check_run(scene, cfg)
     if parser.has_section("poses"):
         _check_poses(path, scene, list(parser["poses"]))
     return scene, cfg
@@ -188,22 +190,9 @@ def _check_out_dir(out) -> None:
         raise ConfigError(f"--out {out} exists and is not a directory")
 
 
-def run_settings(args) -> tuple[SceneSpec, TrainConfig]:
-    """The scene and train config of --config, the run's one settings file.
-
-    Both are checked against each other and the model architecture they
-    name here, and --out must be a directory or absent, before any run
-    starts.
-    """
+def cmd_train(args) -> int:
     _check_out_dir(args.out)
     scene, cfg = read_config(args.config)
-    check_frames(scene, cfg)
-    video_config(scene, cfg).grids(scene.height, scene.width)
-    return scene, cfg
-
-
-def cmd_train(args) -> int:
-    scene, cfg = run_settings(args)
     result = train(scene, cfg)  # a failed run leaves no --out directory
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -216,7 +205,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    scene, cfg = run_settings(args)
+    _check_out_dir(args.out)
+    scene, cfg = read_config(args.config)
     if args.oracle:
         # Splice ground truth in place of predictions: checks the
         # matching/metric/report path end to end (all errors must be zero).
@@ -333,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(run=cmd_gradcheck)
     g.add_argument("--unit", default="all", choices=["all", *GRAD_UNITS])
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--eps", type=float, default=1e-6)
 
     t = sub.add_parser("train", help="toy training on a synthetic scene")
     t.set_defaults(run=cmd_train)

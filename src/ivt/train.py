@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +50,7 @@ class TrainConfig:
     threshold: float = 0.3
 
     def __post_init__(self):
-        # VideoConfig checks the architecture: scales, layers, heads, fuse_heads.
+        # check_run checks the rest: frames, the architecture and the scene.
         for key, ok, need in (
                 ("steps", self.steps >= 1, ">= 1"),
                 ("lr", 0 < self.lr < math.inf, "finite and > 0"),
@@ -253,18 +254,28 @@ class TrainResult:
             writer.writerows(self.log_rows)
 
 
-def check_frames(scene: SceneSpec, cfg: TrainConfig) -> None:
-    """The scene and the train config name one clip length; they must agree."""
-    if scene.frames != cfg.frames:
-        raise ConfigError(f"scene frames = {scene.frames} but train frames = "
-                          f"{cfg.frames}; the two must be equal")
+BYTES_PER_PARAM = 32  # float64 value, gradient, and Adam's m and v
+
+
+def param_count(cfg: VideoConfig, h: int, w: int, head_hidden: int) -> int:
+    """The number of values ``IVTModel`` holds, from the shapes its init draws."""
+    block = lambda d: 12 * d * d + 13 * d  # q, k, v, out, the 4x FFN and two norms
+    conv = lambda c_in, c_out: c_out * (9 * c_in + 1)  # 3x3 weight and bias
+    # A layer: CISA's block, and per scale CISA's positional embedding and MITA's block.
+    layer = block(cfg.d_common) + sum(geom.n * d + block(d)
+                                      for geom, d in zip(cfg.grids(h, w), cfg.token_dims))
+    if cfg.projected:  # CISA's projections to and from d_common
+        layer += sum((2 * cfg.d_common + 1) * d + cfg.d_common for d in cfg.token_dims)
+    return (sum(map(block, cfg.fuse_dims)) + cfg.layers * layer
+            + conv(cfg.channels, head_hidden) + conv(head_hidden, 2 * cfg.joints)
+            + conv(cfg.token_dims[0], 1 + 3 * cfg.joints))
 
 
 def _check_root_cells(scene: SceneSpec, cfg: TrainConfig) -> None:
     """``clip_targets`` encodes a root at pixel x in head cell x / k, with k the
     finest block size, which must round into the head grid for every root the
     scene can place (``encode_offsets``' rule)."""
-    k = video_config(scene, cfg).scales[0]
+    k = min(cfg.scales)
     for key, side, (_, hi) in zip(("width", "height"), (scene.width, scene.height),
                                   _root_box(scene)):
         reach = int(hi) + int(np.rint(scene.amplitude))  # roots move by up to rint(amplitude)
@@ -275,17 +286,39 @@ def _check_root_cells(scene: SceneSpec, cfg: TrainConfig) -> None:
                               "blob_sigma, amplitude)")
 
 
+def check_run(scene: SceneSpec, cfg: TrainConfig) -> VideoConfig:
+    """The architecture a scene and a train config name, once the one check of a
+    run passes before anything is generated or built: one clip length,
+    ``VideoConfig``'s rules, block sizes that tile the map, a head cell for
+    every root the scene can place, and parameters that fit in physical
+    memory with their gradients and Adam's moments. Else ``ConfigError``."""
+    if scene.frames != cfg.frames:
+        raise ConfigError(f"scene frames = {scene.frames} but train frames = "
+                          f"{cfg.frames}; the two must be equal")
+    video_cfg = VideoConfig(joints=scene.joints, channels=scene.channels,
+                            scales=cfg.scales, layers=cfg.layers,
+                            heads=cfg.heads, fuse_heads=cfg.fuse_heads)
+    video_cfg.grids(scene.height, scene.width)
+    _check_root_cells(scene, cfg)
+    count = param_count(video_cfg, scene.height, scene.width, cfg.head_hidden)
+    need, have = count * BYTES_PER_PARAM, os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ConfigError(f"the model has {count:,} parameters, {need / 2**30:.1f} GiB with their "
+                          f"gradients and Adam's moments, above the {have / 2**30:.1f} GiB of "
+                          "physical memory; need smaller scales, joints, channels or layers")
+    return video_cfg
+
+
 def train(scene: SceneSpec, cfg: TrainConfig, checkpoint_path=None) -> TrainResult:
     """Optimize the full model on one synthetic scene clip.
 
     Deterministic given (scene seed, train seed, config). The parameters
     go to checkpoint_path (when given) after the last step. A non-finite
     value raises ``NumericError`` naming the step, and then no checkpoint
-    is written. A scene whose roots can leave the head grid raises
-    ``ConfigError`` before anything is built.
+    is written. A scene and config that ``check_run`` rejects raise
+    ``ConfigError`` before anything is generated or built.
     """
-    check_frames(scene, cfg)
-    _check_root_cells(scene, cfg)
+    check_run(scene, cfg)
     features_np, truth = generate(scene)
     features = Tensor(features_np)
     model = build_model(scene, cfg)
@@ -336,24 +369,21 @@ def evaluate(model: IVTModel, scene: SceneSpec, cfg: TrainConfig) -> EvalReport:
     """Full-pipeline report on a synthetic scene.
 
     No teacher forcing: tokens are always gathered at the model's own
-    predicted 2D offsets, whatever ``cfg.teacher_forcing`` says.
+    predicted 2D offsets, whatever ``cfg.teacher_forcing`` says. The scene
+    and config must pass ``check_run`` and describe the model.
     """
-    check_frames(scene, cfg)
+    video_cfg = check_run(scene, cfg)
+    if (video_cfg, scene.height, scene.width) != (model.cfg, model.h, model.w):
+        raise ConfigError(f"evaluate: a {scene.height}x{scene.width} scene of {video_cfg}, "
+                          f"but the model is {model.cfg} on {model.h}x{model.w}")
     features, truth = generate(scene)
     out = model.forward(Tensor(features), truth.flows)
     decoded = decode_output(model, out, cfg.threshold, MAX_PEOPLE)
     return match_and_evaluate(decoded, truth.poses)
 
 
-def video_config(scene: SceneSpec, cfg: TrainConfig) -> VideoConfig:
-    """The model architecture a scene and a train config name together."""
-    return VideoConfig(joints=scene.joints, channels=scene.channels,
-                       scales=cfg.scales, layers=cfg.layers,
-                       heads=cfg.heads, fuse_heads=cfg.fuse_heads)
-
-
 def build_model(scene: SceneSpec, cfg: TrainConfig) -> IVTModel:
-    return IVTModel(video_config(scene, cfg), scene.height, scene.width, cfg.seed,
+    return IVTModel(check_run(scene, cfg), scene.height, scene.width, cfg.seed,
                     cfg.head_hidden)
 
 

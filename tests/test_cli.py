@@ -70,10 +70,6 @@ def test_gradcheck_full_pipeline_unit_passes(capsys):
     assert out.startswith("full") and "[ok]" in out
 
 
-def test_gradcheck_eps_out_of_range_exit_two():
-    assert main(["gradcheck", "--unit", "mhsa", "--eps", "1.0"]) == 2
-
-
 def test_diverging_train_exits_three_names_the_step_and_saves_nothing(tmp_path):
     # A subprocess, because the run's overflow warnings are errors under pytest.
     config = tmp_path / "diverge.cfg"
@@ -373,6 +369,11 @@ BAD_INPUTS = {
 }
 
 
+# The commands that read a settings file, each with the flags it needs besides
+# --config and --out; every one applies the same rules.
+SETTINGS_COMMANDS = (("train", []), ("eval", ["--oracle"]), ("scene", []))
+
+
 @pytest.mark.parametrize("case", list(BAD_INPUTS))
 def test_bad_settings_exit_two_and_name_the_key(tmp_path, tiny_config, capsys, case):
     target, edit, named = BAD_INPUTS[case]
@@ -382,10 +383,33 @@ def test_bad_settings_exit_two_and_name_the_key(tmp_path, tiny_config, capsys, c
     else:
         assert main(["scene", "--config", tiny_config, "--out", str(path)]) == 0
         path.write_text(edit(path.read_text()))
-    out = tmp_path / "run"
-    assert main(["train", "--config", str(path), "--out", str(out)]) == 2
-    assert named in capsys.readouterr().err
-    assert not out.exists()  # rejected before the run starts
+    capsys.readouterr()
+    for command, extra in SETTINGS_COMMANDS:
+        out = tmp_path / f"{command}-out"
+        assert main([command, "--config", str(path), *extra, "--out", str(out)]) == 2, command
+        assert named in capsys.readouterr().err, command
+        assert not out.exists(), command  # rejected before the run starts
+
+
+def test_settings_too_big_for_memory_exit_two_before_anything_is_built(tmp_path, capsys,
+                                                                       monkeypatch):
+    """The defaults before the convergence fixture became them (J=15, C=16,
+    scales (2, 4, 8), head_hidden 16) need about 300 GiB for the parameters,
+    their gradients and Adam's moments."""
+    def built(*args):
+        pytest.fail("a model or a scene was built")
+
+    for name in ("ivt.train.IVTModel", "ivt.train.generate", "ivt.cli.generate"):
+        monkeypatch.setattr(name, built)
+    path = tmp_path / "old-defaults.ini"
+    path.write_text("[scene]\njoints = 15\nchannels = 16\n\n[train]\nscales = 2, 4, 8\n"
+                    "head_hidden = 16\n")
+    for command, extra in SETTINGS_COMMANDS:
+        out = tmp_path / f"{command}-out"
+        assert main([command, "--config", str(path), *extra, "--out", str(out)]) == 2, command
+        err = capsys.readouterr().err
+        assert "10,076,531,324 parameters, 300.3 GiB" in err and "physical memory" in err
+        assert not out.exists(), command
 
 
 def test_config_values_typed_by_field(tmp_path):
@@ -412,6 +436,9 @@ channels = 4
 amplitude = 1.5
 blob_sigma = 1.0
 body_radius = 3.0
+
+[train]
+frames = 4
 """
 
 
@@ -422,7 +449,7 @@ def test_manifest_round_trip(tmp_path):
     assert main(["scene", "--config", str(config), "--out", str(manifest)]) == 0
     scene = read_config(config)[0]
     assert scene.seed == 22
-    assert read_config(manifest) == (scene, TrainConfig())  # checks [poses] too
+    assert read_config(manifest) == (scene, TrainConfig(frames=4))  # checks [poses] too
     lines = [line for line in manifest.read_text().split("[poses]\n")[1].splitlines() if line]
     back = poses_from_lines(lines)
     _, truth = generate(scene)
@@ -464,7 +491,7 @@ def test_manifest_replays_same_scene(tmp_path, tiny_config):
 # Every flag of every command. A flag added or removed is a change to this set
 # and to the README's command-line section.
 FLAGS = {
-    "gradcheck": {"--unit", "--seed", "--eps"},
+    "gradcheck": {"--unit", "--seed"},
     "train": {"--config", "--out"},
     "eval": {"--checkpoint", "--oracle", "--config", "--out"},
     "bench": {"--frames", "--scales", "--out"},
@@ -478,7 +505,7 @@ def test_flag_inventory():
     got = {name: {flag for action in sub._actions for flag in action.option_strings}
            - {"-h", "--help"} for name, sub in commands.items()}
     assert got == FLAGS
-    assert sum(map(len, FLAGS.values())) == 14
+    assert sum(map(len, FLAGS.values())) == 13
 
 
 def readme_commands() -> list[list[str]]:

@@ -24,7 +24,7 @@ from ivt.tensor import ConfigError, ContractError, NumericError, Tensor
 from ivt.losses import total_loss
 from ivt.train import (Adam, IVTModel, ModelOutput, TrainConfig, _check_root_cells,
                        build_model, clip_loss, clip_targets, decode_output, evaluate,
-                       load_model, lr_at, train)
+                       load_model, lr_at, param_count, train)
 
 RNG = np.random.default_rng
 
@@ -308,15 +308,47 @@ def test_roots_in_the_last_head_block_train_for_every_seed():
         assert len(train(tiny_scene(seed=seed), tiny_config(scales=(8,), steps=1)).log_rows) == 1
 
 
-def test_roots_beyond_the_head_grid_are_rejected_for_every_seed(monkeypatch):
-    def built(*args):
-        pytest.fail("the check ran after the scene or the model was built")
+def built(*args):
+    pytest.fail("the check ran after the scene or the model was built")
 
+
+def test_roots_beyond_the_head_grid_are_rejected_for_every_seed(monkeypatch):
     monkeypatch.setattr("ivt.train.generate", built)
     monkeypatch.setattr("ivt.train.build_model", built)
     for seed in range(20):
         with pytest.raises(ConfigError, match="scales"):
             train(tiny_scene(seed=seed), tiny_config(scales=(16,)))
+
+
+def test_a_block_size_that_does_not_tile_the_map_is_rejected_before_generate(monkeypatch):
+    monkeypatch.setattr("ivt.train.generate", built)
+    monkeypatch.setattr("ivt.train.build_model", built)
+    with pytest.raises(ConfigError, match="not divisible by block size 6"):
+        train(SceneSpec(), TrainConfig(scales=(6,)))
+
+
+def test_evaluate_rejects_a_scene_the_model_was_not_built_for(monkeypatch):
+    model = build_model(SceneSpec(), TrainConfig())  # 64x64
+    monkeypatch.setattr("ivt.train.generate", built)
+    with pytest.raises(ConfigError, match="32x32 scene .* on 64x64"):
+        evaluate(model, SceneSpec(height=32, width=32), TrainConfig())
+    with pytest.raises(ConfigError, match="layers=2"):
+        evaluate(model, SceneSpec(), TrainConfig(layers=2))
+
+
+# The parameter counts of the fixture, the multi-scale run and the two-scale tiny run.
+PARAM_COUNTS = {"fixture": ((SceneSpec(), TrainConfig()), 1_272_635),
+                "multiscale": ((SceneSpec(persons=2, amplitude=1.0), TrainConfig(scales=(2, 4, 8))),
+                               834_823),
+                "two-scale": (BLOCK_CHAIN_RUNS["two-scale"], 510_195)}
+
+
+@pytest.mark.parametrize("run", PARAM_COUNTS, ids=list(PARAM_COUNTS))
+def test_param_count_is_the_built_models(run):
+    (scene, cfg), count = PARAM_COUNTS[run]
+    model = build_model(scene, cfg)
+    assert sum(p.size for p in model.named_params().values()) == count
+    assert param_count(model.cfg, scene.height, scene.width, cfg.head_hidden) == count
 
 
 @settings(deadline=None, max_examples=60)
