@@ -153,7 +153,11 @@ def greedy_match(preds: list[Pose3D], gts: list[Pose3D]) -> list[tuple[int, int]
 
 def match_and_evaluate(pred_frames: list[list[Pose3D]],
                        gt_frames: list[list[Pose3D]]) -> EvalReport:
-    """Per-frame greedy matching; unmatched ground truths count as misses."""
+    """Per-frame greedy matching; unmatched ground truths count as misses.
+    The two lists must hold the same number of frames."""
+    if len(pred_frames) != len(gt_frames):
+        raise ContractError(f"match_and_evaluate: {len(pred_frames)} predicted frames "
+                            f"!= {len(gt_frames)} ground-truth frames")
     report = EvalReport()
     for t, (preds, gts) in enumerate(zip(pred_frames, gt_frames)):
         matches = greedy_match(preds, gts)

@@ -14,14 +14,14 @@ construction; only the ``grad`` buffer is mutated.
 
 A backward closure keeps only its parents' data, its own output, parameters
 and per-row statistics (a layer norm's mean and inverse deviation,
-``sdpa``'s logsumexp). The two residual branches of a transformer block
-(``attention_branch`` and ``ffn_branch``) keep one thing more: the arrays
-that cost a matmul to rebuild (q, k, v, the attention output before its
-projection, the FFN pre-activation). Any other array a closure needs
-(``gelu``'s tanh term and output, a layer norm's normalized input and
-output, ``sdpa``'s per-head copies, ``conv2d``'s im2col matrix) it rebuilds
-when it runs, with the same ops in the same order as forward, so the values
-are bitwise those forward had. Holding a parent's data costs nothing: the
+``sdpa``'s logsumexp). ``attention_branch`` keeps one array more, the one
+that costs an attention to rebuild: the attention output before its
+projection. Any other array a closure needs (``gelu``'s tanh term and
+output, a layer norm's normalized input and output, a branch's q, k, v and
+FFN pre-activation, ``sdpa``'s per-head copies, ``conv2d``'s im2col matrix)
+it rebuilds when it runs, with the same ops in the same order as forward,
+so the values are bitwise those forward had. A rebuild charges no MACs:
+``macs`` counts the forward's. Holding a parent's data costs nothing: the
 tape keeps every node alive until its own closure has run, so the live
 arrays between forward and backward are the tape's.
 
@@ -302,9 +302,14 @@ def _linear_width(d_x: int, w: Tensor, b: Tensor, op: str) -> int:
 
 def _affine(x2: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """x2 w + b for (rows, d_in) x2, as a new array; charges its MACs."""
+    macs.add(x2.shape[0] * w.shape[0] * w.shape[1])
+    return _affine_rebuild(x2, w, b)
+
+
+def _affine_rebuild(x2: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``_affine`` without the MAC charge, for a backward that rebuilds its output."""
     out = x2 @ w
     out += b
-    macs.add(x2.shape[0] * w.shape[0] * w.shape[1])
     return out
 
 
@@ -700,15 +705,17 @@ def attention_branch(x: Tensor, gain: Tensor, bias: Tensor, wq: Tensor, bq: Tens
 
     LN is the layer norm over the last axis with ``gain`` and ``bias``;
     sdpa splits ``heads`` heads (``sdpa``). The closure keeps the row
-    statistics of the layer norm, q, k, v, the attention output before wo
-    and sdpa's logsumexp; backward rebuilds the layer norm's output. The
+    statistics of the layer norm, the attention output before wo and sdpa's
+    logsumexp. Backward rebuilds the layer norm's output, then q, k and v
+    from it, and drops them once sdpa's backward has run: over n keys of
+    width d that costs 3·n·d² MACs against the attention's 2·n²·d. The
     output and every gradient are bitwise those of the chain layernorm,
     three ``linear``, ``sdpa``, ``linear`` and ``add`` (the chain in
-    ``tests/reference_ops.py``), and MACs are charged as that chain charges
-    them. It raises the errors the chain raised; under debug checks a
-    non-finite value names the stage: ``attention_branch/layernorm``,
-    ``/q``, ``/k``, ``/v``, ``/sdpa`` (with sdpa's score index and head)
-    and ``/out``.
+    ``tests/reference_ops.py``), and MACs are charged as that chain's
+    forward charges them. It raises the errors the chain raised; under
+    debug checks a non-finite value names the stage:
+    ``attention_branch/layernorm``, ``/q``, ``/k``, ``/v``, ``/sdpa`` (with
+    sdpa's score index and head) and ``/out``.
     """
     op = "attention_branch"
     d = x.shape[-1]
@@ -733,10 +740,13 @@ def attention_branch(x: Tensor, gain: Tensor, bias: Tensor, wq: Tensor, bq: Tens
     data += x.data
 
     def bw(g):
-        da, dwo, dbo = _affine_grad(a.reshape(-1, widths[2]), wo.data, g.reshape(-1, d))
-        dqkv = _sdpa_backward(q, k, v, a, lse, blocks, da.reshape(a.shape), heads)
         ln, xhat, _, _ = _layernorm(x.data, gain.data, bias.data, (mu, inv))
         ln2 = ln.reshape(-1, d)
+        qkv = [_affine_rebuild(ln2, w.data, b.data).reshape(lead + (w.shape[1],))
+               for w, b in ((wq, bq), (wk, bk), (wv, bv))]
+        da, dwo, dbo = _affine_grad(a.reshape(-1, widths[2]), wo.data, g.reshape(-1, d))
+        dqkv = _sdpa_backward(*qkv, a, lse, blocks, da.reshape(a.shape), heads)
+        del qkv, da
         dln, dparams = None, []
         for dp, w in zip(dqkv, (wq, wk, wv)):  # in the order the chain summed them
             dl, dw, db = _affine_grad(ln2, w.data, dp.reshape(-1, w.shape[1]))
@@ -755,15 +765,16 @@ def ffn_branch(x: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, b1: Tensor,
     """x + (gelu(LN(x) w1 + b1) w2 + b2), one node.
 
     LN is the layer norm over the last axis with ``gain`` and ``bias``.
-    The closure keeps the row statistics of the layer norm and the
-    pre-activation h = LN(x) w1 + b1; backward rebuilds the layer norm's
-    output and gelu's. The output and every gradient are bitwise those of
-    the chain layernorm, ``linear``, ``gelu``, ``linear`` and ``add`` (the
-    chain in ``tests/reference_ops.py``), and MACs are charged as that chain
-    charges them. It raises the errors the chain raised; under debug checks
-    a non-finite value names the stage: ``ffn_branch/layernorm``,
-    ``/hidden`` and ``/out`` (gelu maps every finite h to a finite value,
-    so its output is not scanned).
+    The closure keeps only the row statistics of the layer norm. Backward
+    rebuilds the layer norm's output, the pre-activation h = LN(x) w1 + b1
+    from it, and gelu's tanh term and output from h. The output and every
+    gradient are bitwise those of the chain layernorm, ``linear``,
+    ``gelu``, ``linear`` and ``add`` (the chain in
+    ``tests/reference_ops.py``), and MACs are charged as that chain's
+    forward charges them. It raises the errors the chain raised; under
+    debug checks a non-finite value names the stage:
+    ``ffn_branch/layernorm``, ``/hidden`` and ``/out`` (gelu maps every
+    finite h to a finite value, so its output is not scanned).
     """
     op = "ffn_branch"
     d = x.shape[-1]
@@ -780,11 +791,14 @@ def ffn_branch(x: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, b1: Tensor,
     data += x.data
 
     def bw(g):
+        ln, xhat, _, _ = _layernorm(x.data, gain.data, bias.data, (mu, inv))
+        ln2 = ln.reshape(-1, d)
+        h = _affine_rebuild(ln2, w1.data, b1.data)
         t = _gelu_tanh(h)
         dact, dw2, db2 = _affine_grad(_gelu(h, t), w2.data, g.reshape(-1, d))
         dh = _gelu_grad(h, t, dact)
-        ln, xhat, _, _ = _layernorm(x.data, gain.data, bias.data, (mu, inv))
-        dln, dw1, db1 = _affine_grad(ln.reshape(-1, d), w1.data, dh)
+        del h, t, dact
+        dln, dw1, db1 = _affine_grad(ln2, w1.data, dh)
         dx, dgain, dbias = _layernorm_grad(dln.reshape(x.shape), xhat, inv, gain.data)
         dx += g
         return dx, dgain, dbias, dw1, db1, dw2, db2

@@ -346,6 +346,24 @@ def test_branches_match_the_reference_chain_bitwise(case):
                                                                          heads)
 
 
+def test_branch_backward_rebuilds_charge_no_macs():
+    """A forward and backward through either branch charge the chain's
+    MACs: the chain's forward, since the rebuilds in backward are not
+    model work."""
+    rng = RNG(23)
+    params = block_params(rng, 8)
+    x_np = rng.uniform(-1, 1, size=(3, 5, 8))
+
+    def charged(branch):
+        T.macs.reset()
+        with T.macs.counting():
+            T.backward(T.tsum(branch(Tensor(x_np, requires_grad=True), params, 2)))
+        return T.macs.total
+
+    for fused, chain in ((attention_branch, attention_chain), (ffn_branch, ffn_chain)):
+        assert charged(fused) == charged(chain) > 0
+
+
 def live_bytes(build):
     """(out, bytes): build's result, and the bytes its call left allocated.
     build runs once before, so one-off allocations do not count."""
@@ -362,8 +380,9 @@ def live_bytes(build):
 
 def test_block_forward_keeps_less_than_the_chain():
     """Between forward and backward a block holds at least the bytes of two
-    layer-norm outputs, the GELU output and the two projections before the
-    residual adds less than the chain: 8 rows of width d per token."""
+    layer-norm outputs, the GELU output, the two projections before the
+    residual adds, q, k, v and the FFN pre-activation less than the chain:
+    15 rows of width d per token."""
     rng = RNG(20)
     d, rows = 32, 4 * 16
     params = block_params(rng, d)
@@ -371,7 +390,7 @@ def test_block_forward_keeps_less_than_the_chain():
     fused, fused_bytes = live_bytes(lambda: transformer_block_self(x, params, 2))
     chain, chain_bytes = live_bytes(lambda: reference_ops.transformer_block_self(x, params, 2))
     np.testing.assert_array_equal(fused.data, chain.data)
-    gone = 8 * rows * (2 * d + 4 * d + 2 * d)
+    gone = 8 * rows * (2 * d + 4 * d + 2 * d + 3 * d + 4 * d)
     assert chain_bytes - fused_bytes >= gone, (chain_bytes, fused_bytes, gone)
 
 

@@ -220,6 +220,16 @@ def test_empty_predictions_counted_as_misses():
     assert report.mpjpe is None and report.pa_mpjpe is None
 
 
+@pytest.mark.parametrize("pred_count, gt_count", [(1, 2), (2, 1), (0, 1)])
+def test_frame_lists_of_other_lengths_raise(pred_count, gt_count):
+    """A shorter prediction list would give a shorter report, not misses."""
+    rng = RNG(19)
+    gts = [rand_pose(rng) for _ in range(2)]
+    with pytest.raises(ContractError, match=f"{pred_count} predicted frames != "
+                                            f"{gt_count} ground-truth frames"):
+        match_and_evaluate([gts] * pred_count, [gts] * gt_count)
+
+
 def test_greedy_matching_agrees_with_exhaustive_on_two_by_two():
     from itertools import permutations
 
