@@ -1,10 +1,11 @@
 """Command-line entry point: gradient checks, training, evaluation, benchmarks.
 
-Exit codes are a stable contract: 0 success, 2 usage or config error,
-3 numeric failure. Every run writes a JSON manifest sufficient to
-reproduce it (command, config snapshot with its seeds, artifact paths,
-input hashes, timestamps) and the machine facts that bitwise results depend on
-(Python, numpy and BLAS versions, BLAS thread variables, git revision).
+Exit codes are a stable contract: 0 success, 1 a gradient check above
+its tolerance (``ivt gradcheck``), 2 usage or config error, 3 numeric
+failure. Every run writes a JSON manifest sufficient to reproduce it
+(command, config snapshot with its seeds, artifact paths, input hashes,
+timestamps) and the machine facts that bitwise results depend on (Python,
+numpy and BLAS versions, BLAS thread variables, git revision).
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import configparser
 import csv
 import hashlib
 import json
-import math
 import os
 import platform
 import sys
@@ -31,9 +31,10 @@ from .checkpoint import save_params
 from .synth import SceneSpec, generate
 from .tensor import ConfigError, ContractError, NumericError, Tensor, macs
 from .train import TrainConfig, check_run, evaluate, load_model, train
-from .video import VideoConfig, ita
+from .video import ita
 
 EXIT_OK = 0
+EXIT_GRAD_FAIL = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
@@ -41,6 +42,8 @@ GRAD_TOL = 1e-5
 
 
 def cmd_gradcheck(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"gradcheck: --seed {args.seed}; need a seed >= 0")
     units = list(GRAD_UNITS) if args.unit == "all" else [args.unit]
     worst = 0.0
     for unit in units:
@@ -49,7 +52,7 @@ def cmd_gradcheck(args) -> int:
         worst = max(worst, err)
         status = "ok" if err <= GRAD_TOL else "FAIL"
         print(f"{unit:10s} max_rel_err={err:.3e} [{status}]")
-    return EXIT_OK if worst <= GRAD_TOL else 1
+    return EXIT_OK if worst <= GRAD_TOL else EXIT_GRAD_FAIL
 
 
 # -- config files ------------------------------------------------------------------
@@ -228,61 +231,44 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-# Bounds on `ivt bench`: a block of size s has tokens of width 2·s², so one
-# block's parameters take 96·(2·s²)² bytes (25 MB at s = 16, 6.4 GB at 64).
-BENCH_MAX_BLOCK = 16
-BENCH_MAX_SIDE = 64
-
-
-def bench_config(scales: tuple[int, ...]) -> tuple[VideoConfig, int]:
-    """The model config of the `ivt bench` sweep and the side of its square map.
-
-    The map has two joints and one channel, and its side is the smallest
-    multiple of lcm(scales) that is at least 16: 16x16 whenever the scales
-    divide 16, and 18x18 for (2, 3). Block sizes above ``BENCH_MAX_BLOCK``
-    and maps wider than ``BENCH_MAX_SIDE`` raise ``ConfigError``.
-    """
-    cfg = VideoConfig(joints=2, channels=1, scales=scales, layers=1, heads=2, fuse_heads=1)
-    if cfg.scales[-1] > BENCH_MAX_BLOCK:
-        raise ConfigError(f"bench: block size {cfg.scales[-1]} is above {BENCH_MAX_BLOCK}")
-    tile = math.lcm(*cfg.scales)
-    side = -(-16 // tile) * tile
-    if side > BENCH_MAX_SIDE:
-        raise ConfigError(f"bench: scales {cfg.scales} need a {side}x{side} map, "
-                          f"above {BENCH_MAX_SIDE}x{BENCH_MAX_SIDE}")
-    return cfg, side
-
-
-def temporal_macs(frames: int, cfg: VideoConfig, side: int) -> tuple[int, float]:
+def temporal_macs(frames: int, scene: SceneSpec, cfg: TrainConfig) -> tuple[int, float]:
     """Multiply-accumulate count and wall time of one layer's temporal stage.
 
-    Runs ITA once per scale of ``cfg`` on random (T, N_s, D_s) tokens, with
-    N_s and D_s those of a ``side`` x ``side`` map.
+    Runs ITA once per scale of the run's model (``check_run``) on random
+    (frames, N_s, D_s) tokens, with N_s and D_s those of the scene's map.
     """
+    video_cfg = check_run(scene, cfg)
     rng = np.random.default_rng(0)
     macs.reset()
     wall = 0.0
-    for geom, d_s in zip(cfg.grids(side, side), cfg.token_dims):
+    for geom, d_s in zip(video_cfg.grids(scene.height, scene.width), video_cfg.token_dims):
         params = block_params(rng, d_s)
         tokens = Tensor(rng.uniform(-1, 1, size=(frames, geom.n, d_s)))
         start = time.perf_counter()
         with macs.counting():
-            ita(tokens, params, cfg.heads)
+            ita(tokens, params, video_cfg.heads)
         wall += time.perf_counter() - start
     return macs.by_scope.get("ita", 0), wall
 
 
+def _frame_counts(text: str) -> list[int]:
+    try:
+        frames = [int(v) for v in text.split(",")]
+    except ValueError:
+        frames = []
+    if not frames or min(frames) < 1:
+        raise ConfigError(f"bench: --frames {text!r}; need a comma list of frame counts >= 1")
+    return frames
+
+
 def cmd_bench(args) -> int:
     _check_out_dir(args.out)
-    frames = [int(v) for v in args.frames.split(",")] if args.frames else [1, 3, 5, 7, 9]
-    if min(frames) < 1:
-        raise ConfigError(f"bench: --frames {args.frames}; need frame counts >= 1")
-    scales = tuple(int(v) for v in args.scales.split(",")) if args.scales else (4,)
-    cfg, side = bench_config(scales)
+    frames = _frame_counts(args.frames)
+    scene, cfg = read_config(args.config)
     rows = []
     print(f"{'frames':>6s} {'temporal_macs':>14s} {'wall_s':>8s}")
     for t in frames:
-        count, wall = temporal_macs(t, cfg, side)
+        count, wall = temporal_macs(t, scene, cfg)
         rows.append({"frames": t, "temporal_macs": count, "wall_s": wall})
         print(f"{t:6d} {count:14d} {wall:8.3f}")
     if args.out:
@@ -292,8 +278,9 @@ def cmd_bench(args) -> int:
             writer = csv.DictWriter(fh, fieldnames=["frames", "temporal_macs", "wall_s"])
             writer.writeheader()
             writer.writerows(rows)
-        write_manifest(out_dir, "bench", {"frames": frames, "scales": list(scales)},
-                       ["bench.csv"], [])
+        write_manifest(out_dir, "bench", {"scene": asdict(scene), "train": asdict(cfg),
+                                          "frames": frames},
+                       ["bench.csv"], [args.config])
     return EXIT_OK
 
 
@@ -340,8 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bench", help="temporal-stage cost sweep over frame counts")
     b.set_defaults(run=cmd_bench)
-    b.add_argument("--frames", default=None, help="comma list, default 1,3,5,7,9")
-    b.add_argument("--scales", default=None, help="comma list of block sizes")
+    b.add_argument("--config", default=None)
+    b.add_argument("--frames", default="1,3,5,7,9", help="comma list of frame counts")
     b.add_argument("--out", default=None)
 
     s = sub.add_parser("scene", help="write a settings file, poses included, that replays a run")

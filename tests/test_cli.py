@@ -15,7 +15,9 @@ import pytest
 from ivt.checkpoint import save_params
 from ivt.cli import build_parser, git_revision, main, read_config
 from ivt.codec import poses_from_lines
+from ivt.gradcheck import GRAD_UNITS
 from ivt.synth import generate
+from ivt.tensor import Tensor, macs
 from ivt.train import TrainConfig, build_model
 
 TINY_CONFIG = """\
@@ -68,6 +70,19 @@ def test_gradcheck_full_pipeline_unit_passes(capsys):
     assert main(["gradcheck", "--unit", "full"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("full") and "[ok]" in out
+
+
+def test_gradcheck_above_tolerance_exit_one(monkeypatch, capsys):
+    monkeypatch.setitem(GRAD_UNITS, "mhsa", lambda rng, eps: 1.0)
+    assert main(["gradcheck", "--unit", "mhsa"]) == 1
+    assert "mhsa" in (out := capsys.readouterr().out) and "[FAIL]" in out
+
+
+def test_gradcheck_negative_seed_exit_two_and_name_the_flag(capsys):
+    assert main(["gradcheck", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "--seed" in captured.err
+    assert captured.out == ""  # rejected before the first unit
 
 
 def test_diverging_train_exits_three_names_the_step_and_saves_nothing(tmp_path):
@@ -158,7 +173,7 @@ def test_out_that_is_a_file_exits_two_before_the_run(tmp_path, tiny_config, caps
     out.write_text("kept\n")
     extra = {"train": ["--config", tiny_config],
              "eval": ["--config", tiny_config, "--checkpoint", str(ckpt)],
-             "bench": ["--frames", "1,3"]}[command]
+             "bench": ["--config", tiny_config, "--frames", "1,3"]}[command]
     assert main([command, *extra, "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert "--out" in captured.err
@@ -208,10 +223,9 @@ def test_scene_export_and_train_from_manifest(tmp_path, tiny_config):
     assert main(["train", "--config", str(scene_path), "--out", str(out)]) == 0
 
 
-def test_bench_emits_frame_sweep(tmp_path, capsys):
+def test_bench_emits_frame_sweep(tmp_path, tiny_config):
     out = tmp_path / "bench"
-    assert main(["bench", "--frames", "1,3", "--scales", "8",
-                 "--out", str(out)]) == 0
+    assert main(["bench", "--config", tiny_config, "--frames", "1,3", "--out", str(out)]) == 0
     lines = (out / "bench.csv").read_text().strip().splitlines()
     assert lines[0] == "frames,temporal_macs,wall_s"
     assert len(lines) == 3
@@ -219,41 +233,58 @@ def test_bench_emits_frame_sweep(tmp_path, capsys):
     assert int(rows[1][1]) > int(rows[0][1])  # more frames, more work
 
 
-def test_bench_takes_odd_block_sizes():
-    assert main(["bench", "--scales", "1,2", "--frames", "1,2"]) == 0
+def test_bench_takes_odd_block_sizes(tmp_path, tiny_config):
+    # Block size 1 gives the fuse block width 1, which only one head divides.
+    config = tmp_path / "odd.cfg"
+    config.write_text(Path(tiny_config).read_text().replace("scales = 4\n", "scales = 1, 2\n")
+                      .replace("fuse_heads = 2\n", "fuse_heads = 1\n"))
+    assert main(["bench", "--config", str(config), "--frames", "1,2"]) == 0
 
 
-def test_bench_takes_scales_that_do_not_divide_16(capsys):
-    """(2, 3) tile an 18x18 map, the smallest multiple of lcm 6 that is at least 16."""
-    assert main(["bench", "--scales", "2,3", "--frames", "1"]) == 0
+def test_bench_takes_scales_that_do_not_divide_16(tmp_path, tiny_config, capsys):
+    """(2, 3) tile an 18x18 map; block size 3 gives the fuse block width 9."""
+    config = tmp_path / "18.cfg"
+    config.write_text(Path(tiny_config).read_text().replace("scales = 4\n", "scales = 2, 3\n")
+                      .replace("fuse_heads = 2\n", "fuse_heads = 1\n")
+                      .replace("height = 16\n", "height = 18\n")
+                      .replace("width = 16\n", "width = 18\n"))
+    assert main(["bench", "--config", str(config), "--frames", "1"]) == 0
     frames, count, _ = capsys.readouterr().out.strip().splitlines()[-1].split()
     assert frames == "1" and int(count) > 0
 
 
-@pytest.mark.parametrize("scales, message", [
-    ("32", "block size 32 is above 16"),
-    ("5,13", "need a 65x65 map"),
-])
-def test_bench_rejects_scales_too_big_to_allocate(scales, message, capsys):
-    assert main(["bench", "--scales", scales, "--frames", "1"]) == 2
-    captured = capsys.readouterr()
-    assert message in captured.err
-    assert captured.out == ""  # rejected before the table header
+# The fixture is the defaults; the multi-scale clip is the defaults plus these.
+BENCH_RUNS = {"fixture": "", "multiscale": "[scene]\npersons = 2\namplitude = 1.0\n\n"
+                                           "[train]\nscales = 2, 4, 8\n"}
+
+
+@pytest.mark.parametrize("run", list(BENCH_RUNS))
+def test_bench_measures_the_configured_model(tmp_path, capsys, run):
+    """Bench's row at the run's clip length is one layer's ITA MACs in the
+    run's own model forward."""
+    config = tmp_path / "run.ini"
+    config.write_text(BENCH_RUNS[run])
+    scene, cfg = read_config(config)
+    assert main(["bench", "--config", str(config), "--frames", str(scene.frames)]) == 0
+    row = capsys.readouterr().out.strip().splitlines()[-1].split()
+    features, truth = generate(scene)
+    macs.reset()
+    with macs.counting():
+        build_model(scene, cfg).forward(Tensor(features), truth.flows)
+    assert int(row[1]) * cfg.layers == macs.by_scope["ita"]
 
 
 @pytest.mark.parametrize("flag, value", [
-    ("--scales", "0"), ("--scales", "-2"), ("--scales", "2,2"), ("--frames", "0"),
-    ("--frames", "3,-1"),
+    ("--frames", "0"), ("--frames", "3,-1"), ("--frames", ""), ("--frames", "x"),
+    ("--frames", "1,,3"),
 ])
 def test_bench_rejects_bad_values_and_names_the_key(tmp_path, capsys, flag, value):
     out = tmp_path / "bench"
     assert main(["bench", f"{flag}={value}", "--out", str(out)]) == 2
     captured = capsys.readouterr()
-    assert flag.lstrip("-") in captured.err
-    assert not (out / "bench.csv").exists()
+    assert flag in captured.err
+    assert not out.exists()
     assert captured.out == ""  # rejected before the table header
-    if flag == "--frames":
-        assert flag in captured.err
 
 
 @pytest.mark.parametrize("keep", [5, "half"])
@@ -371,7 +402,7 @@ BAD_INPUTS = {
 
 # The commands that read a settings file, each with the flags it needs besides
 # --config and --out; every one applies the same rules.
-SETTINGS_COMMANDS = (("train", []), ("eval", ["--oracle"]), ("scene", []))
+SETTINGS_COMMANDS = (("train", []), ("eval", ["--oracle"]), ("scene", []), ("bench", []))
 
 
 @pytest.mark.parametrize("case", list(BAD_INPUTS))
@@ -464,7 +495,7 @@ def test_scene_seed_comes_only_from_the_config(tmp_path, capsys, command):
     # Each seed comes only from its section: [scene] seed or [train] seed.
     config = tmp_path / "scene.cfg"
     config.write_text(MANIFEST_SCENE)
-    args = [] if command == "bench" else ["--config", str(config)]
+    args = ["--config", str(config)]
     args += ["--oracle"] if command == "eval" else []  # eval's one required choice
     with pytest.raises(SystemExit) as exc:
         main([command, *args, "--seed", "3", "--out", str(tmp_path / "s.ini")])
@@ -494,7 +525,7 @@ FLAGS = {
     "gradcheck": {"--unit", "--seed"},
     "train": {"--config", "--out"},
     "eval": {"--checkpoint", "--oracle", "--config", "--out"},
-    "bench": {"--frames", "--scales", "--out"},
+    "bench": {"--config", "--frames", "--out"},
     "scene": {"--config", "--out"},
 }
 

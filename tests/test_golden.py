@@ -3,9 +3,9 @@
 The file holds the float.hex loss histories of the 8-step convergence
 fixture and of the 2-step multi-scale clip (seed 42), the sha256 of both
 checkpoints, the multi-scale model's eval aggregates on scene seeds 43-45,
-the `ivt bench --scales 2,4 --frames 1,3,5` MACs, the errors of every
-``GRAD_UNITS`` unit for seeds 0-2, and the machine facts they were taken
-under (``cli.machine_facts()`` without the git revision).
+the `ivt bench --frames 1,3,5` MACs of a 16x16 run with scales (2, 4), the
+errors of every ``GRAD_UNITS`` unit for seeds 0-2, and the machine facts
+they were taken under (``cli.machine_facts()`` without the git revision).
 
 Under the same machine facts every value must match bitwise. Under other
 facts (another numpy, BLAS or BLAS thread setting) floats are compared at
@@ -36,7 +36,7 @@ if __name__ == "__main__":
 
 import numpy as np
 
-from ivt.cli import bench_config, machine_facts, temporal_macs
+from ivt.cli import machine_facts, temporal_macs
 from ivt.gradcheck import GRAD_UNITS
 from ivt.synth import SceneSpec
 from ivt.train import TrainConfig, evaluate, train
@@ -52,7 +52,9 @@ RUNS = {
                    TrainConfig(seed=42, steps=2, scales=(2, 4, 8))),
 }
 EVAL_SEEDS = (43, 44, 45)
-BENCH_SCALES, BENCH_FRAMES = (2, 4), (1, 3, 5)
+# No persons: the defaults' figures do not fit a 16x16 map.
+BENCH_RUN = (SceneSpec(persons=0, height=16, width=16), TrainConfig(scales=(2, 4)))
+BENCH_FRAMES = (1, 3, 5)
 GRAD_SEEDS = range(3)
 
 
@@ -80,8 +82,7 @@ def compute() -> dict:
             "matched_pairs": report.matched_pairs, "missed": report.missed,
             "mpjpe": _hex(report.mpjpe), "pa_mpjpe": _hex(report.pa_mpjpe),
             "depth_error": _hex(report.depth_error)}
-    video_cfg, side = bench_config(BENCH_SCALES)
-    values["bench_macs"] = {str(t): temporal_macs(t, video_cfg, side)[0] for t in BENCH_FRAMES}
+    values["bench_macs"] = {str(t): temporal_macs(t, *BENCH_RUN)[0] for t in BENCH_FRAMES}
     values["grad_errors"] = {unit: [float.hex(check(np.random.default_rng(seed), 1e-6))
                                     for seed in GRAD_SEEDS]
                              for unit, check in GRAD_UNITS.items()}
