@@ -1,11 +1,14 @@
 """Command-line entry point: gradient checks, training, evaluation, benchmarks.
 
 Exit codes are a stable contract: 0 success, 1 a gradient check above
-its tolerance (``ivt gradcheck``), 2 usage or config error, 3 numeric
-failure. Every run writes a JSON manifest sufficient to reproduce it
-(command, config snapshot with its seeds, artifact paths, input hashes,
-timestamps) and the machine facts that bitwise results depend on (Python,
-numpy and BLAS versions, BLAS thread variables, git revision).
+its tolerance (``ivt gradcheck``), 2 usage or config error (``ConfigError``,
+``ContractError``), 3 numeric failure (``NumericError``). ``ivt train`` and
+``ivt eval`` write a JSON manifest into ``--out``, and ``ivt bench`` does
+when given ``--out``. It is sufficient to reproduce the run (command, config
+snapshot with its seeds, artifact paths, input hashes, timestamps) and holds
+the machine facts that bitwise results depend on (Python, numpy and BLAS
+versions, BLAS thread variables, git revision). ``ivt scene`` writes a
+settings file that replays a run instead, and ``ivt gradcheck`` writes none.
 """
 
 from __future__ import annotations
@@ -24,12 +27,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .gradcheck import GRAD_UNITS
+from .gradcheck import GRAD_TOL, GRAD_UNITS
 from .codec import poses_from_lines, poses_to_lines
 from .blocks import block_params
 from .checkpoint import save_params
 from .synth import SceneSpec, generate
-from .tensor import ConfigError, ContractError, NumericError, Tensor, macs
+from .tensor import ConfigError, NumericError, Tensor, macs
 from .train import TrainConfig, check_run, evaluate, load_model, train
 from .video import ita
 
@@ -37,8 +40,6 @@ EXIT_OK = 0
 EXIT_GRAD_FAIL = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
-
-GRAD_TOL = 1e-5
 
 
 def cmd_gradcheck(args) -> int:
@@ -48,7 +49,7 @@ def cmd_gradcheck(args) -> int:
     worst = 0.0
     for unit in units:
         rng = np.random.default_rng(args.seed)
-        err = GRAD_UNITS[unit](rng, 1e-6)  # criterion 1's step
+        err = GRAD_UNITS[unit](rng)
         worst = max(worst, err)
         status = "ok" if err <= GRAD_TOL else "FAIL"
         print(f"{unit:10s} max_rel_err={err:.3e} [{status}]")
@@ -119,7 +120,7 @@ def _check_poses(path, scene: SceneSpec, lines: list[str]) -> None:
     try:
         got = poses_from_lines(lines)
     except ValueError as exc:
-        raise ContractError(f"{path} [poses]: {exc}") from None
+        raise ConfigError(f"{path} [poses]: {exc}") from None
     want = dict(enumerate(generate(scene)[1].poses))
 
     def bits(poses):
@@ -127,8 +128,8 @@ def _check_poses(path, scene: SceneSpec, lines: list[str]) -> None:
 
     for t in sorted(set(got) | set(want)):
         if bits(got.get(t, [])) != bits(want.get(t, [])):
-            raise ContractError(f"{path} [poses]: frame {t} differs from the "
-                                "poses generated from [scene]")
+            raise ConfigError(f"{path} [poses]: frame {t} differs from the "
+                              "poses generated from [scene]")
 
 
 def _hash_file(path) -> str:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import ConfigError, ContractError
+from .tensor import ContractError
 
 
 @dataclass
@@ -37,7 +37,7 @@ def encode_heatmap(poses: list[Pose3D], h: int, w: int, sigma: float) -> np.ndar
     """(h, w) center heatmap: the pixel-wise max of per-person Gaussians centered
     on the root joint."""
     if sigma <= 0:
-        raise ConfigError(f"encode_heatmap: sigma must be positive, got {sigma}")
+        raise ContractError(f"encode_heatmap: sigma must be positive, got {sigma}")
     hm = np.zeros((h, w))
     ys, xs = np.mgrid[0:h, 0:w]
     for pose in poses:

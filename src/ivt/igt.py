@@ -21,7 +21,7 @@ import numpy as np
 
 from . import tensor as T
 from .blocks import init_conv, transformer_block_self
-from .tensor import ConfigError, NumericError, Tensor
+from .tensor import ContractError, NumericError, Tensor
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ def extract_blocks(feat: Tensor, block_size: int) -> Tensor:
     frames, c, h, w = feat.shape
     k = int(block_size)
     if h % k != 0 or w % k != 0:
-        raise ConfigError(f"extract_blocks: {h}x{w} not divisible by block size {k}")
+        raise ContractError(f"extract_blocks: {h}x{w} not divisible by block size {k}")
     n_h, n_w = h // k, w // k
     x = T.reshape(feat, (frames, c, n_h, k, n_w, k))
     x = T.transpose(x, (0, 2, 4, 1, 3, 5))  # (T, n_h, n_w, C, K, K)
@@ -82,7 +82,7 @@ def offset_head_params(rng: np.random.Generator, channels: int, joints: int,
 def predict_offsets(feat: Tensor, head_params: dict[str, Tensor]) -> Tensor:
     """Per-pixel 2D joint offsets (T, 2J, H, W) from the (T, C, H, W) feature maps."""
     if head_params["conv1_w"].shape[1] != feat.shape[1]:
-        raise ConfigError(
+        raise ContractError(
             f"predict_offsets: head expects {head_params['conv1_w'].shape[1]} channels, "
             f"feature map has {feat.shape[1]}")
     h = T.gelu(T.conv2d(feat, head_params["conv1_w"], head_params["conv1_b"]))
@@ -97,8 +97,8 @@ def gather_indices(offsets: np.ndarray, geom: GridGeometry, joints: int) -> np.n
     and integer-divided by the block size.
     """
     if offsets.ndim != 4 or offsets.shape[1] != 2 * joints:
-        raise ConfigError(f"gather_indices: offset maps {offsets.shape}, expected "
-                          f"(T, {2 * joints}, H, W)")
+        raise ContractError(f"gather_indices: offset maps {offsets.shape}, expected "
+                            f"(T, {2 * joints}, H, W)")
     if not np.all(np.isfinite(offsets)):
         raise NumericError("gather_indices: offset map contains non-finite values")
     px, py = geom.centers()
@@ -121,7 +121,7 @@ def tokenize(gathered: Tensor, fuse_params: dict[str, Tensor], heads: int) -> Te
     C_b is the fuse block's width."""
     c_b = fuse_params["wq"].shape[0]
     if gathered.shape[-1] % c_b != 0:
-        raise T.ContractError(
+        raise ContractError(
             f"tokenize: length {gathered.shape[-1]} not divisible by C_b {c_b}")
     rows = T.reshape(gathered, (-1, gathered.shape[-1] // c_b, c_b))
     fused = transformer_block_self(rows, fuse_params, heads)

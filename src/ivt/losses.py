@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .tensor import ContractError, ShapeError, Tensor
+from .tensor import ContractError, Tensor
 
 
 def masked_l1(pred: Tensor, target: np.ndarray, mask: np.ndarray) -> Tensor:
@@ -21,7 +21,7 @@ def masked_l1(pred: Tensor, target: np.ndarray, mask: np.ndarray) -> Tensor:
     without mask pixels adds 0 but still counts in the 1/T."""
     frames, ch, h, w = pred.shape
     if target.shape != pred.shape or mask.shape != (frames, h, w):
-        raise ShapeError(f"masked_l1: {pred.shape} pred, {target.shape} target, {mask.shape} mask")
+        raise ContractError(f"masked_l1: {pred.shape} pred, {target.shape} target, {mask.shape} mask")
     counts = mask.reshape(frames, h * w).sum(axis=1)
     if np.any(target[counts == 0] != 0):
         raise ContractError("masked_l1: empty mask with nonzero targets")

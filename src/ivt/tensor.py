@@ -42,20 +42,12 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 
-class ShapeError(ValueError):
-    """Operand shapes are incompatible for the requested operation."""
-
-
-class BoundsError(IndexError):
-    """An index is outside the valid range."""
-
-
 class ConfigError(ValueError):
-    """A configuration value violates its contract."""
+    """A run's settings violate their contract: raised only by the settings gate."""
 
 
 class ContractError(ValueError):
-    """A call violates an operation's precondition."""
+    """A call violates an operation's precondition: a shape, an index or an argument."""
 
 
 class NumericError(RuntimeError):
@@ -188,7 +180,7 @@ class Tensor:
 
 def _binary_shapes(a: Tensor, b: Tensor, op: str) -> None:
     if a.shape != b.shape:
-        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ")
+        raise ContractError(f"{op}: shapes {a.shape} and {b.shape} differ")
 
 
 # -- elementwise ops ---------------------------------------------------------
@@ -294,9 +286,9 @@ def _linear_width(d_x: int, w: Tensor, b: Tensor, op: str) -> int:
     """The output width of an affine map of w and b on d_x-wide rows."""
     d_in, d_out = w.shape
     if d_x != d_in:
-        raise ShapeError(f"{op}: input dim {d_x} != weight dim {d_in}")
+        raise ContractError(f"{op}: input dim {d_x} != weight dim {d_in}")
     if b.shape != (d_out,):
-        raise ShapeError(f"{op}: bias {b.shape} must be ({d_out},)")
+        raise ContractError(f"{op}: bias {b.shape} must be ({d_out},)")
     return d_out
 
 
@@ -340,7 +332,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 def add_bcast(x: Tensor, p: Tensor) -> Tensor:
     """Add p broadcast over the leading axes of x (p matches x's trailing dims)."""
     if p.ndim > x.ndim or p.shape != x.shape[x.ndim - p.ndim:]:
-        raise ShapeError(f"add_bcast: {p.shape} does not match trailing dims of {x.shape}")
+        raise ContractError(f"add_bcast: {p.shape} does not match trailing dims of {x.shape}")
     data = x.data + p.data
     lead = tuple(range(x.ndim - p.ndim))
 
@@ -356,16 +348,16 @@ def add_bcast(x: Tensor, p: Tensor) -> Tensor:
 def reshape(a: Tensor, new_shape) -> Tensor:
     new_shape = tuple(int(s) for s in new_shape)
     if any(s < -1 for s in new_shape):
-        raise ShapeError(f"reshape: sizes must be at least -1, got {new_shape}")
+        raise ContractError(f"reshape: sizes must be at least -1, got {new_shape}")
     if new_shape.count(-1) > 1:
-        raise ShapeError(f"reshape: at most one inferred dimension, got {new_shape}")
+        raise ContractError(f"reshape: at most one inferred dimension, got {new_shape}")
     if -1 in new_shape:
         known = int(np.prod([s for s in new_shape if s != -1], dtype=np.int64))
         if known == 0 or a.size % known != 0:
-            raise ShapeError(f"reshape: cannot reshape {a.shape} to {new_shape}")
+            raise ContractError(f"reshape: cannot reshape {a.shape} to {new_shape}")
         new_shape = tuple(a.size // known if s == -1 else s for s in new_shape)
     if int(np.prod(new_shape, dtype=np.int64)) != a.size:
-        raise ShapeError(f"reshape: cannot reshape {a.shape} to {new_shape}")
+        raise ContractError(f"reshape: cannot reshape {a.shape} to {new_shape}")
     data = a.data.reshape(new_shape)
     return Tensor._result(data, (a,), lambda g: (g.reshape(a.shape),), "reshape")
 
@@ -373,7 +365,7 @@ def reshape(a: Tensor, new_shape) -> Tensor:
 def transpose(a: Tensor, axes) -> Tensor:
     axes = tuple(int(x) for x in axes)
     if sorted(axes) != list(range(a.ndim)):
-        raise ShapeError(f"transpose: axes {axes} invalid for rank {a.ndim}")
+        raise ContractError(f"transpose: axes {axes} invalid for rank {a.ndim}")
     inv = np.argsort(axes)
     data = np.ascontiguousarray(np.transpose(a.data, axes))
     return Tensor._result(data, (a,), lambda g: (np.transpose(g, inv),), "transpose")
@@ -385,12 +377,12 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         raise ContractError("concat: empty tensor list")
     axis = int(axis)
     if not -tensors[0].ndim <= axis < tensors[0].ndim:
-        raise ShapeError(f"concat: axis {axis} out of range for rank {tensors[0].ndim}")
+        raise ContractError(f"concat: axis {axis} out of range for rank {tensors[0].ndim}")
     if len(tensors) == 1:
         return tensors[0]
     axis %= tensors[0].ndim
     if len({(t.ndim, t.shape[:axis], t.shape[axis + 1:]) for t in tensors}) > 1:
-        raise ShapeError(f"concat: shapes {[t.shape for t in tensors]} differ off axis {axis}")
+        raise ContractError(f"concat: shapes {[t.shape for t in tensors]} differ off axis {axis}")
     data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
@@ -408,11 +400,11 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     """
     axis = int(axis)
     if not -a.ndim <= axis < a.ndim:
-        raise ShapeError(f"narrow: axis {axis} out of range for rank {a.ndim}")
+        raise ContractError(f"narrow: axis {axis} out of range for rank {a.ndim}")
     if length < 0:
-        raise BoundsError(f"narrow: length {length} is negative")
+        raise ContractError(f"narrow: length {length} is negative")
     if start < 0 or start + length > a.shape[axis]:
-        raise BoundsError(f"narrow: slice [{start}, {start + length}) out of range {a.shape[axis]}")
+        raise ContractError(f"narrow: slice [{start}, {start + length}) out of range {a.shape[axis]}")
     if start == 0 and length == a.shape[axis]:
         return a
     idx = [slice(None)] * a.ndim
@@ -437,7 +429,7 @@ def take_rows(a: Tensor, indices) -> Tensor:
     idx = idx.astype(np.int64, copy=False)
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
         bad = idx[(idx < 0) | (idx >= a.shape[0])][0]
-        raise BoundsError(f"take_rows: index {int(bad)} out of range [0, {a.shape[0]})")
+        raise ContractError(f"take_rows: index {int(bad)} out of range [0, {a.shape[0]})")
     data = np.ascontiguousarray(a.data[idx])
 
     def bw(g):
@@ -528,16 +520,16 @@ def _sdpa_check(q_shape, k_shape, v_shape, heads: int, op: str) -> None:
     """The shape and head contract of ``sdpa``; errors name ``op``."""
     if (len(q_shape) < 2 or not len(q_shape) == len(k_shape) == len(v_shape)
             or not q_shape[:-2] == k_shape[:-2] == v_shape[:-2]):
-        raise ShapeError(f"{op}: shapes {q_shape}, {k_shape}, {v_shape} are incompatible")
+        raise ContractError(f"{op}: shapes {q_shape}, {k_shape}, {v_shape} are incompatible")
     if q_shape[-1] != k_shape[-1] or k_shape[-2] != v_shape[-2]:
-        raise ShapeError(f"{op}: inner dims of {q_shape}, {k_shape}, {v_shape} disagree")
+        raise ContractError(f"{op}: inner dims of {q_shape}, {k_shape}, {v_shape} disagree")
     if q_shape[-1] == 0:
         raise ContractError(f"{op}: feature dim is zero")
     if k_shape[-2] < 1:
         raise ContractError(f"{op}: need at least one key")
     if heads < 1 or q_shape[-1] % heads or v_shape[-1] % heads:
-        raise ConfigError(f"{op}: heads {heads} must be at least 1 and divide the "
-                          f"widths {q_shape[-1]} and {v_shape[-1]}")
+        raise ContractError(f"{op}: heads {heads} must be at least 1 and divide the "
+                            f"widths {q_shape[-1]} and {v_shape[-1]}")
 
 
 def _sdpa_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int, op: str):
@@ -648,8 +640,8 @@ def sdpa(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     then the block is scanned for the first such entry, and the error names
     its score index in the caller's terms (leading indices, query row, key
     column) and its head. MACs are charged as the two forward matmuls q kᵀ
-    and P v. A ``heads`` below 1 or not dividing the widths of q and v is a
-    ``ConfigError``; a zero width or no keys is a ``ContractError``.
+    and P v. Bad shapes, a zero width, no keys, or ``heads`` below 1 or not
+    dividing the widths of q and v raise ``ContractError``.
     """
     _sdpa_check(q.shape, k.shape, v.shape, heads, "sdpa")
     out, lse, blocks = _sdpa_forward(q.data, k.data, v.data, heads, "sdpa")
@@ -665,7 +657,7 @@ LN_EPS = 1e-6  # added to the variance in a layer norm
 
 def _check_layernorm(d: int, gain: Tensor, bias: Tensor, op: str) -> None:
     if gain.shape != (d,) or bias.shape != (d,):
-        raise ShapeError(f"{op}: gain {gain.shape} and bias {bias.shape} must be ({d},)")
+        raise ContractError(f"{op}: gain {gain.shape} and bias {bias.shape} must be ({d},)")
 
 
 def _layernorm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, stats=None):
@@ -724,7 +716,7 @@ def attention_branch(x: Tensor, gain: Tensor, bias: Tensor, wq: Tensor, bq: Tens
     lead = x.shape[:-1]
     _sdpa_check(*(lead + (n,) for n in widths), heads, f"{op}/sdpa")
     if _linear_width(widths[2], wo, bo, op) != d:
-        raise ShapeError(f"{op}: output width {wo.shape[1]} != input width {d}")
+        raise ContractError(f"{op}: output width {wo.shape[1]} != input width {d}")
     ln, _, mu, inv = _layernorm(x.data, gain.data, bias.data)
     _check_finite(ln, f"{op}/layernorm")
     ln2 = ln.reshape(-1, d)
@@ -780,7 +772,7 @@ def ffn_branch(x: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, b1: Tensor,
     d = x.shape[-1]
     _check_layernorm(d, gain, bias, op)
     if _linear_width(_linear_width(d, w1, b1, op), w2, b2, op) != d:
-        raise ShapeError(f"{op}: output width {w2.shape[1]} != input width {d}")
+        raise ContractError(f"{op}: output width {w2.shape[1]} != input width {d}")
     ln, _, mu, inv = _layernorm(x.data, gain.data, bias.data)
     _check_finite(ln, f"{op}/layernorm")
     h = _affine(ln.reshape(-1, d), w1.data, b1.data)
@@ -827,18 +819,18 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     The backward rebuilds the im2col matrix from x rather than keeping it.
     """
     if x.ndim != 4:
-        raise ShapeError(f"conv2d: input must be (B, C, H, W), got {x.shape}")
+        raise ContractError(f"conv2d: input must be (B, C, H, W), got {x.shape}")
     if w.ndim != 4:
-        raise ShapeError(f"conv2d: weight {w.shape} must be (C_out, C_in, kh, kw) "
-                         f"for input {x.shape}")
+        raise ContractError(f"conv2d: weight {w.shape} must be (C_out, C_in, kh, kw) "
+                            f"for input {x.shape}")
     bsz, cin, h, wid = x.shape
     cout, cin_w, kh, kw = w.shape
     if cin != cin_w:
-        raise ShapeError(f"conv2d: input channels {cin} != weight channels {cin_w}")
+        raise ContractError(f"conv2d: input channels {cin} != weight channels {cin_w}")
     if b.shape != (cout,):
-        raise ShapeError(f"conv2d: bias {b.shape} must be ({cout},) for weight {w.shape}")
+        raise ContractError(f"conv2d: bias {b.shape} must be ({cout},) for weight {w.shape}")
     if kh % 2 == 0 or kw % 2 == 0:
-        raise ConfigError("conv2d: kernel dims must be odd")
+        raise ContractError("conv2d: kernel dims must be odd")
     ph, pw = kh // 2, kw // 2
     cols = _im2col(x.data, kh, kw)
     wmat = w.data.reshape(cout, cin * kh * kw)
@@ -887,7 +879,7 @@ def _accumulate(parents: tuple[Tensor, ...], grads) -> None:
         if g is None or not parent.requires_grad:
             continue
         if g.shape != parent.shape:
-            raise ShapeError(
+            raise ContractError(
                 f"backward: gradient shape {g.shape} does not match tensor {parent.shape}")
         if parent.grad is None:
             if ((g.base is not None and parent._backward_fn is None)

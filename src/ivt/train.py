@@ -290,8 +290,9 @@ def check_run(scene: SceneSpec, cfg: TrainConfig) -> VideoConfig:
     """The architecture a scene and a train config name, once the one check of a
     run passes before anything is generated or built: one clip length,
     ``VideoConfig``'s rules, block sizes that tile the map, a head cell for
-    every root the scene can place, and parameters that fit in physical
-    memory with their gradients and Adam's moments. Else ``ConfigError``."""
+    every root the scene can place, and parameters with their gradients and
+    Adam's moments that fit in physical memory beside the clip ``generate``
+    makes. Else ``ConfigError``. Arithmetic only: nothing is allocated."""
     if scene.frames != cfg.frames:
         raise ConfigError(f"scene frames = {scene.frames} but train frames = "
                           f"{cfg.frames}; the two must be equal")
@@ -301,11 +302,18 @@ def check_run(scene: SceneSpec, cfg: TrainConfig) -> VideoConfig:
     video_cfg.grids(scene.height, scene.width)
     _check_root_cells(scene, cfg)
     count = param_count(video_cfg, scene.height, scene.width, cfg.head_hidden)
-    need, have = count * BYTES_PER_PARAM, os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        raise ConfigError(f"the model has {count:,} parameters, {need / 2**30:.1f} GiB with their "
-                          f"gradients and Adam's moments, above the {have / 2**30:.1f} GiB of "
-                          "physical memory; need smaller scales, joints, channels or layers")
+    # The float64 clip generate makes: (T, C, H, W) features, T - 1 (2, H, W)
+    # flows and P (J, 3) poses per frame.
+    t, hw = scene.frames, scene.height * scene.width
+    clip = 8 * (t * scene.channels * hw + 2 * (t - 1) * hw + scene.persons * t * scene.joints * 3)
+    params = count * BYTES_PER_PARAM
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if params + clip > have:
+        raise ConfigError(f"the model has {count:,} parameters, {params / 2**30:.1f} GiB with their "
+                          f"gradients and Adam's moments, and the clip takes {clip / 2**30:.1f} "
+                          f"GiB, together above the {have / 2**30:.1f} GiB of physical memory; "
+                          "need fewer frames or persons, a smaller map, or smaller scales, "
+                          "joints, channels or layers")
     return video_cfg
 
 

@@ -26,7 +26,7 @@ from . import tensor as T
 from .blocks import block_params, init_linear, transformer_block_self
 from .igt import (GridGeometry, extract_blocks, gather_indices, retile,
                   take_frame_rows, tokenize)
-from .tensor import ConfigError, ContractError, NumericError, ShapeError, Tensor, macs
+from .tensor import ConfigError, ContractError, NumericError, Tensor, macs
 
 
 @dataclass(frozen=True)
@@ -144,7 +144,7 @@ def align_tokens(tokens: Tensor, assigns: np.ndarray) -> Tensor:
     ``assigns`` is the (T, N) map of ``alignment_maps`` for the tokens' grid.
     """
     if assigns.shape != tokens.shape[:2]:
-        raise ShapeError(f"align_tokens: map {assigns.shape} for tokens {tokens.shape}")
+        raise ContractError(f"align_tokens: map {assigns.shape} for tokens {tokens.shape}")
     return take_frame_rows(tokens, assigns)
 
 
@@ -185,13 +185,13 @@ def cisa(per_scale: list[Tensor], params: dict, cfg: VideoConfig) -> list[Tensor
     embedding plus one self-attention block over each frame's tokens.
     """
     if len(per_scale) != len(cfg.scales):
-        raise ConfigError(f"cisa: {len(per_scale)} token maps for {len(cfg.scales)} scales")
+        raise ContractError(f"cisa: {len(per_scale)} token maps for {len(cfg.scales)} scales")
     with macs.scope("cisa"):
         projected = []
         counts = []
         for tokens, s, d_s in zip(per_scale, cfg.scales, cfg.token_dims):
             if tokens.shape[-1] != d_s:
-                raise ShapeError(f"cisa: scale {s} token dim {tokens.shape[-1]} != {d_s}")
+                raise ContractError(f"cisa: scale {s} token dim {tokens.shape[-1]} != {d_s}")
             x = T.add_bcast(tokens, params[f"pos{s}"])
             if cfg.projected:
                 x = T.linear(x, params[f"proj{s}_w"], params[f"proj{s}_b"])

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ivt import tensor as T
-from ivt.tensor import LN_EPS, ShapeError, Tensor, macs
+from ivt.tensor import LN_EPS, ContractError, Tensor, macs
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -25,9 +25,9 @@ def tanh(a: Tensor) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product; 2-D, or stacked with identical leading batch dims."""
     if a.ndim < 2 or b.ndim < 2 or a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2]:
-        raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} are incompatible")
+        raise ContractError(f"matmul: shapes {a.shape} and {b.shape} are incompatible")
     if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul: inner dims of {a.shape} and {b.shape} disagree")
+        raise ContractError(f"matmul: inner dims of {a.shape} and {b.shape} disagree")
     data = a.data @ b.data
     batch = int(np.prod(a.shape[:-2], dtype=np.int64)) if a.ndim > 2 else 1
     macs.add(batch * a.shape[-2] * a.shape[-1] * b.shape[-1])
@@ -59,8 +59,8 @@ def layernorm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     ``gain`` and shift it by ``bias``, both of the last axis's shape."""
     d = a.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
-        raise ShapeError(f"layernorm: gain {gain.shape} and bias {bias.shape} must be "
-                         f"({d},)")
+        raise ContractError(f"layernorm: gain {gain.shape} and bias {bias.shape} must be "
+                            f"({d},)")
     x = a.data
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu

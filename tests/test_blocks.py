@@ -11,7 +11,7 @@ import reference_ops
 from ivt import tensor as T
 from ivt.blocks import block_params, transformer_block_self, zero_block_outputs
 from ivt.gradcheck import grad_check
-from ivt.tensor import ConfigError, ContractError, NumericError, ShapeError, Tensor
+from ivt.tensor import ConfigError, ContractError, NumericError, Tensor
 from ivt.video import VideoConfig
 from reference_ops import ffn, layernorm, multi_head_self_attention, tanh
 
@@ -106,9 +106,9 @@ def test_attention_macs_are_the_two_matmuls():
 def test_heads_must_divide_model_dim():
     params = block_params(RNG(4), 6)
     for heads in (4, 0):
-        with pytest.raises(ConfigError, match="heads"):
+        with pytest.raises(ContractError, match="heads"):
             multi_head_self_attention(rt(RNG(4), 3, 6), params, heads)
-        with pytest.raises(ConfigError, match="heads"):
+        with pytest.raises(ContractError, match="heads"):
             transformer_block_self(rt(RNG(4), 3, 6), params, heads)
     # J*C*s^2 = 6 for the one scale; the fuse width C*s^2 = 3 takes fuse_heads = 3.
     with pytest.raises(ConfigError, match="heads = 4"):
@@ -117,9 +117,9 @@ def test_heads_must_divide_model_dim():
 
 def test_input_width_must_match_the_weights():
     params = block_params(RNG(4), 6)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ContractError, match="^linear: input dim 8 != weight dim 6"):
         multi_head_self_attention(rt(RNG(4), 3, 8), params, 2)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ContractError, match=r"^attention_branch: gain .* must be \(8,\)"):
         transformer_block_self(rt(RNG(4), 3, 8), params, 2)
 
 
@@ -394,32 +394,35 @@ def test_block_forward_keeps_less_than_the_chain():
     assert chain_bytes - fused_bytes >= gone, (chain_bytes, fused_bytes, gone)
 
 
-# (x shape, parameter shapes replaced, heads, error): each raised by the chain too.
+# The chain's residual add and the branch's width check word one fault two ways.
+OUT_WIDTH = r"add: shapes \(3, 6\) and \(3, 5\) differ|output width 5 != input width 6"
+# (x shape, parameter shapes replaced, heads, what the ContractError says): each
+# raised by the chain too.
 BAD_BLOCK_INPUTS = {
-    "input-width": ((3, 8), {}, 2, ShapeError),
-    "heads-not-dividing": ((3, 6), {}, 4, ConfigError),
-    "zero-heads": ((3, 6), {}, 0, ConfigError),
-    "no-tokens": ((0, 6), {}, 2, ContractError),
-    "one-dim": ((6,), {}, 2, ShapeError),
-    "ln1-gain": ((3, 6), {"ln1_g": (5,)}, 2, ShapeError),
-    "ln2-bias": ((3, 6), {"ln2_b": (5,)}, 2, ShapeError),
-    "key-width": ((3, 6), {"wk": (6, 4), "bk": (4,)}, 2, ShapeError),
-    "query-bias": ((3, 6), {"bq": (5,)}, 2, ShapeError),
-    "out-width": ((3, 6), {"wo": (6, 5), "bo": (5,)}, 2, ShapeError),
-    "hidden-bias": ((3, 6), {"ffn_b1": (23,)}, 2, ShapeError),
-    "ffn-out-width": ((3, 6), {"ffn_w2": (24, 5), "ffn_b2": (5,)}, 2, ShapeError),
+    "input-width": ((3, 8), {}, 2, r"gain \(6,\) and bias \(6,\) must be \(8,\)"),
+    "heads-not-dividing": ((3, 6), {}, 4, "sdpa: heads 4 must be at least 1 and divide"),
+    "zero-heads": ((3, 6), {}, 0, "sdpa: heads 0 must be at least 1 and divide"),
+    "no-tokens": ((0, 6), {}, 2, "sdpa: need at least one key"),
+    "one-dim": ((6,), {}, 2, r"sdpa: shapes \(6,\), \(6,\), \(6,\) are incompatible"),
+    "ln1-gain": ((3, 6), {"ln1_g": (5,)}, 2, r"gain \(5,\) and bias \(6,\) must be \(6,\)"),
+    "ln2-bias": ((3, 6), {"ln2_b": (5,)}, 2, r"gain \(6,\) and bias \(5,\) must be \(6,\)"),
+    "key-width": ((3, 6), {"wk": (6, 4), "bk": (4,)}, 2, "sdpa: inner dims"),
+    "query-bias": ((3, 6), {"bq": (5,)}, 2, r"bias \(5,\) must be \(6,\)"),
+    "out-width": ((3, 6), {"wo": (6, 5), "bo": (5,)}, 2, OUT_WIDTH),
+    "hidden-bias": ((3, 6), {"ffn_b1": (23,)}, 2, r"bias \(23,\) must be \(24,\)"),
+    "ffn-out-width": ((3, 6), {"ffn_w2": (24, 5), "ffn_b2": (5,)}, 2, OUT_WIDTH),
 }
 
 
 @pytest.mark.parametrize("case", BAD_BLOCK_INPUTS, ids=list(BAD_BLOCK_INPUTS))
 def test_branches_raise_what_the_chain_raised(case):
-    shape, replaced, heads, error = BAD_BLOCK_INPUTS[case]
+    shape, replaced, heads, message = BAD_BLOCK_INPUTS[case]
     rng = RNG(21)
     params = block_params(rng, 6)
     params.update({k: rt(rng, *s) for k, s in replaced.items()})
     x = rt(rng, *shape)
     for block in (reference_ops.transformer_block_self, transformer_block_self):
-        with pytest.raises(error):
+        with pytest.raises(ContractError, match=message):
             block(x, params, heads)
 
 

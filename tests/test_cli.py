@@ -73,7 +73,7 @@ def test_gradcheck_full_pipeline_unit_passes(capsys):
 
 
 def test_gradcheck_above_tolerance_exit_one(monkeypatch, capsys):
-    monkeypatch.setitem(GRAD_UNITS, "mhsa", lambda rng, eps: 1.0)
+    monkeypatch.setitem(GRAD_UNITS, "mhsa", lambda rng: 1.0)
     assert main(["gradcheck", "--unit", "mhsa"]) == 1
     assert "mhsa" in (out := capsys.readouterr().out) and "[FAIL]" in out
 
@@ -422,25 +422,37 @@ def test_bad_settings_exit_two_and_name_the_key(tmp_path, tiny_config, capsys, c
         assert not out.exists(), command  # rejected before the run starts
 
 
+# Settings files no machine can hold, each with what check_run reports.
+TOO_BIG = {
+    # The defaults before the convergence fixture became them (J=15, C=16,
+    # scales (2, 4, 8), head_hidden 16): parameters, their gradients and
+    # Adam's moments.
+    "[scene]\njoints = 15\nchannels = 16\n\n[train]\nscales = 2, 4, 8\nhead_hidden = 16\n":
+        "10,076,531,324 parameters, 300.3 GiB",
+    # The defaults' 64x64 clip over 10**9 frames, and with 10**12 persons:
+    # features, flows and poses.
+    "[scene]\nframes = 1000000000\n\n[train]\nframes = 1000000000\n":
+        "the clip takes 91597.4 GiB",
+    "[scene]\npersons = 1000000000000\n": "the clip takes 223517.4 GiB",
+}
+
+
 def test_settings_too_big_for_memory_exit_two_before_anything_is_built(tmp_path, capsys,
                                                                        monkeypatch):
-    """The defaults before the convergence fixture became them (J=15, C=16,
-    scales (2, 4, 8), head_hidden 16) need about 300 GiB for the parameters,
-    their gradients and Adam's moments."""
     def built(*args):
         pytest.fail("a model or a scene was built")
 
     for name in ("ivt.train.IVTModel", "ivt.train.generate", "ivt.cli.generate"):
         monkeypatch.setattr(name, built)
-    path = tmp_path / "old-defaults.ini"
-    path.write_text("[scene]\njoints = 15\nchannels = 16\n\n[train]\nscales = 2, 4, 8\n"
-                    "head_hidden = 16\n")
-    for command, extra in SETTINGS_COMMANDS:
-        out = tmp_path / f"{command}-out"
-        assert main([command, "--config", str(path), *extra, "--out", str(out)]) == 2, command
-        err = capsys.readouterr().err
-        assert "10,076,531,324 parameters, 300.3 GiB" in err and "physical memory" in err
-        assert not out.exists(), command
+    path = tmp_path / "too-big.ini"
+    for text, need in TOO_BIG.items():
+        path.write_text(text)
+        for command, extra in SETTINGS_COMMANDS:
+            out = tmp_path / f"{command}-out"
+            assert main([command, "--config", str(path), *extra, "--out", str(out)]) == 2, command
+            err = capsys.readouterr().err
+            assert need in err and "physical memory" in err, (command, err)
+            assert not out.exists(), command
 
 
 def test_config_values_typed_by_field(tmp_path):

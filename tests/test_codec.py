@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 
 from ivt.codec import (Pose3D, decode_poses, encode_heatmap, encode_offsets,
                        keypoint_nms, poses_from_lines, poses_to_lines)
-from ivt.tensor import ConfigError, ContractError
+from ivt.tensor import ContractError
 
 RNG = np.random.default_rng
 
@@ -94,7 +94,7 @@ def test_wrong_joint_count_rejected():
 
 
 def test_nonpositive_sigma_rejected():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ContractError, match="^encode_heatmap: sigma must be positive"):
         encode_heatmap([], 8, 8, 0.0)
 
 

@@ -83,7 +83,7 @@ def compute() -> dict:
             "mpjpe": _hex(report.mpjpe), "pa_mpjpe": _hex(report.pa_mpjpe),
             "depth_error": _hex(report.depth_error)}
     values["bench_macs"] = {str(t): temporal_macs(t, *BENCH_RUN)[0] for t in BENCH_FRAMES}
-    values["grad_errors"] = {unit: [float.hex(check(np.random.default_rng(seed), 1e-6))
+    values["grad_errors"] = {unit: [float.hex(check(np.random.default_rng(seed)))
                                     for seed in GRAD_SEEDS]
                              for unit, check in GRAD_UNITS.items()}
     return values

@@ -10,7 +10,7 @@ from ivt.blocks import block_params, zero_block_outputs
 from ivt.gradcheck import grad_check
 from ivt.igt import (GridGeometry, extract_blocks, gather_indices, offset_head_params,
                      predict_offsets, retile, tokenize)
-from ivt.tensor import ConfigError, Tensor
+from ivt.tensor import ContractError, Tensor
 from ivt.video import VideoConfig, tokenize_clip
 from reference_ops import tanh
 
@@ -63,7 +63,7 @@ def test_extract_blocks_hand_enumerated_patches():
 
 
 def test_extract_blocks_rejects_indivisible():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ContractError, match="^extract_blocks: 6x6 not divisible by block size 4"):
         extract_blocks(rt(RNG(0), 1, 1, 6, 6), 4)
 
 
@@ -101,7 +101,7 @@ def test_offset_head_gradient():
 def test_offset_head_channel_mismatch_raises():
     rng = RNG(6)
     p = offset_head_params(rng, 2, 2, hidden=4)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ContractError, match="^predict_offsets: head expects 2 channels"):
         predict_offsets(rt(rng, 1, 3, 4, 4), p)
 
 
@@ -148,6 +148,11 @@ def test_non_finite_offsets_rejected():
     offsets[1, 0, 0, 0] = np.nan
     with pytest.raises(T.NumericError):
         gather_indices(offsets, GridGeometry(2, 2, 2), 1)
+
+
+def test_offset_maps_of_another_joint_count_rejected():
+    with pytest.raises(ContractError, match=r"^gather_indices: offset maps \(2, 2, 4, 4\)"):
+        gather_indices(np.zeros((2, 2, 4, 4)), GridGeometry(2, 2, 2), 2)
 
 
 def gather_reference(offsets, k, n_h, n_w):

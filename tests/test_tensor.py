@@ -10,8 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from ivt import tensor as T
 from ivt.gradcheck import grad_check
-from ivt.tensor import (BoundsError, ConfigError, ContractError, NumericError,
-                        ShapeError, Tensor, macs)
+from ivt.tensor import ContractError, NumericError, Tensor, macs
 from reference_ops import layernorm, matmul, softmax, tanh
 
 RNG = np.random.default_rng
@@ -55,21 +54,21 @@ def test_scalar_item():
 
 
 def test_add_shape_mismatch_raises():
-    with pytest.raises(ShapeError):
+    with pytest.raises(ContractError, match=r"^add: shapes \(2, 3\) and \(3, 2\) differ"):
         _ = rt(RNG(0), 2, 3) + rt(RNG(0), 3, 2)
 
 
 @pytest.mark.parametrize("op", [T.add, T.sub, T.mul], ids=["add", "sub", "mul"])
 def test_elementwise_ops_do_not_broadcast_a_scalar(op):
     x, c = rt(RNG(0), 2, 3), Tensor(np.array(2.0))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ContractError, match=f"^{op.__name__}: shapes"):
         op(x, c)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ContractError, match=f"^{op.__name__}: shapes"):
         op(c, x)
 
 
 def test_matmul_inner_dim_mismatch_raises():
-    with pytest.raises(ShapeError):
+    with pytest.raises(ContractError, match="^matmul: inner dims"):
         matmul(rt(RNG(0), 2, 3), rt(RNG(0), 4, 2))
 
 
@@ -163,17 +162,19 @@ def test_conv2d_matches_scalar_loops():
                     want[n, co, i, j] = acc
     got = T.conv2d(Tensor(x), Tensor(wgt), Tensor(b)).data
     np.testing.assert_allclose(got, want, atol=1e-12)
-    with pytest.raises(T.ShapeError):
+    with pytest.raises(ContractError, match=r"^conv2d: input must be \(B, C, H, W\)"):
         T.conv2d(Tensor(x[0]), Tensor(wgt), Tensor(b))  # one map needs its batch axis
 
 
 def test_conv2d_rejects_bad_weight_and_bias_shapes():
     rng = RNG(6)
     x, wgt = rt(rng, 2, 2, 5, 4), rt(rng, 3, 2, 3, 3)
-    with pytest.raises(ShapeError, match=r"bias \(1,\) must be \(3,\) for weight \(3, 2, 3, 3\)"):
+    with pytest.raises(ContractError, match=r"bias \(1,\) must be \(3,\) for weight \(3, 2, 3, 3\)"):
         T.conv2d(x, wgt, rt(rng, 1))  # would broadcast over the 3 output channels
-    with pytest.raises(ShapeError, match=r"weight \(3, 2, 3\) must be .* input \(2, 2, 5, 4\)"):
+    with pytest.raises(ContractError, match=r"weight \(3, 2, 3\) must be .* input \(2, 2, 5, 4\)"):
         T.conv2d(x, rt(rng, 3, 2, 3), rt(rng, 3))
+    with pytest.raises(ContractError, match="^conv2d: kernel dims must be odd"):
+        T.conv2d(x, rt(rng, 3, 2, 2, 3), rt(rng, 3))
 
 
 def test_take_rows_gathers_and_accumulates_grad():
@@ -188,7 +189,7 @@ def test_take_rows_gathers_and_accumulates_grad():
 
 
 def test_take_rows_out_of_bounds_raises():
-    with pytest.raises(BoundsError):
+    with pytest.raises(ContractError, match=r"^take_rows: index 3 out of range \[0, 3\)"):
         T.take_rows(rt(RNG(0), 3, 2), np.array([0, 3]))
     with pytest.raises(ContractError, match="integers"):
         T.take_rows(rt(RNG(0), 3, 2), [1.7, 0.2])  # would truncate to rows 1 and 0
@@ -203,20 +204,20 @@ def test_concat_narrow_round_trip():
     c = T.concat([a, b], axis=1)
     np.testing.assert_array_equal(T.narrow(c, 1, 0, 3).data, a.data)
     np.testing.assert_array_equal(T.narrow(c, 1, 3, 4).data, b.data)
-    with pytest.raises(BoundsError, match="length -1 is negative"):
+    with pytest.raises(ContractError, match="length -1 is negative"):
         T.narrow(c, 1, 2, -1)  # would be an empty slice
-    with pytest.raises(BoundsError):
+    with pytest.raises(ContractError, match=r"^narrow: slice \[5, 8\) out of range 7"):
         T.narrow(c, 1, 5, 3)
     np.testing.assert_array_equal(T.narrow(c, -1, 3, 4).data, b.data)
-    with pytest.raises(ShapeError, match="narrow: axis 2 out of range for rank 2"):
+    with pytest.raises(ContractError, match="narrow: axis 2 out of range for rank 2"):
         T.narrow(c, 2, 0, 1)
-    with pytest.raises(ShapeError, match="concat: axis 2 out of range for rank 2"):
+    with pytest.raises(ContractError, match="concat: axis 2 out of range for rank 2"):
         T.concat([a, b], axis=2)
-    with pytest.raises(ShapeError, match="concat: axis -3 out of range for rank 2"):
+    with pytest.raises(ContractError, match="concat: axis -3 out of range for rank 2"):
         T.concat([a], axis=-3)
-    with pytest.raises(ShapeError, match=r"concat: shapes \[\(2, 3\), \(2, 4\)\] differ"):
+    with pytest.raises(ContractError, match=r"concat: shapes \[\(2, 3\), \(2, 4\)\] differ"):
         T.concat([a, b], axis=0)
-    with pytest.raises(ShapeError, match=r"concat: shapes \[\(2, 3\), \(2, 3, 1\)\] differ"):
+    with pytest.raises(ContractError, match=r"concat: shapes \[\(2, 3\), \(2, 3, 1\)\] differ"):
         T.concat([a, rt(rng, 2, 3, 1)], axis=-1)
 
 
@@ -238,13 +239,13 @@ def test_reshape_transpose_round_trip():
 def test_reshape_infers_one_dimension():
     x = rt(RNG(9), 4, 6)
     assert T.reshape(x, (-1, 3)).shape == (8, 3)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ContractError, match="^reshape: at most one inferred dimension"):
         T.reshape(x, (-1, -1))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ContractError, match="^reshape: cannot reshape"):
         T.reshape(x, (-1, 5))
-    with pytest.raises(ShapeError, match="at least -1"):
+    with pytest.raises(ContractError, match="at least -1"):
         T.reshape(x, (-2, -3))  # the sizes multiply to 6, but no size is below -1
-    with pytest.raises(ShapeError, match="at least -1"):
+    with pytest.raises(ContractError, match="at least -1"):
         T.reshape(x, (-1, -8, 3))
 
 
@@ -370,10 +371,10 @@ def test_linear_matches_chain_bitwise(shape):
 def test_linear_rejects_mismatched_widths():
     rng = RNG(18)
     x, w = rt(rng, 3, 4), rt(rng, 4, 5)
-    with pytest.raises(ShapeError, match="^linear: input dim"):
+    with pytest.raises(ContractError, match="^linear: input dim"):
         T.linear(rt(rng, 3, 6), w, rt(rng, 5))
     for bad in ((4,), (1, 5), ()):
-        with pytest.raises(ShapeError, match="^linear: bias"):
+        with pytest.raises(ContractError, match="^linear: bias"):
             T.linear(x, w, Tensor(np.zeros(bad)))
 
 
@@ -443,11 +444,11 @@ def assert_sdpa_matches_chain_on(arrays, g, heads):
 
 def test_sdpa_rejects_mismatched_shapes():
     rng = RNG(14)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ContractError, match="^sdpa: inner dims"):
         T.sdpa(rt(rng, 3, 4), rt(rng, 5, 3), rt(rng, 5, 2), 1)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ContractError, match="^sdpa: inner dims"):
         T.sdpa(rt(rng, 3, 4), rt(rng, 5, 4), rt(rng, 6, 2), 1)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ContractError, match="^sdpa: shapes .* are incompatible"):
         T.sdpa(rt(rng, 2, 3, 4), rt(rng, 3, 5, 4), rt(rng, 3, 5, 2), 1)
 
 
@@ -455,7 +456,7 @@ def test_sdpa_heads_must_divide_both_widths():
     rng = RNG(24)
     q, k, v = rt(rng, 3, 4), rt(rng, 5, 4), rt(rng, 5, 6)
     for heads in (0, -1, 3, 4):  # 3 does not divide q's width 4, nor 4 v's width 6
-        with pytest.raises(ConfigError, match="heads"):
+        with pytest.raises(ContractError, match="heads"):
             T.sdpa(q, k, v, heads)
     assert T.sdpa(q, k, v, 2).shape == (3, 6)
 
@@ -745,12 +746,6 @@ def test_debug_checks_flag_detects_nan(debug_checks):
 
 
 # -- gradcheck utility ----------------------------------------------------------------
-
-
-def test_grad_check_rejects_bad_eps():
-    x = rt(RNG(0), 3)
-    with pytest.raises(T.ContractError):
-        grad_check(lambda t: T.tsum(t * t), x, eps=1.0)
 
 
 def test_grad_check_flags_wrong_gradient():

@@ -9,7 +9,7 @@ from ivt import tensor as T
 from ivt.blocks import block_params, transformer_block_self, zero_block_outputs
 from ivt.gradcheck import grad_check
 from ivt.igt import extract_blocks, gather_indices, tokenize
-from ivt.tensor import ConfigError, ContractError, NumericError, ShapeError, Tensor, macs
+from ivt.tensor import ConfigError, ContractError, NumericError, Tensor, macs
 from ivt.video import (GridGeometry, VideoConfig, align_tokens,
                        alignment_maps, block_mean_flow, cisa, cisa_params, ita,
                        ivt_forward, ivt_layer, mita, split_to_finest, video_params)
@@ -98,7 +98,7 @@ def test_single_frame_alignment_is_noop():
 def test_align_tokens_rejects_map_of_another_grid():
     rng = RNG(3)
     x = rt(rng, 2, 4, 6)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ContractError, match=r"^align_tokens: map \(2, 9\) for tokens"):
         align_tokens(x, alignment_maps([np.zeros((2, 6, 6))], GridGeometry(2, 3, 3), 2))
 
 
@@ -267,7 +267,7 @@ def test_ita_zero_flow_equivalence():
 
 def test_ita_token_width_must_match_the_weights():
     params = block_params(RNG(9), 4)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ContractError, match=r"^attention_branch: gain .* must be \(8,\)"):
         ita(rt(RNG(9), 2, 3, 8), params, 2)
 
 
@@ -357,6 +357,16 @@ def test_cisa_preserves_token_counts():
     outs = cisa(xs, params, cfg)
     for x, out in zip(xs, outs):
         assert out.shape == x.shape
+
+
+def test_cisa_takes_one_token_map_per_scale_at_its_width():
+    rng, cfg, grids = make_scales()
+    params = cisa_params(rng, cfg, grids)
+    xs = [rt(rng, 3, g.n, d) for g, d in zip(grids, cfg.token_dims)]
+    with pytest.raises(ContractError, match=f"^cisa: {len(xs) - 1} token maps for {len(xs)} "):
+        cisa(xs[:-1], params, cfg)
+    with pytest.raises(ContractError, match=f"^cisa: scale {cfg.scales[0]} token dim"):
+        cisa([rt(rng, 3, grids[0].n, 1), *xs[1:]], params, cfg)
 
 
 def test_cisa_matches_union_attention_oracle():
@@ -511,6 +521,43 @@ def test_forward_multiscale_gradient():
     assert grad_check(f, Tensor(features.data[:1])) <= 1e-5
 
 
+@settings(deadline=None, max_examples=20)
+@given(seed=st.integers(0, 2**16), joints=st.integers(1, 2),
+       dy=st.sampled_from((-4, 0, 4)), dx=st.sampled_from((-4, 0, 4)))
+@example(seed=0, joints=2, dy=0, dx=4)
+@example(seed=1, joints=2, dy=-4, dx=0)
+def test_shifting_the_clip_shifts_the_finest_tokens(seed, joints, dy, dx):
+    """At initialisation the positional embeddings are zero, so the stack commutes
+    with a cyclic shift of the clip by a multiple of lcm(scales) cells:
+    features, flows and gather offsets rolled by (dy, dx) cells roll the
+    finest tokens by (dy, dx) / 2 blocks, to 1e-12. Features fill the map;
+    flows and offsets are integers of at most 2 cells, nonzero only in the
+    central 8x8 box, so no gather or alignment reaches or wraps across the
+    border, before or after the shift."""
+    rng = RNG(seed)
+    frames, side, k, box = 3, 24, 2, slice(8, 16)  # lcm(scales) = 4 cells
+    cfg = VideoConfig(joints=joints, channels=1, scales=(2, 4), layers=2, heads=2,
+                      fuse_heads=2)
+    params = video_params(rng, cfg, side, side)
+    features = rng.uniform(-1, 1, size=(frames, 1, side, side))
+    offsets = np.zeros((frames, 2 * joints, side, side))
+    offsets[..., box, box] = rng.integers(-2, 3, size=(frames, 2 * joints, 8, 8))
+    flows = [np.zeros((2, side, side)) for _ in range(frames - 1)]
+    for flow in flows:
+        flow[:, box, box] = rng.integers(-2, 3, size=(2, 8, 8))
+
+    def shift(a):
+        return np.roll(a, (dy, dx), axis=(-2, -1))
+
+    def finest(feat, offs, fl):
+        out = ivt_forward(Tensor(feat), offs, fl, cfg, params).data
+        return out.reshape(frames, side // k, side // k, -1)
+
+    want = np.roll(finest(features, offsets, flows), (dy // k, dx // k), axis=(1, 2))
+    got = finest(shift(features), shift(offsets), [shift(f) for f in flows])
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
 # -- the config check ------------------------------------------------------------------
 
 
@@ -546,6 +593,6 @@ def test_config_rejects_exactly_what_the_model_fails_on(joints, channels, scales
         ivt_forward(rt(rng, 2, channels, 12, 12), np.zeros((2, 2 * joints, 12, 12)),
                     [np.zeros((2, 12, 12))], cfg, params)
         failed = False
-    except ConfigError:
+    except ContractError:
         failed = True
     assert rejected == failed
