@@ -33,7 +33,7 @@ from .blocks import block_params
 from .checkpoint import save_params
 from .synth import SceneSpec, generate
 from .tensor import ConfigError, NumericError, Tensor, macs
-from .train import TrainConfig, check_run, evaluate, load_model, train
+from .train import TrainConfig, check_run, evaluate, load_model, physical_bytes, train
 from .video import ita
 
 EXIT_OK = 0
@@ -252,20 +252,29 @@ def temporal_macs(frames: int, scene: SceneSpec, cfg: TrainConfig) -> tuple[int,
     return macs.by_scope.get("ita", 0), wall
 
 
-def _frame_counts(text: str) -> list[int]:
+def _frame_counts(text: str, scene: SceneSpec, cfg: TrainConfig) -> list[int]:
+    """The frame counts of ``--frames``, whose largest (frames, N_s, D_s)
+    token array must fit in physical memory."""
     try:
         frames = [int(v) for v in text.split(",")]
     except ValueError:
         frames = []
     if not frames or min(frames) < 1:
         raise ConfigError(f"bench: --frames {text!r}; need a comma list of frame counts >= 1")
+    video_cfg = check_run(scene, cfg)
+    grids = video_cfg.grids(scene.height, scene.width)
+    largest = 8 * max(frames) * max(g.n * d for g, d in zip(grids, video_cfg.token_dims))
+    if largest > physical_bytes():
+        raise ConfigError(f"bench: --frames {max(frames)} makes a {largest / 2**30:.1f} GiB token "
+                          f"array, above the {physical_bytes() / 2**30:.1f} GiB of physical "
+                          "memory; need fewer frames")
     return frames
 
 
 def cmd_bench(args) -> int:
     _check_out_dir(args.out)
-    frames = _frame_counts(args.frames)
     scene, cfg = read_config(args.config)
+    frames = _frame_counts(args.frames, scene, cfg)
     rows = []
     print(f"{'frames':>6s} {'temporal_macs':>14s} {'wall_s':>8s}")
     for t in frames:

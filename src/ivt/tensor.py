@@ -9,8 +9,11 @@ activation is freed as soon as no later closure needs it. Only leaves
 (tensors created with ``requires_grad=True``, i.e. parameters and inputs)
 keep ``.grad`` after ``backward``. A consumed graph cannot be differentiated
 again; a second ``backward`` through it raises ``ContractError``. Data
-buffers are row-major contiguous float64 and are treated as immutable after
-construction; only the ``grad`` buffer is mutated.
+buffers are row-major contiguous float64. An op writes only the temporaries
+it allocated in the same call (``ffn_branch`` computes gelu in its own
+buffers), never a tape array (a Tensor's data) or a closure's incoming
+gradient. Outside the ops only the optimizer writes in place, between a
+backward and the next forward: a leaf's ``grad`` (clipping) and its data.
 
 A backward closure keeps only its parents' data, its own output, parameters
 and per-row statistics (a layer norm's mean and inverse deviation,
@@ -240,28 +243,35 @@ def _gelu_tanh(x: np.ndarray) -> np.ndarray:
     return t
 
 
-def _gelu(x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """x Φ(x) = 0.5 x (1 + t), from x and its tanh term t, as a new array."""
-    out = 0.5 * x
-    out *= 1.0 + t
+def _gelu(x: np.ndarray, t: np.ndarray, out=None) -> np.ndarray:
+    """x Φ(x) = 0.5 x (1 + t), from x and its tanh term t, into ``out`` (which
+    may be x) or a new array. t becomes 1 + t."""
+    t += 1.0
+    out = np.multiply(x, 0.5, out=out)
+    out *= t
     return out
 
 
-def _gelu_grad(x: np.ndarray, t: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """g times gelu's derivative at x, from x and its tanh term t."""
-    dinner = (3 * 0.044715) * x
+def _gelu_grad(x: np.ndarray, t: np.ndarray, g: np.ndarray, t1=None, scratch=None,
+               out=None) -> np.ndarray:
+    """g times gelu's derivative at x, from x, its tanh term t and, if the
+    caller has it, t1 = 1 + t. t becomes 1 − t² and t1 0.5 (1 + t); the
+    inner derivative goes into ``scratch`` and the result into ``out``
+    (which may be x), or each into a new array."""
+    if t1 is None:
+        t1 = 1.0 + t
+    dinner = np.multiply(x, 3 * 0.044715, out=scratch)
     dinner *= x
     # Above 1e300, 1 - t² is exactly 0, and an x² overflowed to inf would make 0 · inf NaN.
     np.minimum(dinner, 1e300, out=dinner)
     dinner += 1.0
     dinner *= _GELU_C
-    w = t * t
-    d = 0.5 * x
-    d *= np.subtract(1.0, w, out=w)
+    d = np.multiply(x, 0.5, out=out)
+    t *= t
+    d *= np.subtract(1.0, t, out=t)
     d *= dinner
-    np.add(1.0, t, out=w)
-    w *= 0.5
-    d += w
+    t1 *= 0.5
+    d += t1
     d *= g
     return d
 
@@ -678,11 +688,15 @@ def _layernorm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, stats=None):
     return out, xhat, mu, inv
 
 
-def _layernorm_grad(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gain: np.ndarray):
-    """(dx, dgain, dbias) of ``_layernorm`` for the output gradient g."""
-    gh = g * gain
-    gh *= inv
-    dx = gh - gh.mean(axis=-1, keepdims=True) - xhat * (gh * xhat).mean(axis=-1, keepdims=True)
+def _layernorm_grad(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gain: np.ndarray,
+                    need_dx: bool = True):
+    """(dx, dgain, dbias) of ``_layernorm`` for the output gradient g; dx is
+    None unless ``need_dx``."""
+    dx = None
+    if need_dx:
+        gh = g * gain
+        gh *= inv
+        dx = gh - gh.mean(axis=-1, keepdims=True) - xhat * (gh * xhat).mean(axis=-1, keepdims=True)
     lead = tuple(range(g.ndim - 1))
     return dx, (g * xhat).reshape(-1, g.shape[-1]).sum(axis=0), g.sum(axis=lead)
 
@@ -700,7 +714,8 @@ def attention_branch(x: Tensor, gain: Tensor, bias: Tensor, wq: Tensor, bq: Tens
     statistics of the layer norm, the attention output before wo and sdpa's
     logsumexp. Backward rebuilds the layer norm's output, then q, k and v
     from it, and drops them once sdpa's backward has run: over n keys of
-    width d that costs 3·n·d² MACs against the attention's 2·n²·d. The
+    width d that costs 3·n·d² MACs against the attention's 2·n²·d. When x
+    takes no gradient, backward skips the layer norm's input gradient. The
     output and every gradient are bitwise those of the chain layernorm,
     three ``linear``, ``sdpa``, ``linear`` and ``add`` (the chain in
     ``tests/reference_ops.py``), and MACs are charged as that chain's
@@ -744,8 +759,10 @@ def attention_branch(x: Tensor, gain: Tensor, bias: Tensor, wq: Tensor, bq: Tens
             dl, dw, db = _affine_grad(ln2, w.data, dp.reshape(-1, w.shape[1]))
             dln = dl if dln is None else dln + dl
             dparams += [dw, db]
-        dx, dgain, dbias = _layernorm_grad(dln.reshape(x.shape), xhat, inv, gain.data)
-        dx += g
+        dx, dgain, dbias = _layernorm_grad(dln.reshape(x.shape), xhat, inv, gain.data,
+                                           x.requires_grad)
+        if dx is not None:
+            dx += g
         return (dx, dgain, dbias, *dparams, dwo, dbo)
 
     return Tensor._result(data, (x, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo), bw,
@@ -757,9 +774,11 @@ def ffn_branch(x: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, b1: Tensor,
     """x + (gelu(LN(x) w1 + b1) w2 + b2), one node.
 
     LN is the layer norm over the last axis with ``gain`` and ``bias``.
-    The closure keeps only the row statistics of the layer norm. Backward
-    rebuilds the layer norm's output, the pre-activation h = LN(x) w1 + b1
-    from it, and gelu's tanh term and output from h. The output and every
+    The closure keeps only the row statistics of the layer norm. Forward
+    turns h = LN(x) w1 + b1 into gelu(h) in place. Backward rebuilds the
+    layer norm's output, h from it, and gelu's tanh term t, 1 + t and
+    output from h, then forms gelu's derivative in those buffers, so it
+    holds five arrays of h's size at most. The output and every
     gradient are bitwise those of the chain layernorm, ``linear``,
     ``gelu``, ``linear`` and ``add`` (the chain in
     ``tests/reference_ops.py``), and MACs are charged as that chain's
@@ -778,8 +797,8 @@ def ffn_branch(x: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, b1: Tensor,
     h = _affine(ln.reshape(-1, d), w1.data, b1.data)
     del ln
     _check_finite(h, f"{op}/hidden")
-    act = _gelu(h, _gelu_tanh(h))
-    data = _affine(act, w2.data, b2.data).reshape(x.shape)
+    _gelu(h, _gelu_tanh(h), out=h)
+    data = _affine(h, w2.data, b2.data).reshape(x.shape)
     data += x.data
 
     def bw(g):
@@ -787,9 +806,11 @@ def ffn_branch(x: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, b1: Tensor,
         ln2 = ln.reshape(-1, d)
         h = _affine_rebuild(ln2, w1.data, b1.data)
         t = _gelu_tanh(h)
-        dact, dw2, db2 = _affine_grad(_gelu(h, t), w2.data, g.reshape(-1, d))
-        dh = _gelu_grad(h, t, dact)
-        del h, t, dact
+        t1 = t.copy()
+        act = _gelu(h, t1)
+        dact, dw2, db2 = _affine_grad(act, w2.data, g.reshape(-1, d))
+        dh = _gelu_grad(h, t, dact, t1, scratch=act, out=h)
+        del t, t1, act, dact
         dln, dw1, db1 = _affine_grad(ln2, w1.data, dh)
         dx, dgain, dbias = _layernorm_grad(dln.reshape(x.shape), xhat, inv, gain.data)
         dx += g
@@ -815,8 +836,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     x: (B, C_in, H, W); w: (C_out, C_in, kh, kw) with odd kh, kw; b: (C_out,).
     im2col over all B maps at once: the forward is one matmul, the backward
-    one matmul for dw (summed over the batch) and one per kernel tap for dx.
-    The backward rebuilds the im2col matrix from x rather than keeping it.
+    one matmul for dw (summed over the batch) and one per kernel tap for dx,
+    which it skips (returns None) when x takes no gradient. The backward
+    rebuilds the im2col matrix from x rather than keeping it.
     """
     if x.ndim != 4:
         raise ContractError(f"conv2d: input must be (B, C, H, W), got {x.shape}")
@@ -843,6 +865,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         gmat = g.transpose(0, 2, 3, 1).reshape(bsz * h * wid, cout)
         dw = (gmat.T @ _im2col(x.data, kh, kw)).reshape(w.shape)
         db = gmat.sum(axis=0)
+        if not x.requires_grad:
+            return None, dw, db
         dxp = np.zeros((bsz, cin, h + 2 * ph, wid + 2 * pw))
         for di in range(kh):
             for dj in range(kw):  # dcols = gmat @ wmat one kernel tap at a time, to bound memory

@@ -164,7 +164,8 @@ class Adam:
         self.t = 0
 
     def clip_gradients(self, max_norm: float) -> float:
-        """Global gradient norm before clipping; rescales to max_norm when above it (> 0)."""
+        """Global gradient norm before clipping; rescales to max_norm when above it (> 0),
+        in place (every leaf's ``.grad`` owns its buffer)."""
         total = 0.0
         for p in self.params.values():
             if p.grad is not None:
@@ -174,7 +175,7 @@ class Adam:
             factor = max_norm / norm
             for p in self.params.values():
                 if p.grad is not None:
-                    p.grad = p.grad * factor
+                    p.grad *= factor
         return norm
 
     def step(self, lr: float) -> None:
@@ -286,6 +287,11 @@ def _check_root_cells(scene: SceneSpec, cfg: TrainConfig) -> None:
                               "blob_sigma, amplitude)")
 
 
+def physical_bytes() -> int:
+    """The machine's physical memory, the bound of every memory rule, in bytes."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def check_run(scene: SceneSpec, cfg: TrainConfig) -> VideoConfig:
     """The architecture a scene and a train config name, once the one check of a
     run passes before anything is generated or built: one clip length,
@@ -307,7 +313,7 @@ def check_run(scene: SceneSpec, cfg: TrainConfig) -> VideoConfig:
     t, hw = scene.frames, scene.height * scene.width
     clip = 8 * (t * scene.channels * hw + 2 * (t - 1) * hw + scene.persons * t * scene.joints * 3)
     params = count * BYTES_PER_PARAM
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    have = physical_bytes()
     if params + clip > have:
         raise ConfigError(f"the model has {count:,} parameters, {params / 2**30:.1f} GiB with their "
                           f"gradients and Adam's moments, and the clip takes {clip / 2**30:.1f} "

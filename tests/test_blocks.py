@@ -378,6 +378,37 @@ def live_bytes(build):
         tracemalloc.stop()
 
 
+def peak_bytes(build):
+    """(out, bytes): build's result, and the most bytes its call held at
+    once. build runs once before, so one-off allocations do not count."""
+    build()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = build()
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_ffn_branch_computes_gelu_in_the_buffers_it_holds():
+    """Forward holds at most two arrays of the hidden layer's size at once
+    (h and gelu's tanh term) and backward five (h, the tanh term, 1 + it,
+    gelu's output and its gradient), plus a few arrays of the input's
+    size: the layer norm's, the gradients' and the output."""
+    rng = RNG(24)
+    d, lead = 32, (4, 75)
+    params = block_params(rng, d)
+    x = Tensor(rng.uniform(-1, 1, size=lead + (d,)), requires_grad=True)
+    hidden, slack = 8 * 300 * 4 * d, 3 * 8 * 300 * d
+    out, forward = peak_bytes(lambda: ffn_branch(x, params, 2))
+    assert forward <= 2 * hidden + slack, (forward, hidden)
+    g = rng.standard_normal(out.shape)
+    _, backward = peak_bytes(lambda: out._backward_fn(g))
+    assert backward <= 5 * hidden + slack, (backward, hidden)
+
+
 def test_block_forward_keeps_less_than_the_chain():
     """Between forward and backward a block holds at least the bytes of two
     layer-norm outputs, the GELU output, the two projections before the

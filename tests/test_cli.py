@@ -287,6 +287,20 @@ def test_bench_rejects_bad_values_and_names_the_key(tmp_path, capsys, flag, valu
     assert captured.out == ""  # rejected before the table header
 
 
+def test_bench_frames_too_big_for_memory_exit_two_before_the_header(tiny_config, capsys,
+                                                                   monkeypatch):
+    """A sweep whose largest token array (frames x N_s x D_s float64) is
+    above physical memory is rejected naming --frames, before any row."""
+    def run(*args):
+        pytest.fail("bench ran a sweep too big for memory")
+
+    monkeypatch.setattr("ivt.cli.temporal_macs", run)
+    assert main(["bench", "--config", tiny_config, "--frames", "1,1000000000"]) == 2
+    captured = capsys.readouterr()
+    assert "--frames 1000000000" in captured.err and "physical memory" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("keep", [5, "half"])
 def test_eval_on_a_cut_checkpoint_exit_two_and_name_the_file(tmp_path, tiny_config, capsys,
                                                              keep):

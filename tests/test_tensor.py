@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ivt import tensor as T
+from ivt.blocks import block_params
 from ivt.gradcheck import grad_check
 from ivt.tensor import ContractError, NumericError, Tensor, macs
 from reference_ops import layernorm, matmul, softmax, tanh
@@ -295,6 +296,36 @@ def test_conv2d_gradients_all_arguments():
     assert grad_check(lambda t: T.tsum(T.conv2d(t, w, b) * cot), x) <= 1e-6
     assert grad_check(lambda t: T.tsum(T.conv2d(x, t, b) * cot), w) <= 1e-6
     assert grad_check(lambda t: T.tsum(T.conv2d(x, w, t) * cot), b) <= 1e-6
+
+
+def conv2d_of(x, p):
+    return T.conv2d(x, p["conv_w"], p["conv_b"])
+
+
+def attention_branch_of(x, p):
+    return T.attention_branch(x, p["ln1_g"], p["ln1_b"], p["wq"], p["bq"], p["wk"], p["bk"],
+                              p["wv"], p["bv"], p["wo"], p["bo"], 2)
+
+
+@pytest.mark.parametrize("op, shape", [(conv2d_of, (2, 4, 5, 4)), (attention_branch_of, (3, 7, 4))],
+                         ids=["conv2d", "attention_branch"])
+def test_backward_skips_the_input_gradient_nothing_takes(op, shape):
+    """With an x that takes no gradient the closure returns None for it, and
+    every parameter gradient is bitwise the one it returns when x takes one."""
+    rng = RNG(31)
+    params = {k: p.data for k, p in block_params(rng, shape[-1]).items()}
+    params["conv_w"], params["conv_b"] = rng.uniform(-1, 1, (3, 4, 3, 3)), rng.uniform(-1, 1, 3)
+    x = rng.uniform(-1, 1, size=shape)
+
+    def grads(requires_grad):
+        y = op(Tensor(x, requires_grad=requires_grad),
+               {k: Tensor(v, requires_grad=True) for k, v in params.items()})
+        dx, *rest = y._backward_fn(RNG(32).standard_normal(y.shape))
+        return dx, [g.tobytes() for g in rest]
+
+    (none, skipped), (dx, full) = grads(False), grads(True)
+    assert none is None and dx.shape == shape
+    assert skipped == full
 
 
 def test_reduction_and_broadcast_gradients():

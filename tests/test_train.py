@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings, strategies as st
 import reference_ops
 from ivt import igt, video
 from ivt import tensor as T
+from ivt.blocks import block_params, transformer_block_self
 from ivt.cli import BLAS_THREAD_VARS
 from ivt.checkpoint import load_params, save_params
 from ivt.codec import Pose3D, encode_heatmap, encode_offsets
@@ -153,6 +154,23 @@ def test_gradient_clipping_caps_global_norm():
     norm = opt.clip_gradients(1.0)
     assert norm == pytest.approx(20.0)
     assert np.linalg.norm(p.grad) == pytest.approx(1.0)
+
+
+def test_gradient_clipping_rescales_each_buffer_in_place():
+    """Clipping keeps every leaf's gradient buffer and gives the bits of
+    g * factor; backward leaves each leaf a buffer of its own."""
+    rng = np.random.default_rng(5)
+    params = block_params(rng, 8)
+    x = Tensor(rng.uniform(-1, 1, size=(3, 8)), requires_grad=True)
+    T.backward(T.tsum(transformer_block_self(x, params, 2)))
+    grads = {k: p.grad for k, p in params.items()}
+    assert all(g.base is None for g in grads.values())
+    want = {k: g.copy() for k, g in grads.items()}
+    norm = Adam(params).clip_gradients(1e-3)
+    assert norm > 1e-3
+    for k, p in params.items():
+        assert p.grad is grads[k]
+        assert p.grad.tobytes() == (want[k] * (1e-3 / norm)).tobytes(), k
 
 
 def test_lr_schedule_two_milestone_drops():
