@@ -5,10 +5,12 @@ its tolerance (``ivt gradcheck``), 2 usage or config error (``ConfigError``,
 ``ContractError``), 3 numeric failure (``NumericError``). ``ivt train`` and
 ``ivt eval`` write a JSON manifest into ``--out``, and ``ivt bench`` does
 when given ``--out``. It is sufficient to reproduce the run (command, config
-snapshot with its seeds, artifact paths, input hashes, timestamps) and holds
+snapshot with its seeds, artifact paths, input hashes, timestamps), holds
 the machine facts that bitwise results depend on (Python, numpy and BLAS
-versions, BLAS thread variables, git revision). ``ivt scene`` writes a
-settings file that replays a run instead, and ``ivt gradcheck`` writes none.
+versions, BLAS thread variables, git revision) and records the process's
+peak resident memory (``peak_rss_mib``, from ``ru_maxrss``). ``ivt scene``
+writes a settings file that replays a run instead, and ``ivt gradcheck``
+writes none.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import hashlib
 import json
 import os
 import platform
+import resource
 import sys
 import time
 from dataclasses import asdict
@@ -181,6 +184,7 @@ def write_manifest(out_dir: Path, command: str, config: dict, artifacts: list[st
         "artifacts": artifacts,
         "input_hashes": {str(p): _hash_file(p) for p in inputs if p and Path(p).is_file()},
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+        "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "machine": machine_facts(),
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")

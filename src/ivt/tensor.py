@@ -1,19 +1,22 @@
 """Dense f64 tensors with reverse-mode automatic differentiation.
 
 The graph is a tape rebuilt on every forward pass: each Tensor produced by
-an operation remembers its parents and a closure that maps the output
-gradient to parent gradients. ``backward`` walks the tape once, in reverse
-topological order, and consumes it as it goes: once a node's closure has
-run, the node drops its closure, its parents and its gradient, so every
-activation is freed as soon as no later closure needs it. Only leaves
-(tensors created with ``requires_grad=True``, i.e. parameters and inputs)
-keep ``.grad`` after ``backward``. A consumed graph cannot be differentiated
-again; a second ``backward`` through it raises ``ContractError``. Data
-buffers are row-major contiguous float64. An op writes only the temporaries
-it allocated in the same call (``ffn_branch`` computes gelu in its own
-buffers), never a tape array (a Tensor's data) or a closure's incoming
-gradient. Outside the ops only the optimizer writes in place, between a
-backward and the next forward: a leaf's ``grad`` (clipping) and its data.
+an operation points to a tape vertex (``_Node``) that holds a closure
+mapping the output gradient to parent gradients, and the parents' vertices.
+A vertex holds no data, and a closure holds only what it reads (a parent's
+data or Tensor, its own output, a shape). ``backward`` walks the vertices
+once, in reverse topological order, and consumes them as it goes: once a
+vertex's closure has run, it drops its closure, its parents and its
+gradient, so every array is freed as soon as no later closure reads it.
+Only leaves (tensors created with ``requires_grad=True``, i.e. parameters
+and inputs) keep ``.grad`` after ``backward``. A consumed graph cannot be
+differentiated again; a second ``backward`` through it raises
+``ContractError``. Data buffers are row-major contiguous float64. An op
+writes only the temporaries it allocated in the same call (``ffn_branch``
+computes gelu in its own buffers), never a tape array (a Tensor's data) or
+a closure's incoming gradient. Outside the ops only the optimizer writes
+in place, between a backward and the next forward: a leaf's ``grad``
+(clipping) and its data.
 
 A backward closure keeps only its parents' data, its own output, parameters
 and per-row statistics (a layer norm's mean and inverse deviation,
@@ -24,9 +27,11 @@ output, a layer norm's normalized input and output, a branch's q, k, v and
 FFN pre-activation, ``sdpa``'s per-head copies, ``conv2d``'s im2col matrix)
 it rebuilds when it runs, with the same ops in the same order as forward,
 so the values are bitwise those forward had. A rebuild charges no MACs:
-``macs`` counts the forward's. Holding a parent's data costs nothing: the
-tape keeps every node alive until its own closure has run, so the live
-arrays between forward and backward are the tape's.
+``macs`` counts the forward's. An op's output lives while the caller holds
+its Tensor or a closure reads it, and no longer: an intermediate that no
+closure reads (an ``add`` feeding a ``transpose``) is freed before
+``backward``, and one that a closure reads (``linear``'s input) dies once
+that closure has run.
 
 Ops take Tensors; an array is never converted to one implicitly.
 Elementwise ops (``add``, ``sub``, ``mul``) take operands of equal shape.
@@ -39,6 +44,7 @@ hold each formula once; the public ops and the branches share them.
 
 from __future__ import annotations
 
+import weakref
 from contextlib import contextmanager
 from typing import Callable, Optional, Sequence
 
@@ -120,10 +126,36 @@ def _check_finite(arr: np.ndarray, op: str) -> None:
         raise NumericError(f"{op}: non-finite output at index {tuple(map(int, bad[0]))}")
 
 
+class _Node:
+    """A tape vertex: an op's backward closure, its parents' vertices, its
+    gradient while backward runs, its output's shape and the op's name.
+
+    It holds its output's buffer only weakly: ``data`` is that buffer while
+    a Tensor or a closure still holds it, else None. A leaf Tensor is its
+    own vertex; a parent that takes no gradient is ``_NO_GRAD``."""
+
+    __slots__ = ("_backward_fn", "_parents", "grad", "shape", "op", "requires_grad", "_ref")
+
+    def __init__(self, fn, parents: tuple, out: Optional[np.ndarray], op: str) -> None:
+        self._backward_fn, self._parents, self.grad, self.op = fn, parents, None, op
+        self.requires_grad = out is not None  # False only for ``_NO_GRAD``
+        self.shape = () if out is None else out.shape
+        while isinstance(out, np.ndarray) and isinstance(out.base, np.ndarray):
+            out = out.base  # the buffer's owner, which a closure's view keeps alive
+        self._ref = None if out is None else weakref.ref(out)
+
+    @property
+    def data(self) -> Optional[np.ndarray]:
+        return None if self._ref is None else self._ref()
+
+
+_NO_GRAD = _Node(None, (), None, "no_grad")
+
+
 class Tensor:
     """N-dimensional float64 array with an optional gradient buffer."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "__weakref__")
+    __slots__ = ("data", "requires_grad", "grad", "_node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -132,8 +164,21 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward_fn: Optional[Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]] = None
+        self._node: Optional[_Node] = None
+
+    @property
+    def _parents(self) -> tuple:
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _backward_fn(self) -> Optional[Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]]:
+        return None if self._node is None else self._node._backward_fn
+
+    def _vertex(self):
+        """This tensor's tape vertex: its node, itself as a leaf, or ``_NO_GRAD``."""
+        if not self.requires_grad:
+            return _NO_GRAD
+        return self if self._node is None else self._node
 
     # -- basic properties -------------------------------------------------
 
@@ -165,8 +210,7 @@ class Tensor:
         out = Tensor(data)
         if any(p.requires_grad for p in parents):
             out.requires_grad = True
-            out._parents = parents
-            out._backward_fn = backward_fn
+            out._node = _Node(backward_fn, tuple(p._vertex() for p in parents), out.data, op)
         return out
 
     # -- operators ----------------------------------------------------------
@@ -328,13 +372,13 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     the backward returns what a reshape/matmul/add_bcast/reshape chain
     would, bitwise.
     """
-    d_out = _linear_width(x.shape[-1], w, b, "linear")
+    d_out, shape = _linear_width(x.shape[-1], w, b, "linear"), x.shape
     x2 = x.data.reshape(-1, w.shape[0])
     data = _affine(x2, w.data, b.data)
 
     def bw(g):
         dx2, dw, db = _affine_grad(x2, w.data, g.reshape(-1, d_out))
-        return dx2.reshape(x.shape), dw, db
+        return dx2.reshape(shape), dw, db
 
     return Tensor._result(data.reshape(x.shape[:-1] + (d_out,)), (x, w, b), bw, "linear")
 
@@ -368,8 +412,8 @@ def reshape(a: Tensor, new_shape) -> Tensor:
         new_shape = tuple(a.size // known if s == -1 else s for s in new_shape)
     if int(np.prod(new_shape, dtype=np.int64)) != a.size:
         raise ContractError(f"reshape: cannot reshape {a.shape} to {new_shape}")
-    data = a.data.reshape(new_shape)
-    return Tensor._result(data, (a,), lambda g: (g.reshape(a.shape),), "reshape")
+    data, shape = a.data.reshape(new_shape), a.shape
+    return Tensor._result(data, (a,), lambda g: (g.reshape(shape),), "reshape")
 
 
 def transpose(a: Tensor, axes) -> Tensor:
@@ -419,10 +463,10 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
         return a
     idx = [slice(None)] * a.ndim
     idx[axis] = slice(start, start + length)
-    data = np.ascontiguousarray(a.data[tuple(idx)])
+    data, shape = np.ascontiguousarray(a.data[tuple(idx)]), a.shape
 
     def bw(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(shape)
         full[tuple(idx)] = g
         return (full,)
 
@@ -440,10 +484,10 @@ def take_rows(a: Tensor, indices) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
         bad = idx[(idx < 0) | (idx >= a.shape[0])][0]
         raise ContractError(f"take_rows: index {int(bad)} out of range [0, {a.shape[0]})")
-    data = np.ascontiguousarray(a.data[idx])
+    data, shape = np.ascontiguousarray(a.data[idx]), a.shape
 
     def bw(g):
-        out = np.zeros_like(a.data)
+        out = np.zeros(shape)
         np.add.at(out, idx, g)
         return (out,)
 
@@ -452,19 +496,20 @@ def take_rows(a: Tensor, indices) -> Tensor:
 
 def tsum(a: Tensor) -> Tensor:
     """Sum of every element, as a 0-d tensor."""
+    shape = a.shape
 
     def bw(g):
-        return (np.broadcast_to(g, a.shape).astype(np.float64),)  # a copy
+        return (np.broadcast_to(g, shape).astype(np.float64),)  # a copy
 
     return Tensor._result(np.asarray(a.data.sum()), (a,), bw, "sum")
 
 
 def tmean(a: Tensor) -> Tensor:
     """Mean of every element, as a 0-d tensor."""
-    n = a.size
+    n, shape = a.size, a.shape
 
     def bw(g):
-        return (np.broadcast_to(g, a.shape).astype(np.float64) / n,)
+        return (np.broadcast_to(g, shape).astype(np.float64) / n,)
 
     return Tensor._result(np.asarray(a.data.sum() / n), (a,), bw, "mean")
 
@@ -886,8 +931,8 @@ def _consumed(g):
                         "earlier backward")
 
 
-def _accumulate(parents: tuple[Tensor, ...], grads) -> None:
-    """Add the gradients one closure returned into its parents' ``.grad``.
+def _accumulate(parents: tuple, grads, op: str) -> None:
+    """Add the gradients the closure of ``op`` returned into its parents' ``.grad``.
 
     Closures never write into their incoming ``g``; each returns ``g``
     itself, a view of it, or an array it made in the call. A parent's
@@ -896,12 +941,14 @@ def _accumulate(parents: tuple[Tensor, ...], grads) -> None:
     (``add`` returns its ``g`` twice), and a view that arrives at a leaf.
     An interior node only reads its gradient and drops it when its
     closure has run, so it may hold a view; a leaf keeps its ``.grad``,
-    so every leaf's ``.grad`` owns its buffer.
+    so every leaf's ``.grad`` owns its buffer. Under debug checks a
+    non-finite gradient raises ``NumericError`` naming ``op`` and the parent.
     """
     taken: list[np.ndarray] = []
-    for parent, g in zip(parents, grads):
+    for i, (parent, g) in enumerate(zip(parents, grads)):
         if g is None or not parent.requires_grad:
             continue
+        _check_finite(g, f"backward of {op}, parent {i}")
         if g.shape != parent.shape:
             raise ContractError(
                 f"backward: gradient shape {g.shape} does not match tensor {parent.shape}")
@@ -918,15 +965,16 @@ def _accumulate(parents: tuple[Tensor, ...], grads) -> None:
 def backward(loss: Tensor) -> None:
     """Populate .grad on every leaf reachable from loss, consuming the graph.
 
-    Each non-leaf node drops its closure, parents and gradient as soon as
-    its closure has run, so activations are freed during the walk.
+    Each tape vertex drops its closure, parents and gradient as soon as its
+    closure has run, so the arrays the closure read are freed during the walk.
     """
     if loss.size != 1:
         raise ContractError(f"backward: loss must be scalar, got shape {loss.shape}")
+    root = loss if loss._node is None else loss._node
     # Topological order via iterative post-order DFS; deterministic.
-    topo: list[Tensor] = []
+    topo: list = []
     visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list[tuple] = [(root, False)]
     while stack:
         node, done = stack.pop()
         if done:
@@ -939,7 +987,7 @@ def backward(loss: Tensor) -> None:
         for p in node._parents:
             if id(p) not in visited and p.requires_grad:
                 stack.append((p, False))
-    loss.grad = np.ones_like(loss.data)
+    root.grad = np.ones_like(loss.data)
     while topo:
         node = topo.pop()
         fn, g, parents = node._backward_fn, node.grad, node._parents
@@ -947,4 +995,4 @@ def backward(loss: Tensor) -> None:
             continue  # a leaf keeps its gradient
         node._backward_fn, node._parents, node.grad = _consumed, (), None
         if g is not None:
-            _accumulate(parents, fn(g))
+            _accumulate(parents, fn(g), node.op)

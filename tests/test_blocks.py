@@ -411,18 +411,25 @@ def test_ffn_branch_computes_gelu_in_the_buffers_it_holds():
 
 def test_block_forward_keeps_less_than_the_chain():
     """Between forward and backward a block holds at least the bytes of two
-    layer-norm outputs, the GELU output, the two projections before the
-    residual adds, q, k, v and the FFN pre-activation less than the chain:
-    15 rows of width d per token."""
+    layer-norm outputs, the GELU output, q, k, v and the FFN pre-activation
+    less than the chain: 13 rows of width d per token (the chain's two
+    projections before the residual adds are freed, since ``add`` reads
+    neither). The block itself holds three rows of width d per token (the
+    attention branch's output, which the FFN branch reads, the attention
+    output before its projection, and the block's output), the two layer
+    norms' row statistics and the logsumexp per head, and at most 12 KiB of
+    Python objects."""
     rng = RNG(20)
-    d, rows = 32, 4 * 16
+    d, rows, heads = 32, 4 * 16, 2
     params = block_params(rng, d)
     x = Tensor(rng.uniform(-1, 1, size=(4, 16, d)), requires_grad=True)
-    fused, fused_bytes = live_bytes(lambda: transformer_block_self(x, params, 2))
-    chain, chain_bytes = live_bytes(lambda: reference_ops.transformer_block_self(x, params, 2))
+    fused, fused_bytes = live_bytes(lambda: transformer_block_self(x, params, heads))
+    chain, chain_bytes = live_bytes(lambda: reference_ops.transformer_block_self(x, params, heads))
     np.testing.assert_array_equal(fused.data, chain.data)
-    gone = 8 * rows * (2 * d + 4 * d + 2 * d + 3 * d + 4 * d)
+    gone = 8 * rows * (2 * d + 4 * d + 3 * d + 4 * d)
     assert chain_bytes - fused_bytes >= gone, (chain_bytes, fused_bytes, gone)
+    held = 8 * rows * (3 * d + 2 * 2 + heads) + 12 * 1024
+    assert fused_bytes <= held, (fused_bytes, held)
 
 
 # The chain's residual add and the branch's width check word one fault two ways.

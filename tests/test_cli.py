@@ -4,6 +4,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import shlex
 import subprocess
 import sys
@@ -110,6 +111,8 @@ def test_train_then_eval_end_to_end(tmp_path, tiny_config, capsys):
     assert manifest["command"] == "train"
     assert manifest["config"]["train"]["steps"] == 10
     assert "checkpoint.ivtc" in manifest["artifacts"]
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # ru_maxrss is in KiB
+    assert 10.0 < manifest["peak_rss_mib"] <= peak  # this process's peak, as the run left it
     machine = manifest["machine"]
     assert machine["python"] == platform.python_version()
     assert machine["numpy"] == np.__version__
@@ -123,7 +126,9 @@ def test_train_then_eval_end_to_end(tmp_path, tiny_config, capsys):
                  "--config", tiny_config, "--out", str(eval_out)])
     assert code == 0
     assert (eval_out / "eval.csv").is_file()
-    assert (eval_out / "manifest.json").is_file()
+    eval_manifest = json.loads((eval_out / "manifest.json").read_text())
+    peak_after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    assert manifest["peak_rss_mib"] <= eval_manifest["peak_rss_mib"] <= peak_after
 
 
 def test_git_revision_reads_loose_and_packed_refs(tmp_path):

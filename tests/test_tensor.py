@@ -770,6 +770,52 @@ def test_backward_frees_intermediates():
     assert x.grad is not None
 
 
+def test_an_output_no_closure_reads_dies_with_its_tensor():
+    """add's output feeds transpose, whose closure reads nothing: once the
+    caller drops it, refcount frees it before backward, and the gradient
+    is unchanged."""
+    rng = RNG(18)
+    x = Tensor(rng.uniform(-1, 1, size=(3, 4)), requires_grad=True)
+    s = T.add(x, x)
+    ref = weakref.ref(s.data)
+    y = T.transpose(s, (1, 0))
+    loss = T.tsum(y * y)
+    del s
+    assert ref() is None and y._parents[0].data is None
+    T.backward(loss)
+    np.testing.assert_array_equal(x.grad, 2 * (2 * (x.data + x.data)))
+
+
+def test_an_array_a_closure_reads_lives_until_the_closure_has_run():
+    """linear's closure reads its input's data, not its input's Tensor: the
+    Tensor dies with the caller's reference, the array once the closure
+    has run. Until then the tape vertex reports it as its data."""
+    rng = RNG(19)
+    x = Tensor(rng.uniform(-1, 1, size=(3, 4)), requires_grad=True)
+    w, b = rt(rng, 4, 2), rt(rng, 2)
+    h = T.add(x, x)
+    tensor_ref, data_ref = weakref.ref(h), weakref.ref(h.data)
+    loss = T.tsum(T.linear(h, w, b))
+    vertex = loss._parents[0]._parents[0]
+    del h
+    assert tensor_ref() is None
+    assert data_ref() is not None and vertex.data is data_ref() and vertex.shape == (3, 4)
+    T.backward(loss)
+    assert data_ref() is None and vertex.data is None
+    np.testing.assert_array_equal(x.grad, 2 * np.broadcast_to(w.data.sum(axis=1), (3, 4)))
+
+
+def test_backward_names_the_op_and_parent_of_a_non_finite_gradient(debug_checks):
+    """Every value is finite, but b's gradient a·c overflows: backward
+    raises instead of handing inf to the optimizer."""
+    a, b, c = (Tensor(np.array([v]), requires_grad=True) for v in (1e200, 1e-200, 1e200))
+    loss = T.tsum(T.mul(T.mul(a, b), c))
+    assert np.isfinite(loss.item())
+    with np.errstate(over="ignore"), pytest.raises(
+            NumericError, match=r"backward of mul, parent 1: non-finite output at index \(0,\)"):
+        T.backward(loss)
+
+
 def test_debug_checks_flag_detects_nan(debug_checks):
     bad = Tensor(np.array([1.0, np.nan]))
     with pytest.raises(NumericError, match=r"index \(1,\)"):

@@ -623,13 +623,13 @@ def _root(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _cell_arrays(value):
-    """The ndarrays in one closure cell, looking into tuples and lists."""
-    if isinstance(value, np.ndarray):
+def _cell_values(value, kind):
+    """The instances of ``kind`` in one closure cell, looking into tuples and lists."""
+    if isinstance(value, kind):
         yield value
     elif isinstance(value, (tuple, list)):
         for item in value:
-            yield from _cell_arrays(item)
+            yield from _cell_values(item, kind)
 
 
 # The arrays beyond the tape that a residual branch keeps for backward: the
@@ -640,14 +640,15 @@ BRANCH_KEEPS = {"attention_branch": {"mu", "inv", "a", "lse"},
 
 def test_training_tape_closures_keep_tape_arrays_and_row_statistics():
     """On a multi-scale training forward (perfbench's tiny sizes: scales
-    (4, 8), two heads), every float array a backward closure holds is a view
-    of some tape node's data, or one of the arrays its residual branch
-    keeps (``BRANCH_KEEPS``): the layer norm's mean and inverse deviation
-    (one number per row), sdpa's logsumexp (one per row and head), or the
+    (4, 8), two heads), every Tensor a backward closure holds is one of its
+    op's inputs, and every float array it holds is a view of an input's
+    data, of its own output, or one of the arrays its residual branch keeps
+    (``BRANCH_KEEPS``): the layer norm's mean and inverse deviation (one
+    number per row), sdpa's logsumexp (one per row and head), or the
     attention output (one row per row). No other op keeps an array beside
-    the tape. Layer-norm and GELU outputs, gelu's tanh term, a branch's q,
-    k, v and FFN pre-activation, sdpa's per-head copies and conv2d's im2col
-    are rebuilt in backward, not kept."""
+    its inputs and output. Layer-norm and GELU outputs, gelu's tanh term, a
+    branch's q, k, v and FFN pre-activation, sdpa's per-head copies and
+    conv2d's im2col are rebuilt in backward, not kept."""
     scene = tiny_scene(height=32, width=32, amplitude=1.0, blob_sigma=1.0, body_radius=2.0)
     cfg = tiny_config(scales=(4, 8), steps=1)
     features_np, truth = generate(scene)
@@ -662,7 +663,6 @@ def test_training_tape_closures_keep_tape_arrays_and_row_statistics():
             seen.add(id(node))
             nodes.append(node)
             stack.extend(node._parents)
-    on_tape = {id(_root(n.data)) for n in nodes}
     ops, kept = set(), {}
     for node in nodes:
         fn = node._backward_fn
@@ -671,13 +671,20 @@ def test_training_tape_closures_keep_tape_arrays_and_row_statistics():
         op = fn.__qualname__.split(".")[0]
         ops.add(op)
         cells = dict(zip(fn.__code__.co_freevars, (c.cell_contents for c in fn.__closure__ or ())))
-        rows = node.size // node.shape[-1] if node.ndim else 1
+        held = [t for v in cells.values() for t in _cell_values(v, Tensor)]
+        for t in held:
+            assert any(t._vertex() is p for p in node._parents), (
+                f"{fn.__qualname__} holds a Tensor {t.shape} that is not one of its inputs")
+        inputs = [p.data for p in node._parents] + [t.data for t in held] + [node.data]
+        own = {id(_root(a)) for a in inputs if a is not None}
+        rows = int(np.prod(node.shape[:-1], dtype=np.int64))
         for name, value in cells.items():
-            for a in _cell_arrays(value):
-                if a.dtype.kind != "f" or id(_root(a)) in on_tape:
+            for a in _cell_values(value, np.ndarray):
+                if a.dtype.kind != "f" or id(_root(a)) in own:
                     continue
                 assert name in BRANCH_KEEPS.get(op, ()), (
-                    f"{fn.__qualname__} keeps {name} {a.shape} beside its output {node.shape}")
+                    f"{fn.__qualname__} keeps {name} {a.shape} beside its inputs and output "
+                    f"{node.shape}")
                 kept.setdefault(op, set()).add(name)
                 if name in ("mu", "inv"):
                     assert a.size == rows, (op, name)
@@ -688,3 +695,29 @@ def test_training_tape_closures_keep_tape_arrays_and_row_statistics():
     assert kept == BRANCH_KEEPS
     assert {"gelu", "conv2d"} <= ops
     T.backward(loss)
+
+
+def _tape_size(roots) -> int:
+    """Tape vertices reachable from roots along the edges backward follows."""
+    seen, stack = set(), [r for r in roots if r.requires_grad]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(p for p in node._parents if p.requires_grad)
+    return len(seen)
+
+
+def test_multiscale_forward_builds_the_same_tape():
+    """Splitting the tape vertex from the value keeps every vertex: a
+    multi-scale forward at perfbench's tiny sizes builds 168 with the loss
+    and 146 without (the counts the tape had when each node held its data)."""
+    scene = tiny_scene(height=32, width=32, amplitude=1.0, blob_sigma=1.0, body_radius=2.0)
+    cfg = tiny_config(scales=(4, 8), steps=1)
+    features_np, truth = generate(scene)
+    model = build_model(scene, cfg)
+    targets = clip_targets(scene, truth, model.fine_k)
+    out = model.forward(Tensor(features_np), truth.flows, targets[0][2])
+    assert _tape_size([clip_loss(out, targets, cfg)[0]]) == 168
+    out = model.forward(Tensor(features_np), truth.flows)
+    assert _tape_size(out.heatmaps + out.offsets3d + out.offsets2d) == 146
