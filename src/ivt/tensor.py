@@ -33,6 +33,13 @@ closure reads (an ``add`` feeding a ``transpose``) is freed before
 ``backward``, and one that a closure reads (``linear``'s input) dies once
 that closure has run.
 
+A branch also bounds what it allocates while it runs. Its matmuls run
+whole (split by rows, a BLAS matmul can give other bits); an elementwise
+pass over a hidden-sized array walks it in row blocks (``_row_blocks``)
+with per-block temporaries; q, k and v reach the sdpa passes in a list
+that they empty, so each dies as its per-head copy is built, and those
+copies die before the result goes back to width layout.
+
 Ops take Tensors; an array is never converted to one implicitly.
 Elementwise ops (``add``, ``sub``, ``mul``) take operands of equal shape.
 The only broadcast op is ``add_bcast`` (positional embedding); ``linear``
@@ -296,6 +303,15 @@ def _gelu(x: np.ndarray, t: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
+def _row_blocks(a: np.ndarray) -> list[slice]:
+    """Slices of a 2-D array's rows, each of at most ``SDPA_BLOCK_BYTES`` and
+    at most half the rows (one row at least): a pass that holds a few
+    temporaries per block then holds less than the array it walks."""
+    rows = a.shape[0]
+    step = max(1, min(SDPA_BLOCK_BYTES // (a.itemsize * a.shape[1]), (rows + 1) // 2))
+    return [slice(r, r + step) for r in range(0, rows, step)]
+
+
 def _gelu_grad(x: np.ndarray, t: np.ndarray, g: np.ndarray, t1=None, scratch=None,
                out=None) -> np.ndarray:
     """g times gelu's derivative at x, from x, its tanh term t and, if the
@@ -519,7 +535,8 @@ def tmean(a: Tensor) -> Tensor:
 
 # Bytes of one block of attention scores, sized to a core's 2 MiB L2 cache: half
 # of it, since a backward block holds the rebuilt P and dS (2 MiB blocks ran the
-# CISA backward about 40% slower on such a Xeon).
+# CISA backward about 40% slower on such a Xeon). ``ffn_branch``'s GELU passes
+# walk row blocks of the same size.
 SDPA_BLOCK_BYTES = 1 << 20
 
 
@@ -547,19 +564,17 @@ def _sdpa_block(a3: np.ndarray, bt: np.ndarray, block, scratch: np.ndarray) -> n
     return s
 
 
-def _with_column(a: np.ndarray, col) -> np.ndarray:
-    """a with one more column on its last axis, holding ``col``."""
-    out = np.empty(a.shape[:-1] + (a.shape[-1] + 1,))
-    out[..., :-1] = a
-    out[..., -1:] = col
-    return out
-
-
-def _heads_to_batch(a: np.ndarray, elements: int, heads: int) -> np.ndarray:
-    """(..., n, heads·e) -> (elements·heads, n, e), head h of element b at b·heads + h."""
+def _heads_to_batch(a: np.ndarray, elements: int, heads: int, col=None) -> np.ndarray:
+    """(..., n, heads·e) -> a new (elements·heads, n, e) array, head h of element b
+    at b·heads + h; given ``col``, with one more last column holding it."""
     n, w = a.shape[-2:]
-    split = a.reshape(elements, n, heads, w // heads).transpose(0, 2, 1, 3)
-    return np.ascontiguousarray(split).reshape(elements * heads, n, w // heads)
+    e = w // heads
+    out = np.empty((elements * heads, n, e + (col is not None)))
+    out.reshape(elements, heads, n, -1)[..., :e] = (
+        a.reshape(elements, n, heads, e).transpose(0, 2, 1, 3))
+    if col is not None:
+        out[..., e:] = col
+    return out
 
 
 def _heads_to_width(a: np.ndarray, heads: int, shape) -> np.ndarray:
@@ -587,18 +602,19 @@ def _sdpa_check(q_shape, k_shape, v_shape, heads: int, op: str) -> None:
                             f"widths {q_shape[-1]} and {v_shape[-1]}")
 
 
-def _sdpa_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int, op: str):
+def _sdpa_forward(qkv: list, heads: int, op: str):
     """(out, lse, blocks): the attention output, one logsumexp per query row
-    and head, and the score blocks that backward walks again (``sdpa``)."""
-    lead = q.shape[:-2]
+    and head, and the score blocks that backward walks again (``sdpa``).
+    Empties the list ``qkv`` = [q, k, v] as it copies each into head
+    layout, so a caller that holds no other reference frees it there."""
+    lead, nq, nk, wv = qkv[0].shape[:-2], qkv[0].shape[-2], qkv[1].shape[-2], qkv[2].shape[-1]
     elements = int(np.prod(lead, dtype=np.int64))
-    batch, nq, nk = elements * heads, q.shape[-2], k.shape[-2]
-    d, dv = q.shape[-1] // heads, v.shape[-1] // heads
-    q3, k3, v3 = (_heads_to_batch(a, elements, heads) for a in (q, k, v))
-    c = float(1.0 / np.sqrt(d))
+    batch, d, dv = elements * heads, qkv[0].shape[-1] // heads, wv // heads
+    qc, k3, v3 = (_heads_to_batch(qkv.pop(0), elements, heads) for _ in range(3))
+    qc *= float(1.0 / np.sqrt(d))
     blocks = _sdpa_blocks(batch, nq, nk)
     scratch = np.empty(max((b1 - b0) * (r1 - r0) for b0, b1, r0, r1 in blocks) * nk)
-    qc, kt = q3 * c, np.swapaxes(k3, -1, -2)
+    kt = np.swapaxes(k3, -1, -2)
     lse = np.empty((batch, nq, 1))
     data = np.empty((batch, nq, dv))
     for block in blocks:
@@ -624,22 +640,27 @@ def _sdpa_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int, op: s
         lb += mb
         lse[b0:b1, r0:r1] = lb
     macs.add(batch * nq * nk * (d + dv))
-    return _heads_to_width(data, heads, lead + (nq, v.shape[-1])), lse, blocks
+    del qc, k3, kt, v3, pb, scratch
+    return _heads_to_width(data, heads, lead + (nq, wv)), lse, blocks
 
 
-def _sdpa_backward(q, k, v, out, lse, blocks, g, heads: int):
-    """(dq, dk, dv) of ``_sdpa_forward`` for the output gradient g."""
-    elements = int(np.prod(q.shape[:-2], dtype=np.int64))
-    d, nk = q.shape[-1] // heads, k.shape[-2]
+def _sdpa_backward(qkv: list, out, lse, blocks, g, heads: int):
+    """(dq, dk, dv) of ``_sdpa_forward`` for the output gradient g. Empties
+    ``qkv`` = [q, k, v] as ``_sdpa_forward`` does."""
+    shapes = [a.shape for a in qkv]
+    lead, (nq, wq), nk = shapes[0][:-2], shapes[0][-2:], shapes[1][-2]
+    elements = int(np.prod(lead, dtype=np.int64))
+    batch, d, dv = elements * heads, wq // heads, shapes[2][-1] // heads
     c = float(1.0 / np.sqrt(d))
     scratch_len = max((b1 - b0) * (r1 - r0) for b0, b1, r0, r1 in blocks) * nk
-    q3, k3, v3, g3, data = (_heads_to_batch(a, elements, heads) for a in (q, k, v, g, out))
-    qa = _with_column(q3 * c, -lse)
-    qc = qa[..., :d]
-    ga = _with_column(g3, -(g3 * data).sum(axis=-1, keepdims=True))  # [dO, −D]
-    kat = np.swapaxes(_with_column(k3, 1.0), -1, -2)
-    vat = np.swapaxes(_with_column(v3, 1.0), -1, -2)
-    dq3, dk3, dv3 = np.empty(q3.shape), np.empty(k3.shape), np.empty(v3.shape)
+    qa = _heads_to_batch(qkv.pop(0), elements, heads, -lse)  # [q/√e, −lse] once scaled
+    qa[..., :d] *= c
+    ka, va = (_heads_to_batch(qkv.pop(0), elements, heads, 1.0) for _ in range(2))
+    rowsum = (g * out).reshape(elements, nq, heads, dv).sum(axis=-1)  # D, per head
+    ga = _heads_to_batch(g, elements, heads, -rowsum.transpose(0, 2, 1).reshape(-1, nq, 1))
+    qc, k3, g3 = qa[..., :d], ka[..., :d], ga[..., :dv]
+    kat, vat = np.swapaxes(ka, -1, -2), np.swapaxes(va, -1, -2)
+    dq3, dk3, dv3 = np.empty((batch, nq, d)), np.empty((batch, nk, d)), np.empty((batch, nk, dv))
     scratch, ds_scratch = np.empty(scratch_len), np.empty(scratch_len)
     for block in blocks:
         b0, b1, r0, r1 = block
@@ -655,8 +676,11 @@ def _sdpa_backward(q, k, v, out, lse, blocks, g, heads: int):
         else:
             dk3[b0:b1] += dst @ qc[b0:b1, r0:r1]
             dv3[b0:b1] += pbt @ g3[b0:b1, r0:r1]
+    del qa, ka, va, ga, qc, k3, g3, kat, vat, pb, ds, dst, pbt, scratch, ds_scratch
     dq3 *= c
-    return tuple(_heads_to_width(a, heads, t.shape) for a, t in ((dq3, q), (dk3, k), (dv3, v)))
+    grads = [dq3, dk3, dv3]
+    del dq3, dk3, dv3
+    return tuple(_heads_to_width(grads.pop(0), heads, shape) for shape in shapes)
 
 
 def sdpa(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
@@ -665,10 +689,12 @@ def sdpa(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     2-D, or stacked with identical leading batch dims. The last axis holds
     ``heads`` heads side by side; each attends on its own columns, e wide
     in q and k, and the output puts the heads side by side again. Inside,
-    every head is one element of a (batch·heads, n, e) stack, copied in
-    and out; backward copies q, k, v and the output in again rather than
-    keep the stacks. One fused op with a hand-written backward that keeps
-    no attention weights, at the cost of FlashAttention-2 (Dao,
+    every head is one element of a (batch·heads, n, e) stack. Forward
+    copies q, k and v in and the output out; backward copies q, k, v and
+    the output gradient in again, each once and with the extra column
+    below, rather than keep the stacks. Each pass frees its stacks before
+    it copies its results out. One fused op with a hand-written backward
+    that keeps no attention weights, at the cost of FlashAttention-2 (Dao,
     arXiv:2307.08691): forward keeps one logsumexp per query row, and
     backward rebuilds each block of P from q, k and it. Both passes walk
     the scores in blocks of at most ``SDPA_BLOCK_BYTES`` (see
@@ -677,16 +703,17 @@ def sdpa(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
 
     Forward, per block: the scores s, max-shift and exp in place (P̃), the
     row sums l, the block's rows of P̃ v divided by l, and the logsumexp
-    lse = m + log l. Backward forms D = rowsum(dO ∘ O) once per call from
-    the output. One extra column on each operand puts the shift and the
-    subtraction into the block matmuls, [q/√e, −lse] [k, 1]ᵀ = s − lse and
-    [dO, −D] [v, 1]ᵀ = dP − D, so each backward block makes two elementwise
-    passes: P = exp(s − lse) and dS = P ∘ (dP − D). Then come the block's
-    rows of dq, and dk and dv assigned (whole rows) or accumulated (row
-    ranges) (Rabe & Staats, arXiv:2112.05682); dq is scaled by 1/√e once,
-    after the loop. The output and the gradients match the unfused
-    matmul/scale/softmax/matmul chain per head (in ``tests/reference_ops.py``)
-    to 1e-12, not bitwise, also for a call that is one block.
+    lse = m + log l. Backward forms D = rowsum(dO ∘ O) once per call and
+    head, from the output and its gradient as they are. One extra column
+    on each operand puts the shift and the subtraction into the block
+    matmuls, [q/√e, −lse] [k, 1]ᵀ = s − lse and [dO, −D] [v, 1]ᵀ = dP − D,
+    so each backward block makes two elementwise passes: P = exp(s − lse)
+    and dS = P ∘ (dP − D). Then come the block's rows of dq, and dk and dv
+    assigned (whole rows) or accumulated (row ranges) (Rabe & Staats,
+    arXiv:2112.05682); dq is scaled by 1/√e once, after the loop. The
+    output and the gradients match the unfused matmul/scale/softmax/matmul
+    chain per head (in ``tests/reference_ops.py``) to 1e-12, not bitwise,
+    also for a call that is one block.
     ``attention_branch`` runs the same two passes (``_sdpa_forward`` and
     ``_sdpa_backward``).
 
@@ -699,10 +726,10 @@ def sdpa(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     dividing the widths of q and v raise ``ContractError``.
     """
     _sdpa_check(q.shape, k.shape, v.shape, heads, "sdpa")
-    out, lse, blocks = _sdpa_forward(q.data, k.data, v.data, heads, "sdpa")
+    out, lse, blocks = _sdpa_forward([q.data, k.data, v.data], heads, "sdpa")
 
     def bw(g):
-        return _sdpa_backward(q.data, k.data, v.data, out, lse, blocks, g, heads)
+        return _sdpa_backward([q.data, k.data, v.data], out, lse, blocks, g, heads)
 
     return Tensor._result(out, (q, k, v), bw, "sdpa")
 
@@ -758,9 +785,11 @@ def attention_branch(x: Tensor, gain: Tensor, bias: Tensor, wq: Tensor, bq: Tens
     sdpa splits ``heads`` heads (``sdpa``). The closure keeps the row
     statistics of the layer norm, the attention output before wo and sdpa's
     logsumexp. Backward rebuilds the layer norm's output, then q, k and v
-    from it, and drops them once sdpa's backward has run: over n keys of
-    width d that costs 3·n·d² MACs against the attention's 2·n²·d. When x
-    takes no gradient, backward skips the layer norm's input gradient. The
+    from it: over n keys of width d that costs 3·n·d² MACs against the
+    attention's 2·n²·d. In both passes the branch keeps no reference to
+    q, k and v once it hands them to sdpa's pass, so each dies as its
+    per-head copy is built. When x takes no gradient, backward skips the
+    layer norm's input gradient. The
     output and every gradient are bitwise those of the chain layernorm,
     three ``linear``, ``sdpa``, ``linear`` and ``add`` (the chain in
     ``tests/reference_ops.py``), and MACs are charged as that chain's
@@ -785,8 +814,7 @@ def attention_branch(x: Tensor, gain: Tensor, bias: Tensor, wq: Tensor, bq: Tens
         projected.append(_affine(ln2, w.data, b.data).reshape(lead + (w.shape[1],)))
         _check_finite(projected[-1], f"{op}/{name}")
     del ln, ln2
-    q, k, v = projected
-    a, lse, blocks = _sdpa_forward(q, k, v, heads, f"{op}/sdpa")
+    a, lse, blocks = _sdpa_forward(projected, heads, f"{op}/sdpa")
     _check_finite(a, f"{op}/sdpa")
     data = _affine(a.reshape(-1, widths[2]), wo.data, bo.data).reshape(x.shape)
     data += x.data
@@ -797,8 +825,8 @@ def attention_branch(x: Tensor, gain: Tensor, bias: Tensor, wq: Tensor, bq: Tens
         qkv = [_affine_rebuild(ln2, w.data, b.data).reshape(lead + (w.shape[1],))
                for w, b in ((wq, bq), (wk, bk), (wv, bv))]
         da, dwo, dbo = _affine_grad(a.reshape(-1, widths[2]), wo.data, g.reshape(-1, d))
-        dqkv = _sdpa_backward(*qkv, a, lse, blocks, da.reshape(a.shape), heads)
-        del qkv, da
+        dqkv = _sdpa_backward(qkv, a, lse, blocks, da.reshape(a.shape), heads)
+        del da
         dln, dparams = None, []
         for dp, w in zip(dqkv, (wq, wk, wv)):  # in the order the chain summed them
             dl, dw, db = _affine_grad(ln2, w.data, dp.reshape(-1, w.shape[1]))
@@ -820,15 +848,20 @@ def ffn_branch(x: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, b1: Tensor,
 
     LN is the layer norm over the last axis with ``gain`` and ``bias``.
     The closure keeps only the row statistics of the layer norm. Forward
-    turns h = LN(x) w1 + b1 into gelu(h) in place. Backward rebuilds the
-    layer norm's output, h from it, and gelu's tanh term t, 1 + t and
-    output from h, then forms gelu's derivative in those buffers, so it
-    holds five arrays of h's size at most. The output and every
-    gradient are bitwise those of the chain layernorm, ``linear``,
-    ``gelu``, ``linear`` and ``add`` (the chain in
-    ``tests/reference_ops.py``), and MACs are charged as that chain's
-    forward charges them. It raises the errors the chain raised; under
-    debug checks a non-finite value names the stage:
+    turns h = LN(x) w1 + b1 into gelu(h) in place, one block of rows at a
+    time (``_row_blocks``), so it holds h and one block of gelu's tanh
+    term. Backward rebuilds the layer norm's output and h from it, and
+    forms gelu's output gradient dact = g w2ᵀ whole. Per block of rows it
+    rebuilds gelu's tanh term t, 1 + t and output from h, writes h's
+    gradient into h and the output into dact; after the loop that buffer
+    is gelu(h), for dw2 = gelu(h)ᵀ g. So it holds two arrays of h's size
+    and four block-sized temporaries (t, 1 + t, the output and gelu's
+    inner derivative), and a block is at most half the rows. The three
+    matmuls run whole. The output and every gradient are bitwise those of
+    the chain layernorm, ``linear``, ``gelu``, ``linear`` and ``add`` (the
+    chain in ``tests/reference_ops.py``), and MACs are charged as that
+    chain's forward charges them. It raises the errors the chain raised;
+    under debug checks a non-finite value names the stage:
     ``ffn_branch/layernorm``, ``/hidden`` and ``/out`` (gelu maps every
     finite h to a finite value, so its output is not scanned).
     """
@@ -842,21 +875,25 @@ def ffn_branch(x: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, b1: Tensor,
     h = _affine(ln.reshape(-1, d), w1.data, b1.data)
     del ln
     _check_finite(h, f"{op}/hidden")
-    _gelu(h, _gelu_tanh(h), out=h)
+    for r in _row_blocks(h):
+        _gelu(h[r], _gelu_tanh(h[r]), out=h[r])
     data = _affine(h, w2.data, b2.data).reshape(x.shape)
     data += x.data
 
     def bw(g):
         ln, xhat, _, _ = _layernorm(x.data, gain.data, bias.data, (mu, inv))
         ln2 = ln.reshape(-1, d)
-        h = _affine_rebuild(ln2, w1.data, b1.data)
-        t = _gelu_tanh(h)
-        t1 = t.copy()
-        act = _gelu(h, t1)
-        dact, dw2, db2 = _affine_grad(act, w2.data, g.reshape(-1, d))
-        dh = _gelu_grad(h, t, dact, t1, scratch=act, out=h)
-        del t, t1, act, dact
-        dln, dw1, db1 = _affine_grad(ln2, w1.data, dh)
+        h, g2 = _affine_rebuild(ln2, w1.data, b1.data), g.reshape(-1, d)
+        dact = g2 @ w2.data.T  # _affine_grad's terms; dw2 waits for gelu(h), built per block
+        for r in _row_blocks(h):
+            t = _gelu_tanh(h[r])
+            t1 = t.copy()
+            act = _gelu(h[r], t1)
+            _gelu_grad(h[r], t, dact[r], t1, out=h[r])  # dh, in h
+            dact[r] = act
+        dw2, db2 = dact.T @ g2, g2.sum(axis=0)  # dact now holds gelu(h)
+        dln, dw1, db1 = _affine_grad(ln2, w1.data, h)
+        del h, dact
         dx, dgain, dbias = _layernorm_grad(dln.reshape(x.shape), xhat, inv, gain.data)
         dx += g
         return dx, dgain, dbias, dw1, db1, dw2, db2

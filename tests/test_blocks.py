@@ -308,6 +308,10 @@ def ffn_chain(x, p, heads):
 
 ROW_SPLIT = 370  # tokens whose 370 x 370 scores exceed one block: sdpa splits query rows
 assert len(T._sdpa_blocks(1, ROW_SPLIT, ROW_SPLIT)) > 1
+# Three elements of ROW_SPLIT tokens, d = 64: 1110 rows of the FFN's 256-wide hidden
+# layer, which the GELU passes walk in two whole blocks of rows and a partial one.
+FFN_SPLIT = ((3,), ROW_SPLIT, 64)
+assert [r.stop for r in T._row_blocks(np.empty((3 * ROW_SPLIT, 4 * 64)))] == [512, 1024, 1536]
 
 
 def branch_bits(branch, x_np, params_np, cot, heads):
@@ -331,11 +335,14 @@ def branch_cases(draw):
 @settings(deadline=None, max_examples=60)
 @given(case=branch_cases())
 @example(case=((2,), ROW_SPLIT, 4, 2, 0))
+@example(case=(*FFN_SPLIT, 2, 1))
+@example(case=((2,), ROW_SPLIT, 4, 1, 2))
 def test_branches_match_the_reference_chain_bitwise(case):
     """Both branches give the output and every gradient (input, layer-norm
     gain and bias, weights and biases) of the one-op chain bit for bit,
     for any leading shape, width and head count, also where sdpa splits
-    the query rows into blocks."""
+    the query rows into blocks and where the FFN's GELU passes span
+    several row blocks."""
     lead, n, d, heads, seed = case
     rng = RNG(seed)
     params = {k: rng.uniform(-1, 1, size=p.shape) for k, p in block_params(rng, d).items()}
@@ -393,20 +400,57 @@ def peak_bytes(build):
 
 
 def test_ffn_branch_computes_gelu_in_the_buffers_it_holds():
-    """Forward holds at most two arrays of the hidden layer's size at once
-    (h and gelu's tanh term) and backward five (h, the tanh term, 1 + it,
-    gelu's output and its gradient), plus a few arrays of the input's
-    size: the layer norm's, the gradients' and the output."""
+    """Forward holds h, the hidden layer, and gelu's tanh term for one block
+    of h's rows; backward holds h (which becomes dh), the gradient of
+    gelu's output (which becomes the output itself) and, per block, the
+    tanh term, 1 + it, gelu's output and the inner derivative. Beyond
+    those, a few arrays of the input's size: the layer norm's, the
+    gradients' and the output. At 300 rows the bounds are the whole-array
+    ones, two and five arrays of h's size; at 4000 rows h spans four row
+    blocks, and the bounds are one array of h's size and one block in
+    forward, two and four blocks in backward."""
     rng = RNG(24)
-    d, lead = 32, (4, 75)
+    d = 32
     params = block_params(rng, d)
-    x = Tensor(rng.uniform(-1, 1, size=lead + (d,)), requires_grad=True)
-    hidden, slack = 8 * 300 * 4 * d, 3 * 8 * 300 * d
-    out, forward = peak_bytes(lambda: ffn_branch(x, params, 2))
-    assert forward <= 2 * hidden + slack, (forward, hidden)
-    g = rng.standard_normal(out.shape)
+    for lead in ((4, 75), (4, 1000)):
+        rows = int(np.prod(lead))
+        x = Tensor(rng.uniform(-1, 1, size=lead + (d,)), requires_grad=True)
+        hidden, slack = 8 * rows * 4 * d, 3 * 8 * rows * d
+        if rows == 300:
+            forward_bound, backward_bound = 2 * hidden, 5 * hidden
+        else:
+            assert len(T._row_blocks(np.empty((rows, 4 * d)))) == 4
+            forward_bound = hidden + T.SDPA_BLOCK_BYTES
+            backward_bound = 2 * hidden + 4 * T.SDPA_BLOCK_BYTES
+        out, forward = peak_bytes(lambda: ffn_branch(x, params, 2))
+        assert forward <= forward_bound + slack, (rows, forward, hidden)
+        g = rng.standard_normal(out.shape)
+        _, backward = peak_bytes(lambda: out._backward_fn(g))
+        assert backward <= backward_bound + slack, (rows, backward, hidden)
+
+
+def test_attention_branch_backward_holds_each_operand_once():
+    """Backward holds sdpa's four operands with their extra column ([q/√e,
+    −lse], [k, 1], [v, 1] and [dO, −D] per head), its three gradients in
+    head layout and two score blocks, plus four arrays of the input's
+    size (the rebuilt layer norm's output and normalized input, the
+    attention output's gradient and small temporaries): q, k and v die as
+    their operands are built, and the operands before the gradients go
+    back to width layout."""
+    rng = RNG(28)
+    shape, heads = (2, 600, 32), 2
+    params = block_params(rng, shape[-1])
+    x = Tensor(rng.uniform(-1, 1, size=shape), requires_grad=True)
+    batch, n, e = shape[0] * heads, shape[1], shape[2] // heads
+    blocks = T._sdpa_blocks(batch, n, n)
+    assert len(blocks) > batch
+    operand, width = 8 * batch * n * (e + 1), 8 * x.size
+    score_block = 8 * max((b1 - b0) * (r1 - r0) for b0, b1, r0, r1 in blocks) * n
+    bound = 4 * operand + 3 * width + 2 * score_block + 4 * width
+    out = attention_branch(x, params, heads)
+    g = rng.standard_normal(shape)
     _, backward = peak_bytes(lambda: out._backward_fn(g))
-    assert backward <= 5 * hidden + slack, (backward, hidden)
+    assert backward <= bound, (backward, bound)
 
 
 def test_block_forward_keeps_less_than_the_chain():

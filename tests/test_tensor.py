@@ -559,6 +559,34 @@ def test_sdpa_over_the_block_budget_matches_unfused_chain():
     assert_sdpa_matches_unfused_chain(shapes)
 
 
+@pytest.mark.parametrize("heads", [1, 2])
+def test_head_split_is_a_new_array(heads):
+    """The head split always allocates, also with one head, where a reshape
+    alone would be a view of its input; sdpa scales its split of q in place."""
+    a = RNG(26).uniform(-1, 1, size=(2, 5, 4))
+    split = T._heads_to_batch(a, 2, heads)
+    assert not np.shares_memory(a, split)
+    np.testing.assert_array_equal(T._heads_to_width(split, heads, a.shape), a)
+
+
+def test_one_head_attention_leaves_its_inputs_unchanged():
+    """With one head, sdpa and attention_branch write neither their inputs
+    (tape arrays) nor the incoming gradient, in forward or backward."""
+    rng = RNG(27)
+    q, k, v, x = (Tensor(rng.uniform(-1, 1, size=(2, 5, 4)), requires_grad=True)
+                  for _ in range(4))
+    p = block_params(rng, 4)
+    g = rng.standard_normal((2, 5, 4))
+    for inputs, build in (
+            ((q, k, v), lambda: T.sdpa(q, k, v, 1)),
+            ((x,), lambda: T.attention_branch(x, p["ln1_g"], p["ln1_b"], p["wq"], p["bq"],
+                                              p["wk"], p["bk"], p["wv"], p["bv"], p["wo"],
+                                              p["bo"], 1))):
+        before = [t.data.tobytes() for t in inputs] + [g.tobytes()]
+        build()._backward_fn(g)
+        assert [t.data.tobytes() for t in inputs] + [g.tobytes()] == before
+
+
 def kept_beyond_output(op):
     """(out, bytes): op's result, and what its forward left allocated beyond
     the output array, which is what the closure keeps until backward. The op
